@@ -70,11 +70,12 @@ func stripProcsSuffix(name string) string { return benchfmt.StripProcsSuffix(nam
 // solver benchmarks (sub-quadratic fast path, O(n²) reference scan,
 // budgeted variant) and the batched grid-scoring pair — plus the
 // plan-service pair contrasting cached and uncached request latency,
-// and the cluster-simulator trio (streaming calendar engine, buffered
-// heap baseline, parallel sweep) whose speedup ratio the gate below
-// pins. The full suite (-bench .) includes multi-second experiment
+// the in-process cached-hit pair (backend handler alone; frontend →
+// in-process transport → backend) that leaves loopback HTTP out, and
+// the cluster-simulator trio (streaming calendar engine, buffered heap
+// baseline, parallel sweep) whose speedup ratio the gate below pins. The full suite (-bench .) includes multi-second experiment
 // drivers and is opt-in.
-const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkBatchedScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
+const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkBatchedScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
 
 // compareTolerance is the -compare regression threshold: a benchmark
 // fails the gate when its current ns/op exceeds the baseline by more

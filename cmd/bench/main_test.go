@@ -179,6 +179,8 @@ func TestCompareAgainstCommittedBaseline(t *testing.T) {
 		"BenchmarkClusterSim/1M",
 		"BenchmarkClusterSimHeap/1M",
 		"BenchmarkClusterSweep",
+		"BenchmarkPlanServiceCachedInProcess/backend",
+		"BenchmarkPlanServiceCachedInProcess/frontend",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("committed BENCH.json missing %s (regenerate with scripts/bench.sh)", want)

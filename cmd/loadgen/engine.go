@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"sync"
@@ -113,6 +114,11 @@ type report struct {
 	// Imbalance is the max/mean per-shard request ratio (1.0 = perfect).
 	Imbalance float64 `json:"imbalance"`
 	ElapsedNS float64 `json:"elapsed_ns"`
+	// BodyMemoHits (summed over the backends) and RouteMemoHits (the
+	// frontend's) count requests the hit-path memos answered; in-process
+	// fleets only.
+	BodyMemoHits  int64 `json:"body_memo_hits"`
+	RouteMemoHits int64 `json:"route_memo_hits"`
 }
 
 // hitRatio is the fraction of requests served without a fresh
@@ -218,8 +224,9 @@ func uniqueSpecs(emitted []string) int {
 }
 
 // buildTarget assembles the handler-or-URL the scenario drives and a
-// fresh client for it.
-func buildTarget(cfg engineConfig) (*client.Client, http.Handler, error) {
+// fresh client for it; for an in-process fleet it also returns the
+// frontend and its backends.
+func buildTarget(cfg engineConfig) (*client.Client, http.Handler, []http.Handler, error) {
 	ccfg := client.Config{
 		// Failures are data here, not something to mask with retries.
 		MaxRetries: -1,
@@ -228,25 +235,39 @@ func buildTarget(cfg engineConfig) (*client.Client, http.Handler, error) {
 	if cfg.target != "" {
 		ccfg.BaseURL = cfg.target
 		c, err := client.New(ccfg)
-		return c, nil, err
+		return c, nil, nil, err
 	}
 	refs := make([]service.BackendRef, cfg.shards)
+	backends := make([]http.Handler, cfg.shards)
 	for i := range refs {
-		refs[i] = service.BackendRef{
-			Name: "shard-" + strconv.Itoa(i),
-			Handler: service.New(service.Config{
-				Limits: service.LimitsConfig{BatchWindow: cfg.batchWindow},
-			}),
-		}
+		backends[i] = service.New(service.Config{
+			Limits: service.LimitsConfig{BatchWindow: cfg.batchWindow},
+		})
+		refs[i] = service.BackendRef{Name: "shard-" + strconv.Itoa(i), Handler: backends[i]}
 	}
 	fe, err := service.NewFrontend(service.FrontendConfig{Backends: refs})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	ccfg.BaseURL = "http://fleet"
 	ccfg.HTTPClient = &http.Client{Transport: client.HandlerTransport(fe)}
 	c, err := client.New(ccfg)
-	return c, fe, err
+	return c, fe, backends, err
+}
+
+// counterVar reads one integer counter from a handler's /debug/vars.
+func counterVar(h http.Handler, name string) (int64, error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, api.PathVars, nil))
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		return 0, fmt.Errorf("%s: %w", api.PathVars, err)
+	}
+	var n int64
+	if err := json.Unmarshal(vars[name], &n); err != nil {
+		return 0, fmt.Errorf("%s %s: %w", api.PathVars, name, err)
+	}
+	return n, nil
 }
 
 // planBody renders the request body for one spec. The small grids keep
@@ -264,7 +285,7 @@ func runEngine(ctx context.Context, cfg engineConfig) (report, error) {
 	if err != nil {
 		return report{}, err
 	}
-	c, handler, err := buildTarget(cfg)
+	c, handler, backends, err := buildTarget(cfg)
 	if err != nil {
 		return report{}, err
 	}
@@ -356,6 +377,18 @@ func runEngine(ctx context.Context, cfg engineConfig) (report, error) {
 	rep.P99NS = quantileNS(latencies, 0.99)
 	rep.P999NS = quantileNS(latencies, 0.999)
 	rep.Imbalance = imbalance(rep.PerShard)
+	if handler != nil {
+		if rep.RouteMemoHits, err = counterVar(handler, "route_memo_hits"); err != nil {
+			return rep, err
+		}
+		for _, b := range backends {
+			n, err := counterVar(b, "body_memo_hits")
+			if err != nil {
+				return rep, err
+			}
+			rep.BodyMemoHits += n
+		}
+	}
 	return rep, nil
 }
 

@@ -155,6 +155,12 @@ func runSmoke(ctx context.Context) ([]report, error) {
 	if warm.Misses != 0 {
 		return nil, fmt.Errorf("smoke warm: %d misses after full Table-1 warmup, want 0", warm.Misses)
 	}
+	// Repeated warm bodies must take the hit path's memos; a fast path
+	// that silently falls back to the full decode still serves hits.
+	if warm.BodyMemoHits == 0 || warm.RouteMemoHits == 0 {
+		return nil, fmt.Errorf("smoke warm: %d body-memo hits on the backends, %d route-memo hits on the frontend; want both > 0",
+			warm.BodyMemoHits, warm.RouteMemoHits)
+	}
 	return []report{zipf, warm}, nil
 }
 
@@ -171,6 +177,9 @@ func printReport(w io.Writer, rep report) {
 	}
 	if len(rep.PerShard) > 0 {
 		fmt.Fprintf(w, "  shards   %v, imbalance %.2fx\n", rep.PerShard, rep.Imbalance)
+	}
+	if rep.BodyMemoHits > 0 || rep.RouteMemoHits > 0 {
+		fmt.Fprintf(w, "  memos    %d body-memo hits, %d route-memo hits\n", rep.BodyMemoHits, rep.RouteMemoHits)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package lru provides a small, concurrency-safe, bounded
-// least-recently-used cache. It backs the two caching layers of the
-// serving stack: the Planner's per-distribution derived state
-// (workloads, discretizations) and the plan service's response cache.
+// least-recently-used cache. It backs the caching layers of the serving
+// stack: the Planner's per-distribution derived state (workloads,
+// discretizations), and the plan service's response cache, planner
+// cache and hit-path memos.
 package lru
 
 import (

@@ -3,15 +3,19 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/client"
+	"repro/internal/lru"
 	"repro/internal/shard"
 	"repro/internal/tenant"
 	"repro/service/api"
@@ -20,6 +24,9 @@ import (
 // DefaultHealthInterval is the background health-probe period when
 // ShardConfig.HealthInterval is unset.
 const DefaultHealthInterval = time.Second
+
+// routeMemoCap bounds a Frontend's route memo, in entries.
+const routeMemoCap = 4096
 
 // BackendRef names one backend shard and says how to reach it: an
 // in-process http.Handler (the -shards N deployment) or a base URL
@@ -85,6 +92,13 @@ type Frontend struct {
 	mux     *http.ServeMux
 	metrics *frontendMetrics
 
+	// routes memoizes request body → canonical spec, keyed by a seeded
+	// hash of the body alone. A collision can only route a request to a
+	// shard other than its home, which still answers it correctly:
+	// every backend canonicalizes for itself.
+	routes    *lru.Cache[uint64, string]
+	routeSeed maphash.Seed
+
 	mu   sync.Mutex
 	down map[string]bool
 }
@@ -137,13 +151,15 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	f := &Frontend{
-		cfg:     cfg,
-		ring:    ring,
-		clients: clients,
-		limiter: limiter,
-		mux:     http.NewServeMux(),
-		metrics: newFrontendMetrics(),
-		down:    make(map[string]bool),
+		cfg:       cfg,
+		ring:      ring,
+		clients:   clients,
+		limiter:   limiter,
+		mux:       http.NewServeMux(),
+		metrics:   newFrontendMetrics(),
+		routes:    lru.New[uint64, string](routeMemoCap),
+		routeSeed: maphash.MakeSeed(),
+		down:      make(map[string]bool),
 	}
 	f.mux.HandleFunc(api.PathPlan, func(w http.ResponseWriter, r *http.Request) {
 		f.proxy(w, r, "plan", func(ctx context.Context, c *client.Client, body []byte) (*client.Raw, error) {
@@ -175,6 +191,35 @@ type routeSpec struct {
 	Distribution string `json:"distribution"`
 }
 
+// route returns the canonical spec body routes by: from the route memo
+// when the body was routed before, otherwise by a loose decode — the
+// backend enforces the strict schema; the frontend only needs the
+// routing key — and CanonicalSpec. Bodies of at most memoBodyCap bytes
+// that route successfully are memoized.
+func (f *Frontend) route(body []byte) (string, error) {
+	memoable := len(body) <= memoBodyCap
+	var sum uint64
+	if memoable {
+		sum = maphash.Bytes(f.routeSeed, body)
+		if spec, ok := f.routes.Get(sum); ok {
+			f.metrics.routeMemoHits.Add(1)
+			return spec, nil
+		}
+	}
+	var req routeSpec
+	if err := json.Unmarshal(body, &req); err != nil {
+		return "", errors.New("invalid JSON request: " + err.Error())
+	}
+	spec, err := CanonicalSpec(req.Distribution)
+	if err != nil {
+		return "", err
+	}
+	if memoable {
+		f.routes.Put(sum, spec)
+	}
+	return spec, nil
+}
+
 // proxy admits, routes, and forwards one request, failing over along
 // the ring on backend errors.
 func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, endpoint string,
@@ -201,14 +246,7 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, endpoint string
 		f.fail(w, api.CodeBadRequest, "reading request body: "+err.Error())
 		return
 	}
-	// Loose decode on purpose: the backend enforces the strict schema;
-	// the frontend only needs the routing key.
-	var route routeSpec
-	if err := json.Unmarshal(body, &route); err != nil {
-		f.fail(w, api.CodeBadRequest, "invalid JSON request: "+err.Error())
-		return
-	}
-	spec, err := CanonicalSpec(route.Distribution)
+	spec, err := f.route(body)
 	if err != nil {
 		f.fail(w, api.CodeBadRequest, err.Error())
 		return
@@ -384,6 +422,8 @@ type frontendMetrics struct {
 	failovers *expvar.Int // hops past a failed backend
 	rejected  *expvar.Int // admission rejections
 	probes    *expvar.Int // CheckHealth sweeps
+
+	routeMemoHits atomic.Int64 // requests routed from the route memo
 }
 
 func newFrontendMetrics() *frontendMetrics {
@@ -402,5 +442,6 @@ func newFrontendMetrics() *frontendMetrics {
 	m.vars.Set("failovers", m.failovers)
 	m.vars.Set("rejected", m.rejected)
 	m.vars.Set("probes", m.probes)
+	m.vars.Set("route_memo_hits", expvar.Func(func() any { return m.routeMemoHits.Load() }))
 	return m
 }

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,9 +37,9 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{api.CodeBadRequest, fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON strictly decodes one JSON value from the request body.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *apiError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+// decodeJSON strictly decodes one JSON value from a request body.
+func decodeJSON(body io.Reader, v any) *apiError {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("invalid JSON request: %v", err)
@@ -139,103 +142,146 @@ func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 	}, nil
 }
 
-// planner returns the cached Planner for (model, opts), constructing
-// and caching one on a miss. Construction validates the model and
-// resolves the option defaults, so the returned key is canonical. A
-// concurrent miss may build two equivalent Planners; either works and
-// the cache converges on one.
+// plannerReq is the planner cache's key: a request's cost model and
+// options as sent, before validation and defaulting. Floats are held as
+// bits, so values plannerKey spells differently (-0 and 0) never share
+// an entry.
+type plannerReq struct {
+	alpha, beta, gamma, epsilon uint64
+	opts                        repro.Options // Epsilon cleared: held in epsilon
+}
+
+// plannerEntry is a cached Planner and its canonical plannerKey.
+type plannerEntry struct {
+	planner *repro.Planner
+	key     string
+}
+
+// planner returns the Planner for (model, opts) and its canonical key.
+// A cache hit costs one lookup keyed by the request's own values; only
+// a miss builds a Planner — validating the model and resolving the
+// option defaults — and derives the key. Two spellings of one option
+// set (an omitted option and its default) cache separate but
+// equivalent Planners under the same canonical key. A concurrent miss
+// may build two equivalent Planners; either works and the cache keeps
+// the later one.
 func (s *Backend) planner(model repro.CostModel, opts repro.Options) (*repro.Planner, string, error) {
+	req := plannerReq{
+		alpha:   math.Float64bits(model.Alpha),
+		beta:    math.Float64bits(model.Beta),
+		gamma:   math.Float64bits(model.Gamma),
+		epsilon: math.Float64bits(opts.Epsilon),
+		opts:    opts,
+	}
+	req.opts.Epsilon = 0
+	if e, ok := s.planners.Get(req); ok {
+		s.metrics.plannerHits.Add(1)
+		return e.planner, e.key, nil
+	}
+	s.metrics.plannerMisses.Add(1)
 	pl, err := repro.NewPlanner(model, opts)
 	if err != nil {
 		return nil, "", err
 	}
 	key := plannerKey(pl.CostModel(), pl.Options())
-	if cached, ok := s.planners.Get(key); ok {
-		return cached, key, nil
-	}
-	s.planners.Put(key, pl)
+	s.planners.Put(req, plannerEntry{pl, key})
 	return pl, key, nil
+}
+
+// resolved is a validated, keyed request: its response-cache key, its
+// batching group, and the computation that renders its response bytes
+// on a cache miss.
+type resolved struct {
+	key, group string
+	compute    func() ([]byte, error)
 }
 
 // handlePlan implements POST /v1/plan.
 func (s *Backend) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.instrumented(w, r, "plan", func(w http.ResponseWriter, r *http.Request) {
-		var req api.PlanRequest
-		if aerr := decodeJSON(w, r, &req); aerr != nil {
-			s.writeAPIError(w, aerr)
-			return
-		}
-		in, aerr := s.resolveInputs(req)
-		if aerr != nil {
-			s.writeAPIError(w, aerr)
-			return
-		}
-		s.respond(w, r, "plan|"+in.key, in.group, func() ([]byte, error) {
-			p, err := in.planner.Plan(in.dist, in.strategy)
-			if err != nil {
-				return nil, err
-			}
-			resp := api.PlanResponse{Plan: p.Summary(), CanonicalSpec: in.spec}
-			if st, err := p.Stats(); err == nil {
-				resp.Stats = &api.PlanStats{
-					ExpectedAttempts: st.ExpectedAttempts,
-					ExpectedReserved: st.ExpectedReserved,
-					ExpectedUsed:     st.ExpectedUsed,
-					Utilization:      st.Utilization,
-				}
-			}
-			return marshalBody(resp)
-		})
-	})
+	s.serve(w, r, "plan", s.resolvePlan)
 }
 
 // handleSimulate implements POST /v1/simulate.
 func (s *Backend) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.instrumented(w, r, "simulate", func(w http.ResponseWriter, r *http.Request) {
-		var req api.SimulateRequest
-		if aerr := decodeJSON(w, r, &req); aerr != nil {
-			s.writeAPIError(w, aerr)
-			return
-		}
-		if req.Samples < 0 {
-			s.writeAPIError(w, badRequest("samples must be positive, got %d", req.Samples))
-			return
-		}
-		if req.Samples == 0 {
-			req.Samples = 1000
-		}
-		in, aerr := s.resolveInputs(req.PlanRequest)
-		if aerr != nil {
-			s.writeAPIError(w, aerr)
-			return
-		}
-		key := "sim|" + in.key +
-			"|n=" + strconv.Itoa(req.Samples) +
-			"|simseed=" + strconv.FormatUint(req.SimSeed, 10)
-		s.respond(w, r, key, in.group, func() ([]byte, error) {
-			p, err := in.planner.Plan(in.dist, in.strategy)
-			if err != nil {
-				return nil, err
-			}
-			normalized, stderr, err := p.Simulate(req.Samples, req.SimSeed)
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(api.SimulateResponse{
-				Plan:           p.Summary(),
-				CanonicalSpec:  in.spec,
-				Samples:        req.Samples,
-				SimSeed:        req.SimSeed,
-				NormalizedCost: normalized,
-				StdErr:         stderr,
-			})
-		})
-	})
+	s.serve(w, r, "simulate", s.resolveSimulate)
 }
 
-// instrumented wraps a POST handler with the shared method check and
-// the request / in-flight / latency metrics.
-func (s *Backend) instrumented(w http.ResponseWriter, r *http.Request, endpoint string, h http.HandlerFunc) {
+// resolvePlan decodes and resolves a /v1/plan body.
+func (s *Backend) resolvePlan(body io.Reader) (*resolved, *apiError) {
+	var req api.PlanRequest
+	if aerr := decodeJSON(body, &req); aerr != nil {
+		return nil, aerr
+	}
+	in, aerr := s.resolveInputs(req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return &resolved{key: "plan|" + in.key, group: in.group, compute: func() ([]byte, error) {
+		p, err := in.planner.Plan(in.dist, in.strategy)
+		if err != nil {
+			return nil, err
+		}
+		resp := api.PlanResponse{Plan: p.Summary(), CanonicalSpec: in.spec}
+		if st, err := p.Stats(); err == nil {
+			resp.Stats = &api.PlanStats{
+				ExpectedAttempts: st.ExpectedAttempts,
+				ExpectedReserved: st.ExpectedReserved,
+				ExpectedUsed:     st.ExpectedUsed,
+				Utilization:      st.Utilization,
+			}
+		}
+		return marshalBody(resp)
+	}}, nil
+}
+
+// resolveSimulate decodes and resolves a /v1/simulate body.
+func (s *Backend) resolveSimulate(body io.Reader) (*resolved, *apiError) {
+	var req api.SimulateRequest
+	if aerr := decodeJSON(body, &req); aerr != nil {
+		return nil, aerr
+	}
+	if req.Samples < 0 {
+		return nil, badRequest("samples must be positive, got %d", req.Samples)
+	}
+	if req.Samples == 0 {
+		req.Samples = 1000
+	}
+	in, aerr := s.resolveInputs(req.PlanRequest)
+	if aerr != nil {
+		return nil, aerr
+	}
+	key := "sim|" + in.key +
+		"|n=" + strconv.Itoa(req.Samples) +
+		"|simseed=" + strconv.FormatUint(req.SimSeed, 10)
+	return &resolved{key: key, group: in.group, compute: func() ([]byte, error) {
+		p, err := in.planner.Plan(in.dist, in.strategy)
+		if err != nil {
+			return nil, err
+		}
+		normalized, stderr, err := p.Simulate(req.Samples, req.SimSeed)
+		if err != nil {
+			return nil, err
+		}
+		return marshalBody(api.SimulateResponse{
+			Plan:           p.Summary(),
+			CanonicalSpec:  in.spec,
+			Samples:        req.Samples,
+			SimSeed:        req.SimSeed,
+			NormalizedCost: normalized,
+			StdErr:         stderr,
+		})
+	}}, nil
+}
+
+// serve is the shared body of the POST endpoints: the method check,
+// the request / in-flight / latency metrics, and the hit path. A body of
+// at most memoBodyCap bytes that resolved before is answered from the
+// body memo and the response cache: no decode, parse or Planner lookup.
+// Anything else — a larger body, a memo miss, a memo hit whose response
+// was evicted — is strictly decoded and resolved, and answered by
+// respond; a small body that resolves is memoized on the way.
+func (s *Backend) serve(w http.ResponseWriter, r *http.Request, endpoint string,
+	resolve func(body io.Reader) (*resolved, *apiError)) {
 	start := s.now()
 	s.metrics.requests.Add(endpoint, 1)
 	s.metrics.inFlight.Add(1)
@@ -247,7 +293,37 @@ func (s *Backend) instrumented(w http.ResponseWriter, r *http.Request, endpoint 
 		s.writeError(w, api.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	h(w, r)
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	n, err := io.ReadFull(r.Body, *buf)
+	head := (*buf)[:n]
+	whole := err == io.EOF || err == io.ErrUnexpectedEOF
+	if whole {
+		if key, ok := s.memo.get(endpoint, head); ok {
+			if body, ok := s.cache.Get(key); ok {
+				s.metrics.bodyMemoHits.Add(1)
+				s.metrics.cacheHits.Add(1)
+				writeBody(w, "hit", body)
+				return
+			}
+		}
+	}
+	var body io.Reader = bytes.NewReader(head)
+	switch {
+	case err == nil: // longer than the memo stores: stream the rest
+		body = io.MultiReader(body, http.MaxBytesReader(w, r.Body, maxRequestBytes-int64(n)))
+	case !whole: // a read error: the decoder meets it after head
+		body = io.MultiReader(body, errReader{err})
+	}
+	res, aerr := resolve(body)
+	if aerr != nil {
+		s.writeAPIError(w, aerr)
+		return
+	}
+	if whole {
+		s.memo.put(endpoint, head, res.key)
+	}
+	s.respond(w, r, res.key, res.group, res.compute)
 }
 
 // respond serves a computed response for key: from the byte cache on a

@@ -14,7 +14,9 @@
 // them. Responses are cached in a bounded LRU keyed by a canonical
 // serialization of (distribution spec, cost model, strategy, options),
 // so a cache hit returns bytes identical to the miss that populated
-// it. Concurrent identical requests are coalesced through a
+// it. A small body that resolved before reaches its cache entry through
+// a memo of the exact body bytes, skipping decode and canonicalization
+// (see memo.go). Concurrent identical requests are coalesced through a
 // singleflight group: one computation runs, every duplicate waits for
 // its result. The X-Cache response header reports which path served
 // the request (hit, miss, or coalesced); the body never varies.
@@ -36,6 +38,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -139,8 +142,9 @@ func (c Config) withDefaults() Config {
 type Backend struct {
 	cfg        Config
 	mux        *http.ServeMux
-	planners   *lru.Cache[string, *repro.Planner]
+	planners   *lru.Cache[plannerReq, plannerEntry]
 	cache      *lru.Cache[string, []byte]
+	memo       *bodyMemo
 	flight     flightGroup
 	batch      *batcher
 	sem        chan struct{}
@@ -159,15 +163,16 @@ func New(cfg Config) *Backend {
 	s := &Backend{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
-		planners:   lru.New[string, *repro.Planner](cfg.Cache.Planners),
+		planners:   lru.New[plannerReq, plannerEntry](cfg.Cache.Planners),
 		cache:      lru.New[string, []byte](cfg.Cache.Responses),
+		memo:       newBodyMemo(cfg.Cache.Responses),
 		sem:        make(chan struct{}, cfg.Limits.WorkerBudget),
 		strategies: make(map[string]bool),
 	}
 	for _, name := range repro.Strategies() {
 		s.strategies[name] = true
 	}
-	s.metrics = newMetrics(s.cache.Len)
+	s.metrics = newMetrics(s.cache.Len, s.memo.entries.Len)
 	if cfg.Limits.BatchWindow > 0 {
 		s.batch = newBatcher(cfg.Limits.BatchWindow, cfg.Limits.BatchLimit, s.runBatch)
 	}
@@ -258,9 +263,13 @@ type metrics struct {
 	inFlight     *expvar.Int
 	batchedTasks *expvar.Int // computations that went through a batch flush
 	batchFlushes *expvar.Int
+
+	bodyMemoHits  atomic.Int64 // hits answered from the body memo
+	plannerHits   atomic.Int64 // planner lookups served from the planner cache
+	plannerMisses atomic.Int64 // planner lookups that built a Planner
 }
 
-func newMetrics(cacheLen func() int) *metrics {
+func newMetrics(cacheLen, memoLen func() int) *metrics {
 	m := &metrics{
 		vars:         new(expvar.Map).Init(),
 		requests:     new(expvar.Map).Init(),
@@ -283,6 +292,10 @@ func newMetrics(cacheLen func() int) *metrics {
 	m.vars.Set("batched_tasks", m.batchedTasks)
 	m.vars.Set("batch_flushes", m.batchFlushes)
 	m.vars.Set("cache_entries", expvar.Func(func() any { return cacheLen() }))
+	m.vars.Set("body_memo_hits", expvar.Func(func() any { return m.bodyMemoHits.Load() }))
+	m.vars.Set("body_memo_entries", expvar.Func(func() any { return memoLen() }))
+	m.vars.Set("planner_cache_hits", expvar.Func(func() any { return m.plannerHits.Load() }))
+	m.vars.Set("planner_cache_misses", expvar.Func(func() any { return m.plannerMisses.Load() }))
 	m.vars.Set("workers_active", expvar.Func(func() any { return parallel.ActiveWorkers() }))
 	m.vars.Set("workers_peak", expvar.Func(func() any { return parallel.PeakWorkers() }))
 	return m

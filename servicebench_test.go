@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/service"
+	"repro/service/api"
 )
 
 const benchPlanBody = `{"distribution": "lognormal(3,0.5)", "cost_model": {"alpha": 1}, "strategy": "equal-probability", "options": {"disc_n": 150%s}}`
@@ -48,6 +50,70 @@ func BenchmarkPlanServiceCached(b *testing.B) {
 		postPlan(b, ts.URL, body)
 	}
 }
+
+// BenchmarkPlanServiceCachedInProcess is BenchmarkPlanServiceCached
+// without the loopback HTTP hop, so it measures the service's own hit
+// path: "backend" calls Backend.ServeHTTP directly, "frontend" goes
+// Frontend → client.HandlerTransport → Backend. Request and response
+// writer are reused, so every allocation counted is the service's.
+func BenchmarkPlanServiceCachedInProcess(b *testing.B) {
+	be := service.New(service.Config{Cache: service.CacheConfig{Responses: 1 << 16}})
+	fe, err := service.NewFrontend(service.FrontendConfig{
+		Backends: []service.BackendRef{{Name: "shard-0", Handler: be}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(fmt.Sprintf(benchPlanBody, ""))
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{{"backend", be}, {"frontend", fe}} {
+		b.Run(tc.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodPost, api.PathPlan, nil)
+			rd := &readCloser{}
+			w := &discardWriter{h: make(http.Header)}
+			serve := func() {
+				rd.Reset(body)
+				req.Body = rd
+				clear(w.h)
+				w.status = http.StatusOK
+				tc.h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+			serve() // populate the caches
+			if c := w.h.Get(api.HeaderCache); c != "miss" && c != "hit" {
+				b.Fatalf("X-Cache %q", c)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			if c := w.h.Get(api.HeaderCache); c != "hit" {
+				b.Fatalf("X-Cache %q, want hit", c)
+			}
+		})
+	}
+}
+
+// readCloser is a reusable request body.
+type readCloser struct{ bytes.Reader }
+
+func (*readCloser) Close() error { return nil }
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// headers and status.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
 // BenchmarkPlanServiceUncached measures a plan request that must
 // compute: each iteration varies the scoring seed (part of the
