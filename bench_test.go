@@ -27,7 +27,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/online"
 	"repro/internal/platform"
-	"repro/internal/queuesim"
 	"repro/internal/resources"
 	"repro/internal/simulate"
 	"repro/internal/strategy"
@@ -296,58 +295,6 @@ func TestHotPathAllocsZero(t *testing.T) {
 			t.Errorf("RecurrenceCursor.Next allocates %.1f per scan, want 0", n)
 		}
 	})
-
-	// Batched-scoring kernels: the table fill and the seeded cursor
-	// paths must stay allocation-free after the table is constructed.
-	t.Run("survival-table-fill", func(t *testing.T) {
-		tab := core.NewSurvivalTable(d, lo, hi, 64)
-		if n := testing.AllocsPerRun(100, func() {
-			tab.Fill(0, 64)
-		}); n != 0 {
-			t.Errorf("SurvivalTable.Fill allocates %.1f per pass, want 0", n)
-		}
-	})
-
-	// The seeded scans read a 16-point table but consume only its
-	// mid-grid band (g = 3..11, the same fractions as t1s), keeping to
-	// candidates whose expansion is valid for this law — low grid
-	// points break down (ErrNonIncreasing), which is a baselined cold
-	// path, not the scoring kernel under test.
-	t.Run("cost-cursor-seeded", func(t *testing.T) {
-		tab := core.NewSurvivalTable(d, lo, hi, 16)
-		tab.Fill(0, 16)
-		cur := core.NewCostCursor(m, d, core.DefaultTailEps)
-		for g := 3; g < 12; g++ {
-			if _, _, err := cur.CostBudgetSeeded(tab.T1(g), math.Inf(1), tab.SF(g), tab.PDF(g)); err != nil {
-				t.Fatalf("g=%d: %v", g, err)
-			}
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			for g := 3; g < 12; g++ {
-				_, _, _ = cur.CostBudgetSeeded(tab.T1(g), math.Inf(1), tab.SF(g), tab.PDF(g))
-			}
-		}); n != 0 {
-			t.Errorf("CostCursor.CostBudgetSeeded allocates %.1f per scan, want 0", n)
-		}
-	})
-
-	t.Run("recurrence-cursor-seeded", func(t *testing.T) {
-		tab := core.NewSurvivalTable(d, lo, hi, 16)
-		tab.Fill(0, 16)
-		rc := core.NewRecurrenceCursor(m, d, 0, core.DefaultTailEps)
-		if n := testing.AllocsPerRun(100, func() {
-			for g := 3; g < 12; g++ {
-				rc.ResetSeeded(tab.T1(g), tab.SF0(), tab.SF(g), tab.PDF(g))
-				for j := 0; j < 32; j++ {
-					if _, err := rc.Next(); err != nil {
-						break
-					}
-				}
-			}
-		}); n != 0 {
-			t.Errorf("seeded RecurrenceCursor.Next allocates %.1f per scan, want 0", n)
-		}
-	})
 }
 
 // BenchmarkBruteForceWorkers measures the parallel speedup of the grid
@@ -431,35 +378,6 @@ func BenchmarkDPSolveBudget(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := dp.SolveMaxAttemptsWith(dd, core.ReservationOnly, k, cfg.c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBatchedScoring measures the survival-lookup batching of the
-// brute-force grid scan: one parallel table fill (Survival and PDF at
-// every grid point, each computed exactly once) versus per-candidate
-// evaluation, under the two modes where most candidates expand past
-// their first step — Monte-Carlo scoring and the FullCosts analytic
-// scan. Single-worker so the per-candidate cost is what is measured.
-func BenchmarkBatchedScoring(b *testing.B) {
-	d := dist.MustLogNormal(3, 0.5)
-	cases := []struct {
-		name string
-		bf   strategy.BruteForce
-	}{
-		{"monte-carlo/plain", strategy.BruteForce{M: 5000, N: 1000, Seed: 1, Workers: 1}},
-		{"monte-carlo/batched", strategy.BruteForce{M: 5000, N: 1000, Seed: 1, Workers: 1, Batched: true}},
-		{"analytic-full/plain", strategy.BruteForce{M: 5000, Mode: strategy.EvalAnalytic, FullCosts: true, Workers: 1}},
-		{"analytic-full/batched", strategy.BruteForce{M: 5000, Mode: strategy.EvalAnalytic, FullCosts: true, Workers: 1, Batched: true}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := tc.bf.Search(core.ReservationOnly, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -623,25 +541,26 @@ func BenchmarkMixtureQuantile(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueSimulator measures the discrete-event cluster simulator
-// (1000 jobs, EASY backfilling on 16 nodes).
+// BenchmarkQueueSimulator measures the cluster simulator on the
+// single-queue Fig.-2 workload (1000 jobs on 16 unit nodes, FCFS and
+// EASY backfilling).
 func BenchmarkQueueSimulator(b *testing.B) {
-	wl := queuesim.WorkloadConfig{
+	wl := cluster.Fig2Workload{
 		Jobs: 1000, MaxJobNodes: 12, ArrivalRate: 1.0,
 		RequestedMin: 1, RequestedMax: 60, UseFraction: 0.7, Seed: 5,
 	}
-	jobs, err := queuesim.GenerateWorkload(wl)
+	jobs, err := cluster.GenerateFig2Jobs(wl)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, backfill := range []bool{false, true} {
+	for _, backfill := range []cluster.BackfillPolicy{cluster.BackfillNone, cluster.BackfillEASY} {
 		name := "fcfs"
-		if backfill {
+		if backfill == cluster.BackfillEASY {
 			name = "easy-backfill"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := queuesim.Simulate(queuesim.Config{Nodes: 16, EnableBackfill: backfill}, jobs); err != nil {
+				if _, err := cluster.Simulate(cluster.Config{Nodes: cluster.UnitNodes(16), Backfill: backfill}, jobs); err != nil {
 					b.Fatal(err)
 				}
 			}

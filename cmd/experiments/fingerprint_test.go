@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/queuesim"
 	"repro/internal/service"
 	"repro/internal/trace"
 	"repro/service/api"
@@ -278,13 +277,13 @@ func fingerprintWaitLaw(t *testing.T, add func(string, []byte)) {
 		meanReq := (reqMax - reqMin) / math.Log(reqMax/reqMin)
 		meanRun := meanReq * (useFrac + 1) / 2
 		meanNodes := float64(1+maxJobNodes) / 2
-		wl := queuesim.WorkloadConfig{
+		wl := cluster.Fig2Workload{
 			Jobs: 3000, MaxJobNodes: maxJobNodes,
 			ArrivalRate:  0.9 * float64(nodes) / (meanRun * meanNodes),
 			RequestedMin: reqMin, RequestedMax: reqMax, UseFraction: useFrac,
 			Seed: 42,
 		}
-		model, prof, s, err := queuesim.DeriveWaitTimeModel(nodes, wl, 20)
+		model, prof, s, err := cluster.DeriveWaitTimeModel(nodes, wl, 20)
 		if err != nil {
 			t.Fatalf("%d nodes: %v", nodes, err)
 		}

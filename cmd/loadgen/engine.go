@@ -50,8 +50,6 @@ type engineConfig struct {
 	seed    uint64
 	warm    bool // precompute the Table-1 grid before measuring
 
-	batchWindow time.Duration // per-shard batch window (0 = off)
-
 	now   func() time.Time
 	sleep func(time.Duration)
 }
@@ -240,9 +238,7 @@ func buildTarget(cfg engineConfig) (*client.Client, http.Handler, []http.Handler
 	refs := make([]service.BackendRef, cfg.shards)
 	backends := make([]http.Handler, cfg.shards)
 	for i := range refs {
-		backends[i] = service.New(service.Config{
-			Limits: service.LimitsConfig{BatchWindow: cfg.batchWindow},
-		})
+		backends[i] = service.New(service.Config{})
 		refs[i] = service.BackendRef{Name: "shard-" + strconv.Itoa(i), Handler: backends[i]}
 	}
 	fe, err := service.NewFrontend(service.FrontendConfig{Backends: refs})

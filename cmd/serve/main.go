@@ -8,7 +8,7 @@
 //	      [-worker-budget 0] [-request-timeout 30s] [-shutdown-grace 5s]
 //	      [-shards 1] [-peers name=url,...] [-replicas 128]
 //	      [-warm] [-admit-rate 0] [-tenant-weights name=w,...]
-//	      [-batch-window 0] [-batch-limit 16] [-dpverify]
+//	      [-dpverify]
 //
 // With the default -shards 1 and no -peers, one backend serves
 // directly. -shards N runs N in-process backend shards behind a
@@ -59,8 +59,6 @@ type config struct {
 	warm          bool
 	admitRate     float64
 	tenantWeights map[string]float64
-	batchWindow   time.Duration
-	batchLimit    int
 }
 
 // parsePeers parses "name=url,name=url" into a map.
@@ -125,8 +123,6 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&cfg.warm, "warm", false, "precompute the Table-1 grid (nine laws x three cost models) into the caches before serving")
 	fs.Float64Var(&cfg.admitRate, "admit-rate", 0, "total admission rate across tenants, requests/sec (0 = no admission control)")
 	fs.StringVar(&weightsFlag, "tenant-weights", "", "comma-separated name=weight fair-share weights (unlisted tenants share a default bucket)")
-	fs.DurationVar(&cfg.batchWindow, "batch-window", 0, "per-shard batching window for cache misses sharing a planner (0 = no batching)")
-	fs.IntVar(&cfg.batchLimit, "batch-limit", service.DefaultBatchLimit, "max cache misses per batch flush")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -160,12 +156,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.admitRate < 0 {
 		return config{}, fmt.Errorf("-admit-rate must not be negative, got %g", cfg.admitRate)
 	}
-	if cfg.batchWindow < 0 {
-		return config{}, fmt.Errorf("-batch-window must not be negative, got %v", cfg.batchWindow)
-	}
-	if cfg.batchLimit < 1 {
-		return config{}, fmt.Errorf("-batch-limit must be at least 1, got %d", cfg.batchLimit)
-	}
 	var err error
 	cfg.peers, cfg.peerNames, err = parsePeers(peersFlag)
 	if err != nil {
@@ -191,8 +181,6 @@ func (cfg config) backendConfig() service.Config {
 		Limits: service.LimitsConfig{
 			RequestTimeout: cfg.requestTimeout,
 			WorkerBudget:   cfg.workerBudget,
-			BatchWindow:    cfg.batchWindow,
-			BatchLimit:     cfg.batchLimit,
 		},
 	}
 }

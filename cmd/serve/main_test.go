@@ -61,8 +61,6 @@ func TestParseFlagsRejectsInvalid(t *testing.T) {
 		{"-shards", "0"},
 		{"-replicas", "-1"},
 		{"-admit-rate", "-1"},
-		{"-batch-window", "-1s"},
-		{"-batch-limit", "0"},
 		{"-peers", "no-equals-sign"},
 		{"-peers", "a=http://x,a=http://y"},
 		{"-peers", "a=http://x", "-shards", "2"},
@@ -82,7 +80,6 @@ func TestParseFlagsShardingOptions(t *testing.T) {
 	cfg, err := parseFlags([]string{
 		"-shards", "4", "-replicas", "64", "-warm",
 		"-admit-rate", "50", "-tenant-weights", "team-a=3,team-b=1",
-		"-batch-window", "2ms", "-batch-limit", "8",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +89,6 @@ func TestParseFlagsShardingOptions(t *testing.T) {
 	}
 	if cfg.admitRate != 50 || cfg.tenantWeights["team-a"] != 3 || cfg.tenantWeights["team-b"] != 1 {
 		t.Errorf("admission cfg = %g %v", cfg.admitRate, cfg.tenantWeights)
-	}
-	if cfg.batchWindow != 2*time.Millisecond || cfg.batchLimit != 8 {
-		t.Errorf("batch cfg = %v/%d", cfg.batchWindow, cfg.batchLimit)
 	}
 
 	cfg, err = parseFlags([]string{"-peers", "b=http://b:8081, a=http://a:8081"})

@@ -20,9 +20,9 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/platform"
-	"repro/internal/queuesim"
 	"repro/internal/trace"
 )
 
@@ -110,11 +110,11 @@ func deriveWaits(nodes, jobs, groups int, seed uint64) error {
 	meanRun := meanReq * (useFrac + 1) / 2
 	meanNodes := float64(1+maxJobNodes) / 2
 	rate := 0.9 * float64(nodes) / (meanRun * meanNodes)
-	wl := queuesim.WorkloadConfig{
+	wl := cluster.Fig2Workload{
 		Jobs: jobs, MaxJobNodes: maxJobNodes, ArrivalRate: rate,
 		RequestedMin: reqMin, RequestedMax: reqMax, UseFraction: useFrac, Seed: seed,
 	}
-	model, prof, stats, err := queuesim.DeriveWaitTimeModel(nodes, wl, groups)
+	model, prof, stats, err := cluster.DeriveWaitTimeModel(nodes, wl, groups)
 	if err != nil {
 		return err
 	}

@@ -13,9 +13,9 @@ func TestMergeUpsertsAndSorts(t *testing.T) {
 		{Name: "BenchmarkA", NsPerOp: 1},
 	}}
 	merged := Merge(base, []Result{
-		{Name: "BenchmarkB", NsPerOp: 20},               // update in place
-		{Name: "LoadgenZipf/p99", NsPerOp: 5, Runs: 1},  // new entry
-		{Name: "LoadgenZipf/p50", NsPerOp: 3, Runs: 1},  // new entry, sorts before p99
+		{Name: "BenchmarkB", NsPerOp: 20},              // update in place
+		{Name: "LoadgenZipf/p99", NsPerOp: 5, Runs: 1}, // new entry
+		{Name: "LoadgenZipf/p50", NsPerOp: 3, Runs: 1}, // new entry, sorts before p99
 	})
 	want := []Result{
 		{Name: "BenchmarkA", NsPerOp: 1},
@@ -71,6 +71,6 @@ func TestReadFileErrors(t *testing.T) {
 	}
 }
 
-// Parse/Compare/StripProcsSuffix behavior is pinned in detail by
-// cmd/bench's tests, which alias these functions; the merge/IO layer
-// is the part only this package owns.
+// ParseGoBench/Compare/StripProcsSuffix behavior is pinned in detail
+// by cmd/bench's tests, which call these functions directly; the
+// merge/IO layer is the part only this package owns.

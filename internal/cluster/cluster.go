@@ -9,14 +9,17 @@
 // paper's per-attempt cost α·t + β·min(t, X) + γ from its tenant's
 // budget.
 //
-// It grows internal/queuesim — the single-queue EASY model used to
-// derive Fig. 2's wait-time law — into a cluster-level system while
-// staying bit-compatible with it: on a cluster whose nodes are
-// unit-capacity (or a single node carrying the whole capacity), with
-// single-attempt policies, unlimited budgets and EASY backfilling,
-// Simulate reproduces queuesim.Simulate exactly, field for field. The
-// parity suite asserts this with != across hundreds of seeded
-// scenarios.
+// It degenerates exactly to the classic single-queue FCFS/EASY model
+// of §6 (Slurm-style, Mu'alem & Feitelson's backfilling): on a
+// cluster whose nodes are unit-capacity (or a single node carrying the
+// whole capacity), with single-attempt policies, unlimited budgets and
+// EASY or no backfilling, Simulate reproduces a plain single-queue
+// simulator field for field — the parity suite asserts this with !=
+// against a reference simulator kept in the test code. That model is
+// what derives Fig. 2's wait-time law from first principles
+// (DeriveWaitTimeModel): longer requested walltimes backfill less
+// easily and wait longer, and fitting the simulated per-group average
+// waits recovers an affine profile.
 //
 // Because simulators are only as trustworthy as their checkers, the
 // package ships its correctness harness as a first-class deliverable:
@@ -48,7 +51,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/queuesim"
 )
 
 // BackfillPolicy selects how the scheduler fills holes in the FCFS
@@ -59,8 +61,7 @@ const (
 	// BackfillNone is pure FCFS: nothing starts out of order.
 	BackfillNone BackfillPolicy = iota
 	// BackfillEASY is aggressive (EASY) backfilling: a later job may
-	// start now if it cannot delay the queue head's shadow time —
-	// exactly queuesim's policy.
+	// start now if it cannot delay the queue head's shadow time.
 	BackfillEASY
 	// BackfillConservative gives every queued job a capacity
 	// reservation, replanned at each event: a later job starts early
@@ -126,8 +127,8 @@ type Tenant struct {
 
 // Config describes the cluster and its policies.
 type Config struct {
-	// Nodes lists per-node capacities (units); a queuesim cluster of
-	// N nodes is UnitNodes(N).
+	// Nodes lists per-node capacities (units); a classic cluster of
+	// N identical nodes is UnitNodes(N).
 	Nodes []int
 	// Tenants lists the budget/quota principals. Empty means one
 	// unmetered, unlimited tenant.
@@ -167,7 +168,8 @@ func (c *Config) Capacity() int {
 	return total
 }
 
-// UnitNodes returns n unit-capacity nodes — the queuesim cluster shape.
+// UnitNodes returns n unit-capacity nodes — the single-queue cluster
+// shape of the Fig.-2 derivation.
 func UnitNodes(n int) []int {
 	caps := make([]int, n)
 	for i := range caps {
@@ -192,18 +194,38 @@ type Job struct {
 	// attempt: attempt i runs under reservation Policy[i] and is
 	// killed (and resubmitted with attempt i+1) if Actual > Policy[i].
 	// Must be strictly increasing and positive; a single-entry policy
-	// is queuesim's fixed requested walltime.
+	// is a fixed requested walltime.
 	Policy []float64
 }
 
-// Result is the outcome of one job. The embedded queuesim.Result holds
-// the shared fields — for the final attempt: Start, End, Wait (total
-// time spent queued or held across all attempts), Killed (the policy
-// ended before covering Actual), Backfilled, Rejected — with
-// Job.Requested set to the last attempted reservation and Job.Nodes to
-// the width.
+// Result is the outcome of one job. Start, End and Backfilled describe
+// its final attempt.
 type Result struct {
-	queuesim.Result
+	// ID is the job's identifier.
+	ID int
+	// Arrival is the submission time.
+	Arrival float64
+	// Nodes is the job's width in capacity units.
+	Nodes int
+	// Requested is the last attempted reservation.
+	Requested float64
+	// Actual is the job's true runtime.
+	Actual float64
+	// Start is when the final attempt began executing (the terminal
+	// instant for a job rejected before any attempt ran).
+	Start float64
+	// Wait is the total time spent queued or held across all attempts.
+	Wait float64
+	// End is when the job retired: its capacity was released, or it
+	// was rejected.
+	End float64
+	// Killed reports that the policy ended before covering Actual.
+	Killed bool
+	// Backfilled reports that the final attempt jumped the FCFS order.
+	Backfilled bool
+	// Rejected reports that an attempt was refused admission (budget
+	// or quota); rejected results are excluded from the averages.
+	Rejected bool
 	// Tenant indexes Config.Tenants.
 	Tenant int
 	// Attempts counts admission submissions (including preemption
@@ -404,10 +426,10 @@ func newSim(cfg *Config, nJobs int) *sim {
 	return s
 }
 
-// loop is the strict event loop, mirroring queuesim: schedule at the
-// current instant, then consume exactly one event — the earliest
-// pending completion, or a batch of simultaneous arrivals (completions
-// win ties). Every iteration consumes an event or terminates.
+// loop is the strict event loop: schedule at the current instant, then
+// consume exactly one event — the earliest pending completion, or a
+// batch of simultaneous arrivals (completions win ties). Every
+// iteration consumes an event or terminates.
 func (s *sim) loop() error {
 	for {
 		s.schedule()
@@ -730,21 +752,17 @@ func (s *sim) finalize(j int32, killed, rejected bool) {
 		start = s.now
 	}
 	r := Result{
-		Result: queuesim.Result{
-			Job: queuesim.Job{
-				ID:        job.ID,
-				Arrival:   job.Arrival,
-				Nodes:     job.Width,
-				Requested: lastReq,
-				Actual:    job.Actual,
-			},
-			Start:      start,
-			Wait:       st.wait,
-			End:        s.now,
-			Killed:     killed,
-			Backfilled: st.backfill,
-			Rejected:   rejected,
-		},
+		ID:          job.ID,
+		Arrival:     job.Arrival,
+		Nodes:       job.Width,
+		Requested:   lastReq,
+		Actual:      job.Actual,
+		Start:       start,
+		Wait:        st.wait,
+		End:         s.now,
+		Killed:      killed,
+		Backfilled:  st.backfill,
+		Rejected:    rejected,
 		Tenant:      job.Tenant,
 		Attempts:    int(st.submits),
 		Kills:       int(st.kills),
@@ -792,7 +810,7 @@ func (s *sim) schedule() {
 	s.scheduleFCFS()
 }
 
-// scheduleFCFS mirrors queuesim's scheduler exactly: start the head
+// scheduleFCFS is the classic single-queue scheduler: start the head
 // while it fits; otherwise (EASY only) compute the head's shadow time
 // and backfill later jobs that either end by it or fit into the spare
 // nodes the head will not need.
@@ -840,8 +858,8 @@ func (s *sim) scheduleFCFS() {
 }
 
 // shadowOf computes the earliest time the head could start and the
-// capacity spare beyond its need at that moment — queuesim.shadowOf
-// over the pending completions.
+// capacity spare beyond its need at that moment, over the pending
+// completions.
 func (s *sim) shadowOf(head int32) (shadow float64, spare int) {
 	if s.cfg.Engine == EngineHeap {
 		return s.shadowSorted(head)

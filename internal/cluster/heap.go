@@ -1,10 +1,10 @@
 package cluster
 
 // finishEvent is one pending attempt completion. seq is the start-order
-// counter: the queue orders by (time, seq), which is exactly the
-// (end, start-order) key queuesim's finishOne sorts by, so the two
-// simulators consume completions in the same deterministic order even
-// when several attempts release capacity at the same instant.
+// counter: the queue orders by (time, seq), so completions are
+// consumed in a deterministic order even when several attempts release
+// capacity at the same instant — the (end, start-order) key of the
+// single-queue reference simulator the parity suite compares against.
 type finishEvent struct {
 	time float64
 	seq  uint64

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/queuesim"
 	"repro/internal/rng"
 )
 
@@ -31,15 +30,15 @@ func TestScenarioCountFloor(t *testing.T) {
 // switch, and a job list with deliberate arrival and completion ties
 // (grid-snapped times) so the deterministic tie-breaks are exercised,
 // not just reached by luck.
-func parityWorkload(seed uint64) (queuesim.Config, []queuesim.Job) {
+func parityWorkload(seed uint64) (oracleConfig, []oracleJob) {
 	r := rng.New(seed)
 	nodeChoices := []int{1, 2, 3, 4, 6, 8, 12, 16}
-	cfg := queuesim.Config{
+	cfg := oracleConfig{
 		Nodes:          nodeChoices[int(r.Uint64n(uint64(len(nodeChoices))))],
 		EnableBackfill: r.Uint64n(2) == 0,
 	}
 	n := 1 + int(r.Uint64n(150))
-	jobs := make([]queuesim.Job, n)
+	jobs := make([]oracleJob, n)
 	now := 0.0
 	for i := range jobs {
 		// Half the arrivals snap to a 0.5 grid and often repeat the
@@ -54,7 +53,7 @@ func parityWorkload(seed uint64) (queuesim.Config, []queuesim.Job) {
 		if r.Uint64n(4) == 0 {
 			actual = req // exact fit: the killed/finished boundary
 		}
-		jobs[i] = queuesim.Job{
+		jobs[i] = oracleJob{
 			ID:        i,
 			Arrival:   now,
 			Nodes:     1 + int(r.Uint64n(uint64(cfg.Nodes))),
@@ -65,9 +64,8 @@ func parityWorkload(seed uint64) (queuesim.Config, []queuesim.Job) {
 	return cfg, jobs
 }
 
-// toClusterJobs projects queuesim jobs onto single-attempt cluster
-// jobs.
-func toClusterJobs(jobs []queuesim.Job) []Job {
+// toClusterJobs projects oracle jobs onto single-attempt cluster jobs.
+func toClusterJobs(jobs []oracleJob) []Job {
 	out := make([]Job, len(jobs))
 	for i, j := range jobs {
 		out[i] = Job{
@@ -87,24 +85,23 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-func comparePair(t *testing.T, label string, seed uint64, want queuesim.Result, got Result) {
+func comparePair(t *testing.T, label string, seed uint64, want oracleResult, g Result) {
 	t.Helper()
-	g := got.Result
 	if g.ID != want.ID || g.Nodes != want.Nodes ||
 		!sameFloat(g.Arrival, want.Arrival) ||
 		!sameFloat(g.Requested, want.Requested) ||
 		!sameFloat(g.Actual, want.Actual) {
-		t.Fatalf("seed %d %s job %d: identity fields diverged\nqueuesim: %+v\ncluster:  %+v", seed, label, want.ID, want, g)
+		t.Fatalf("seed %d %s job %d: identity fields diverged\noracle:  %+v\ncluster: %+v", seed, label, want.ID, want, g)
 	}
 	if !sameFloat(g.Start, want.Start) || !sameFloat(g.Wait, want.Wait) || !sameFloat(g.End, want.End) {
-		t.Fatalf("seed %d %s job %d: schedule diverged\nqueuesim: start=%v wait=%v end=%v\ncluster:  start=%v wait=%v end=%v",
+		t.Fatalf("seed %d %s job %d: schedule diverged\noracle:  start=%v wait=%v end=%v\ncluster: start=%v wait=%v end=%v",
 			seed, label, want.ID, want.Start, want.Wait, want.End, g.Start, g.Wait, g.End)
 	}
-	if g.Killed != want.Killed || g.Backfilled != want.Backfilled || g.Rejected != want.Rejected {
-		t.Fatalf("seed %d %s job %d: flags diverged\nqueuesim: %+v\ncluster:  %+v", seed, label, want.ID, want, g)
+	if g.Killed != want.Killed || g.Backfilled != want.Backfilled || g.Rejected {
+		t.Fatalf("seed %d %s job %d: flags diverged\noracle:  %+v\ncluster: %+v", seed, label, want.ID, want, g)
 	}
-	if got.Attempts != 1 || got.Kills != btoi(want.Killed) || got.Preempts != 0 {
-		t.Fatalf("seed %d %s job %d: single-attempt accounting wrong: %+v", seed, label, want.ID, got)
+	if g.Attempts != 1 || g.Kills != btoi(want.Killed) || g.Preempts != 0 {
+		t.Fatalf("seed %d %s job %d: single-attempt accounting wrong: %+v", seed, label, want.ID, g)
 	}
 }
 
@@ -118,14 +115,15 @@ func btoi(b bool) int {
 // TestParityWithQueuesim is the degeneracy contract: on unit-capacity
 // nodes (and equally on one node carrying the whole capacity), with
 // single-attempt policies, an unmetered tenant, and EASY/none
-// backfilling, the cluster simulator reproduces queuesim.Simulate
-// bit-for-bit — every result field and every summary statistic.
+// backfilling, the cluster simulator reproduces the single-queue
+// reference simulator (oracleSimulate) bit-for-bit — every result field
+// and every summary statistic.
 func TestParityWithQueuesim(t *testing.T) {
 	for seed := uint64(0); seed < parityScenarios; seed++ {
 		qcfg, qjobs := parityWorkload(seed)
-		want, err := queuesim.Simulate(qcfg, qjobs)
+		want, err := oracleSimulate(qcfg, qjobs)
 		if err != nil {
-			t.Fatalf("seed %d: queuesim: %v", seed, err)
+			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
 		backfill := BackfillNone
 		if qcfg.EnableBackfill {
@@ -152,15 +150,15 @@ func TestParityWithQueuesim(t *testing.T) {
 			for i := range want {
 				comparePair(t, shape.label, seed, want[i], got[i])
 			}
-			// Summary parity: the embedded stats must match bit-exactly.
-			qs := queuesim.Summarize(qcfg, want)
+			// Summary parity: the shared stats must match bit-exactly.
+			qs := oracleSummarize(qcfg, want)
 			cs := Summarize(ccfg, got)
-			if qs.Jobs != cs.Jobs || qs.Rejected != cs.Rejected ||
+			if qs.Jobs != cs.Jobs || cs.Rejected != 0 ||
 				qs.Backfilled != cs.Backfilled || qs.Killed != cs.Killed {
-				t.Fatalf("seed %d %s: summary counts diverged: %+v vs %+v", seed, shape.label, qs, cs.Stats)
+				t.Fatalf("seed %d %s: summary counts diverged: %+v vs %+v", seed, shape.label, qs, cs)
 			}
 			if !sameFloat(qs.MeanWait, cs.MeanWait) || !sameFloat(qs.MaxWait, cs.MaxWait) || !sameFloat(qs.Utilization, cs.Utilization) {
-				t.Fatalf("seed %d %s: summary floats diverged: %+v vs %+v", seed, shape.label, qs, cs.Stats)
+				t.Fatalf("seed %d %s: summary floats diverged: %+v vs %+v", seed, shape.label, qs, cs)
 			}
 			// And the trace must satisfy every invariant.
 			if err := CheckTrace(ccfg, buf.Events); err != nil {

@@ -1,7 +1,8 @@
-package queuesim
+package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,9 +10,27 @@ import (
 	"repro/internal/trace"
 )
 
+// The tests in this file drive the simulator in its single-queue
+// degenerate shape — unit nodes, one unmetered tenant, single-attempt
+// jobs — the classic FCFS/EASY model behind the Fig.-2 derivation.
+
+// fixedJob is a single-attempt job: its policy is one requested
+// walltime.
+func fixedJob(id int, arrival float64, width int, requested, actual float64) Job {
+	return Job{ID: id, Arrival: arrival, Width: width, Actual: actual, Policy: []float64{requested}}
+}
+
+// queueConfig is a cluster of n unit nodes, EASY-backfilling or FCFS.
+func queueConfig(n int, easy bool) Config {
+	cfg := Config{Nodes: UnitNodes(n)}
+	if easy {
+		cfg.Backfill = BackfillEASY
+	}
+	return cfg
+}
+
 func TestEmptyClusterNoWait(t *testing.T) {
-	jobs := []Job{{ID: 0, Arrival: 5, Nodes: 2, Requested: 10, Actual: 7}}
-	res, err := Simulate(Config{Nodes: 4}, jobs)
+	res, err := Simulate(queueConfig(4, false), []Job{fixedJob(0, 5, 2, 10, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +41,7 @@ func TestEmptyClusterNoWait(t *testing.T) {
 }
 
 func TestJobKilledAtRequest(t *testing.T) {
-	jobs := []Job{{ID: 0, Arrival: 0, Nodes: 1, Requested: 5, Actual: 9}}
-	res, err := Simulate(Config{Nodes: 1}, jobs)
+	res, err := Simulate(queueConfig(1, false), []Job{fixedJob(0, 0, 1, 5, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +54,11 @@ func TestFCFSOrderWithoutBackfill(t *testing.T) {
 	// Head needs the whole cluster; a tiny later job must NOT jump it
 	// when backfilling is off.
 	jobs := []Job{
-		{ID: 0, Arrival: 0, Nodes: 4, Requested: 10, Actual: 10},
-		{ID: 1, Arrival: 1, Nodes: 4, Requested: 10, Actual: 10},
-		{ID: 2, Arrival: 2, Nodes: 1, Requested: 1, Actual: 1},
+		fixedJob(0, 0, 4, 10, 10),
+		fixedJob(1, 1, 4, 10, 10),
+		fixedJob(2, 2, 1, 1, 1),
 	}
-	res, err := Simulate(Config{Nodes: 4}, jobs)
+	res, err := Simulate(queueConfig(4, false), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,28 +72,26 @@ func TestFCFSOrderWithoutBackfill(t *testing.T) {
 
 func TestEASYBackfillsShortJob(t *testing.T) {
 	// Cluster of 4: job0 takes all 4 nodes until t=10. job1 (head,
-	// blocked) needs 4. job2 needs 1 node for 3 units: it fits now and
-	// ends by the shadow time (10), so EASY starts it immediately.
+	// blocked) needs 4. job2 needs 1 node for 3 units.
 	jobs := []Job{
-		{ID: 0, Arrival: 0, Nodes: 4, Requested: 10, Actual: 10},
-		{ID: 1, Arrival: 1, Nodes: 4, Requested: 10, Actual: 10},
-		{ID: 2, Arrival: 2, Nodes: 1, Requested: 3, Actual: 3},
+		fixedJob(0, 0, 4, 10, 10),
+		fixedJob(1, 1, 4, 10, 10),
+		fixedJob(2, 2, 1, 3, 3),
 	}
-	res, err := Simulate(Config{Nodes: 4, EnableBackfill: true}, jobs)
+	res, err := Simulate(queueConfig(4, true), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	// Without a free node nothing can backfill (job0 holds all 4).
-	if res[2].Start != 10 {
-		// With all nodes busy there is nothing to backfill into; the
-		// schedule is the same as FCFS here.
-		t.Logf("note: start=%g", res[2].Start)
+	// With all nodes busy there is nothing to backfill into: job2 runs
+	// after the head, exactly as under FCFS.
+	if res[2].Backfilled || res[2].Start != 20 {
+		t.Errorf("job backfilled into a full cluster: %+v", res[2])
 	}
 
-	// Now leave one node free: job0 takes 3 of 4 nodes.
-	jobs[0].Nodes = 3
-	res, err = Simulate(Config{Nodes: 4, EnableBackfill: true}, jobs)
+	// Now leave one node free: job0 takes 3 of 4 nodes. job2 fits now
+	// and ends by the shadow time (10), so EASY starts it immediately.
+	jobs[0].Width = 3
+	res, err = Simulate(queueConfig(4, true), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +109,11 @@ func TestEASYRejectsDelayingBackfill(t *testing.T) {
 	// would run past the shadow AND the head needs all nodes, so it
 	// must NOT backfill.
 	jobs := []Job{
-		{ID: 0, Arrival: 0, Nodes: 3, Requested: 10, Actual: 10},
-		{ID: 1, Arrival: 1, Nodes: 4, Requested: 10, Actual: 10},
-		{ID: 2, Arrival: 2, Nodes: 1, Requested: 20, Actual: 20},
+		fixedJob(0, 0, 3, 10, 10),
+		fixedJob(1, 1, 4, 10, 10),
+		fixedJob(2, 2, 1, 20, 20),
 	}
-	res, err := Simulate(Config{Nodes: 4, EnableBackfill: true}, jobs)
+	res, err := Simulate(queueConfig(4, true), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +125,8 @@ func TestEASYRejectsDelayingBackfill(t *testing.T) {
 	}
 	// But if the head leaves a spare node at its shadow time, the long
 	// narrow job may use it.
-	jobs[1].Nodes = 3
-	res, err = Simulate(Config{Nodes: 4, EnableBackfill: true}, jobs)
+	jobs[1].Width = 3
+	res, err = Simulate(queueConfig(4, true), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,25 +138,27 @@ func TestEASYRejectsDelayingBackfill(t *testing.T) {
 	}
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := Simulate(Config{}, nil); err == nil {
+func TestSingleQueueValidation(t *testing.T) {
+	if _, err := Simulate(queueConfig(0, false), nil); err == nil {
 		t.Error("zero-node cluster accepted")
 	}
-	if _, err := Simulate(Config{Nodes: 2}, []Job{{Nodes: 3, Requested: 1}}); err == nil {
-		t.Error("oversized job accepted")
-	}
-	if _, err := Simulate(Config{Nodes: 2}, []Job{{Nodes: 1, Requested: 0}}); err == nil {
-		t.Error("zero request accepted")
-	}
-	if _, err := Simulate(Config{Nodes: 2}, []Job{{Nodes: 1, Requested: 1, Arrival: -1}}); err == nil {
-		t.Error("negative arrival accepted")
+	for _, tc := range []struct {
+		name string
+		job  Job
+	}{
+		{"oversized job", fixedJob(0, 0, 3, 1, 1)},
+		{"zero request", fixedJob(0, 0, 1, 0, 1)},
+		{"negative arrival", fixedJob(0, -1, 1, 1, 1)},
+	} {
+		if _, err := Simulate(queueConfig(2, false), []Job{tc.job}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
-// TestInvariants: on random workloads — every job runs exactly once,
-// never before arrival, capacity is never exceeded, and EASY never
-// worsens any job's wait versus plain FCFS on average.
-func TestInvariants(t *testing.T) {
+// TestSingleQueueInvariants: on random workloads — every job runs
+// exactly once, never before arrival, and capacity is never exceeded.
+func TestSingleQueueInvariants(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%60) + 5
 		r := rng.New(seed)
@@ -150,23 +168,16 @@ func TestInvariants(t *testing.T) {
 		for i := range jobs {
 			tNow += r.ExpFloat64() * 2
 			req := 0.5 + 10*r.Float64()
-			jobs[i] = Job{
-				ID: i, Arrival: tNow,
-				Nodes:     1 + int(r.Uint64n(nodes)),
-				Requested: req,
-				Actual:    req * (0.5 + 0.5*r.Float64()),
-			}
+			width := 1 + int(r.Uint64n(nodes))
+			jobs[i] = fixedJob(i, tNow, width, req, req*(0.5+0.5*r.Float64()))
 		}
-		for _, backfill := range []bool{false, true} {
-			res, err := Simulate(Config{Nodes: nodes, EnableBackfill: backfill}, jobs)
+		for _, easy := range []bool{false, true} {
+			res, err := Simulate(queueConfig(nodes, easy), jobs)
 			if err != nil || len(res) != n {
 				return false
 			}
 			for _, rr := range res {
-				if rr.Start < rr.Arrival-1e-9 {
-					return false
-				}
-				if rr.End < rr.Start {
+				if rr.Start < rr.Arrival-1e-9 || rr.End < rr.Start {
 					return false
 				}
 			}
@@ -194,24 +205,24 @@ func TestInvariants(t *testing.T) {
 // TestBackfillImprovesMeanWait: under a congested heterogeneous load,
 // EASY backfilling reduces the mean wait.
 func TestBackfillImprovesMeanWait(t *testing.T) {
-	wl := WorkloadConfig{
+	jobs, err := GenerateFig2Jobs(Fig2Workload{
 		Jobs: 800, MaxJobNodes: 8, ArrivalRate: 0.9,
 		RequestedMin: 1, RequestedMax: 50, UseFraction: 0.7, Seed: 3,
-	}
-	jobs, err := GenerateWorkload(wl)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resF, err := Simulate(Config{Nodes: 16}, jobs)
+	fcfs, easy := queueConfig(16, false), queueConfig(16, true)
+	resF, err := Simulate(fcfs, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := Simulate(Config{Nodes: 16, EnableBackfill: true}, jobs)
+	resB, err := Simulate(easy, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf := Summarize(Config{Nodes: 16}, resF)
-	sb := Summarize(Config{Nodes: 16}, resB)
+	sf := Summarize(fcfs, resF)
+	sb := Summarize(easy, resB)
 	if !(sb.MeanWait < sf.MeanWait) {
 		t.Errorf("backfilling did not reduce mean wait: %g vs %g", sb.MeanWait, sf.MeanWait)
 	}
@@ -227,7 +238,7 @@ func TestBackfillImprovesMeanWait(t *testing.T) {
 // emerges from the scheduler — longer requests wait longer, and the
 // affine fit has positive slope and intercept.
 func TestDerivedWaitProfileIsAffineIncreasing(t *testing.T) {
-	wl := WorkloadConfig{
+	wl := Fig2Workload{
 		Jobs: 3000, MaxJobNodes: 12, ArrivalRate: 1.1,
 		RequestedMin: 1, RequestedMax: 60, UseFraction: 0.7, Seed: 11,
 	}
@@ -252,6 +263,9 @@ func TestDerivedWaitProfileIsAffineIncreasing(t *testing.T) {
 	if stats.Utilization < 0.3 {
 		t.Errorf("utilization %g too low for a congestion study", stats.Utilization)
 	}
+	if _, _, _, err := DeriveWaitTimeModel(0, wl, 15); err == nil {
+		t.Error("zero-node cluster accepted")
+	}
 }
 
 func TestWaitProfileValidation(t *testing.T) {
@@ -263,55 +277,51 @@ func TestWaitProfileValidation(t *testing.T) {
 	}
 }
 
-func TestGenerateWorkloadValidation(t *testing.T) {
-	good := WorkloadConfig{Jobs: 10, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.5}
-	if _, err := GenerateWorkload(good); err != nil {
+func TestGenerateFig2JobsValidation(t *testing.T) {
+	good := Fig2Workload{Jobs: 10, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.5}
+	if _, err := GenerateFig2Jobs(good); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	bad := []WorkloadConfig{
+	bad := []Fig2Workload{
 		{Jobs: 0, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.5},
 		{Jobs: 10, MaxJobNodes: 0, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.5},
 		{Jobs: 10, MaxJobNodes: 4, ArrivalRate: 0, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.5},
 		{Jobs: 10, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 10, RequestedMax: 1, UseFraction: 0.5},
 		{Jobs: 10, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 1.5},
 	}
-	for i, cfg := range bad {
-		if _, err := GenerateWorkload(cfg); err == nil {
+	for i, wl := range bad {
+		if _, err := GenerateFig2Jobs(wl); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
 }
 
-// TestWorkloadDeterminism: identical seeds give identical workloads and
-// simulations.
-func TestWorkloadDeterminism(t *testing.T) {
-	wl := WorkloadConfig{Jobs: 200, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.6, Seed: 9}
-	a, _ := GenerateWorkload(wl)
-	b, _ := GenerateWorkload(wl)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("workload differs at %d", i)
-		}
+// TestFig2WorkloadDeterminism: identical seeds give identical workloads
+// and simulations.
+func TestFig2WorkloadDeterminism(t *testing.T) {
+	wl := Fig2Workload{Jobs: 200, MaxJobNodes: 4, ArrivalRate: 1, RequestedMin: 1, RequestedMax: 10, UseFraction: 0.6, Seed: 9}
+	a, errA := GenerateFig2Jobs(wl)
+	b, errB := GenerateFig2Jobs(wl)
+	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+		t.Fatalf("workloads differ (%v, %v)", errA, errB)
 	}
-	ra, err := Simulate(Config{Nodes: 8, EnableBackfill: true}, a)
+	ra, err := Simulate(queueConfig(8, true), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Simulate(Config{Nodes: 8, EnableBackfill: true}, b)
+	rb, err := Simulate(queueConfig(8, true), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatalf("simulation differs at %d", i)
-		}
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatal("simulations differ")
 	}
 }
 
 // TestEndToEndFig2FromScheduler: the derived model plugs into the
 // NeuroHPC pipeline exactly like the synthetic log's fit does.
 func TestEndToEndFig2FromScheduler(t *testing.T) {
-	wl := WorkloadConfig{
+	wl := Fig2Workload{
 		Jobs: 1500, MaxJobNodes: 12, ArrivalRate: 1.0,
 		RequestedMin: 600, RequestedMax: 72000, UseFraction: 0.7, Seed: 2,
 	}

@@ -1,19 +1,34 @@
 package cluster
 
 import (
-	"repro/internal/queuesim"
+	"math"
+
 	"repro/internal/trace"
 )
 
-// Stats summarizes a cluster simulation. The embedded queuesim.Stats
-// carries the shared aggregates (Jobs, Rejected, MeanWait, MaxWait,
-// Backfilled, Killed, Utilization) computed with queuesim's
-// accumulator over the projected results, so a degenerate cluster
-// summarizes bit-identically to queuesim; Utilization is then
-// recomputed from NodeSeconds so killed and preempted attempts count
-// as busy time.
+// Stats summarizes a cluster simulation. Rejected results count
+// towards Jobs and Rejected only; every other aggregate is over the
+// admitted jobs, and an empty or all-rejected result set yields zero
+// statistics rather than NaNs.
 type Stats struct {
-	queuesim.Stats
+	// Jobs is the number of results summarized (admitted + rejected).
+	Jobs int
+	// Rejected is the number of jobs that were never admitted.
+	Rejected int
+	// MeanWait is the average wait over all admitted jobs.
+	MeanWait float64
+	// MaxWait is the largest wait among admitted jobs.
+	MaxWait float64
+	// Backfilled is the number of jobs whose final attempt jumped the
+	// queue.
+	Backfilled int
+	// Killed is the number of jobs whose policy ended before covering
+	// their runtime.
+	Killed int
+	// Utilization is NodeSeconds — killed and preempted attempts
+	// included — over capacity times the [first arrival, last end]
+	// makespan.
+	Utilization float64
 	// Completed is the number of jobs whose final attempt finished
 	// within its reservation (not killed, not rejected).
 	Completed int
@@ -34,38 +49,60 @@ type Stats struct {
 // StatsAccumulator folds Results into cluster Stats one at a time in
 // O(1) memory per job: exact counters, sums and extremes, plus a
 // quantile sketch for the wait distribution. It is the standard
-// ResultSink. Accumulators merge (in a fixed order for bit-stable
-// float sums; the sketch itself merges commutatively), which is how
-// sweeps combine replicates.
+// ResultSink. Adding results in a fixed order is deterministic (the
+// float sums follow that order). Merge combines independently filled
+// accumulators with integer adds, one float add per sum and
+// math.Min/Max (in a fixed order for bit-stable float sums; the sketch
+// itself merges commutatively), which is how sweeps combine
+// replicates.
 type StatsAccumulator struct {
-	base      queuesim.Accumulator
-	completed int
-	preempted int
-	attempts  float64
-	cost      float64
-	nodeSecs  float64
-	waits     *trace.QuantileSketch
+	jobs       int
+	rejected   int
+	admitted   int
+	backfilled int
+	killed     int
+	completed  int
+	preempted  int
+	waitSum    float64
+	maxWait    float64
+	tMin, tMax float64
+	attempts   float64
+	cost       float64
+	nodeSecs   float64
+	waits      *trace.QuantileSketch
 }
 
 // NewStatsAccumulator returns an empty accumulator.
 func NewStatsAccumulator() *StatsAccumulator {
 	return &StatsAccumulator{
-		base:  *queuesim.NewAccumulator(),
+		tMin:  math.Inf(1),
 		waits: trace.NewDefaultSketch(),
 	}
 }
 
 // Add folds one result in. The arithmetic follows Add order, matching
-// the historical buffered Summarize loop when results arrive in ID
-// order.
+// the buffered Summarize loop when results arrive in ID order.
 func (a *StatsAccumulator) Add(r Result) {
-	a.base.Add(r.Result)
+	a.jobs++
 	if r.Rejected {
+		a.rejected++
 		return
 	}
-	if !r.Killed {
+	a.admitted++
+	a.waitSum += r.Wait
+	if r.Wait > a.maxWait {
+		a.maxWait = r.Wait
+	}
+	if r.Backfilled {
+		a.backfilled++
+	}
+	if r.Killed {
+		a.killed++
+	} else {
 		a.completed++
 	}
+	a.tMin = math.Min(a.tMin, r.Arrival)
+	a.tMax = math.Max(a.tMax, r.End)
 	if r.Preempts > 0 {
 		a.preempted++
 	}
@@ -77,7 +114,17 @@ func (a *StatsAccumulator) Add(r Result) {
 
 // Merge folds another accumulator in.
 func (a *StatsAccumulator) Merge(o *StatsAccumulator) {
-	a.base.Merge(&o.base)
+	a.jobs += o.jobs
+	a.rejected += o.rejected
+	a.admitted += o.admitted
+	a.backfilled += o.backfilled
+	a.killed += o.killed
+	a.waitSum += o.waitSum
+	if o.maxWait > a.maxWait {
+		a.maxWait = o.maxWait
+	}
+	a.tMin = math.Min(a.tMin, o.tMin)
+	a.tMax = math.Max(a.tMax, o.tMax)
 	a.completed += o.completed
 	a.preempted += o.preempted
 	a.attempts += o.attempts
@@ -88,18 +135,22 @@ func (a *StatsAccumulator) Merge(o *StatsAccumulator) {
 
 // Stats finalizes the aggregates for a cluster of the given capacity.
 func (a *StatsAccumulator) Stats(capacity int) Stats {
-	var s Stats
-	s.Stats = a.base.Stats(queuesim.Config{Nodes: capacity})
-	s.Completed = a.completed
-	s.Preempted = a.preempted
-	admitted := a.base.Admitted()
-	if admitted == 0 {
-		return s
+	s := Stats{
+		Jobs:       a.jobs,
+		Rejected:   a.rejected,
+		MaxWait:    a.maxWait,
+		Backfilled: a.backfilled,
+		Killed:     a.killed,
+		Completed:  a.completed,
+		Preempted:  a.preempted,
 	}
-	s.MeanAttempts = a.attempts / float64(admitted)
-	s.MeanCost = a.cost / float64(admitted)
-	tMin, tMax := a.base.Window()
-	if span := tMax - tMin; span > 0 {
+	if a.admitted == 0 {
+		return s // guard: no admitted jobs, nothing to average
+	}
+	s.MeanWait = a.waitSum / float64(a.admitted)
+	s.MeanAttempts = a.attempts / float64(a.admitted)
+	s.MeanCost = a.cost / float64(a.admitted)
+	if span := a.tMax - a.tMin; span > 0 {
 		s.Utilization = a.nodeSecs / (span * float64(capacity))
 	}
 	s.WaitP50 = a.waits.Quantile(0.50)
@@ -119,9 +170,10 @@ func Summarize(cfg Config, results []Result) Stats {
 }
 
 // WaitProfile groups admitted jobs by their final requested walltime
-// into equal-size buckets and averages each bucket's waits — the same
-// requested-vs-wait profile queuesim feeds the Fig. 2 affine fit, so
-// cluster traces drop into trace.FitWaitTimeModel unchanged.
+// into equal-size buckets and averages each bucket's waits — the
+// requested-vs-wait profile behind the Fig.-2 affine fit (as Fig. 2
+// clusters jobs into 20 groups of similar requested runtime), directly
+// consumable by trace.FitWaitTimeModel.
 func WaitProfile(results []Result, groups int) ([]trace.WaitGroup, error) {
 	req := make([]float64, 0, len(results))
 	wait := make([]float64, 0, len(results))

@@ -79,24 +79,6 @@ func (c *CostCursor) Cost(t1 float64) (float64, error) {
 // After an abort the cursor is immediately reusable — the next call
 // starts a fresh candidate; no Reset is needed.
 func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, err error) {
-	return c.costBudget(t1, budget, 0, 0, false)
-}
-
-// CostBudgetSeeded is CostBudget with the candidate's first
-// special-function pair supplied by the caller: sf1 = Survival and
-// f1 = PDF at the support-clamped t1, exactly as a SurvivalTable
-// stores them. The seeded values stand in for the calls the loop
-// would make at the first expansion step — they are the same pure
-// function values, so the result is bit-identical to CostBudget; a
-// batched grid scan simply moves the calls into the table's one-pass
-// fill.
-func (c *CostCursor) CostBudgetSeeded(t1, budget, sf1, f1 float64) (cost float64, pruned bool, err error) {
-	return c.costBudget(t1, budget, sf1, f1, true)
-}
-
-// costBudget implements CostBudget; with seeded set, sf1/f1 replace
-// the Survival/PDF evaluations at the clamped first reservation.
-func (c *CostCursor) costBudget(t1, budget, sf1, f1 float64, seeded bool) (cost float64, pruned bool, err error) {
 	sum := c.betaMean
 	// Recurrence state: tPrev = t_{i-1} with its survival, sfPrev2 the
 	// survival at t_{i-2} (the recurrence needs only the survivals of
@@ -127,15 +109,8 @@ func (c *CostCursor) costBudget(t1, budget, sf1, f1 float64, seeded bool) (cost 
 				return math.Inf(1), false, nil
 			}
 			// NextReservation(m, d, t_{i-2}, t_{i-1}) with the survivals
-			// already in hand. At the first expansion step a seeded call
-			// reads the precomputed PDF of the clamped t1 instead of
-			// re-deriving it.
-			var f float64
-			if seeded && i == 1 {
-				f = f1
-			} else {
-				f = c.d.PDF(tPrev)
-			}
+			// already in hand.
+			f := c.d.PDF(tPrev)
 			var v float64
 			if !(f > 0) || math.IsInf(f, 0) {
 				v = math.NaN()
@@ -171,11 +146,7 @@ func (c *CostCursor) costBudget(t1, budget, sf1, f1 float64, seeded bool) (cost 
 			return sum, true, nil
 		}
 		tPrev = ti
-		if seeded && i == 0 {
-			sfPrev2, sfPrev = sfPrev, sf1 // table-supplied Survival(t_1)
-		} else {
-			sfPrev2, sfPrev = sfPrev, c.d.Survival(ti)
-		}
+		sfPrev2, sfPrev = sfPrev, c.d.Survival(ti)
 	}
 }
 

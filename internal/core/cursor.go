@@ -68,13 +68,6 @@ type RecurrenceCursor struct {
 	prev2   float64
 	prev    float64
 	err     error
-
-	// Seeds for the first recurrence step (ResetSeeded): the survival
-	// at 0 and the survival/density at the clamped t1, precomputed by a
-	// SurvivalTable so a batched scan skips the per-candidate calls.
-	seeded           bool
-	seedSF0, seedSF1 float64
-	seedPDF1         float64
 }
 
 // NewRecurrenceCursor returns a cursor over the same values as
@@ -98,20 +91,6 @@ func (c *RecurrenceCursor) Reset(t1 float64) {
 	c.i = 0
 	c.prev2, c.prev = 0, 0
 	c.err = nil
-	c.seeded = false
-}
-
-// ResetSeeded is Reset with the first recurrence step's
-// special-function values supplied by the caller: sf0 = Survival(0),
-// and sf1/f1 the survival and density at the support-clamped t1 —
-// exactly as a SurvivalTable stores them. The second Next call then
-// evaluates Eq. (11) from the seeds instead of calling Survival/PDF;
-// the seeds are the same pure function values, so the cursor yields a
-// bit-identical stream.
-func (c *RecurrenceCursor) ResetSeeded(t1, sf0, sf1, f1 float64) {
-	c.Reset(t1)
-	c.seeded = true
-	c.seedSF0, c.seedSF1, c.seedPDF1 = sf0, sf1, f1
 }
 
 // Next implements Cursor.
@@ -134,25 +113,10 @@ func (c *RecurrenceCursor) Next() (float64, error) {
 			c.err = ErrEnd // support covered; the sequence is complete
 			return math.NaN(), c.err
 		}
-		if c.seeded && c.i == 1 {
-			// NextReservation(m, d, 0, t1) with the table-supplied
-			// values — the identical IEEE-754 expression.
-			f := c.seedPDF1
-			if !(f > 0) || math.IsInf(f, 0) {
-				v = math.NaN()
-			} else {
-				v = c.seedSF0/f + c.m.Beta/c.m.Alpha*(c.seedSF1/f-c.prev) - c.m.Gamma/c.m.Alpha
-			}
-		} else {
-			v = NextReservation(c.m, c.d, c.prev2, c.prev)
-		}
+		v = NextReservation(c.m, c.d, c.prev2, c.prev)
 		sfPrev := math.NaN()
 		if v <= c.prev || math.IsNaN(v) {
-			if c.seeded && c.i == 1 {
-				sfPrev = c.seedSF1
-			} else {
-				sfPrev = c.d.Survival(c.prev)
-			}
+			sfPrev = c.d.Survival(c.prev)
 		}
 		if v > c.prev {
 			if c.bounded && v >= c.hi {

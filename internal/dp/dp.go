@@ -90,7 +90,7 @@ func SolveWith(d *dist.Discrete, m core.CostModel, cfg Config) (Result, error) {
 			E[i], choice[i] = bestChoice(m, vals, S, W, E, i, n)
 		}
 	}
-	if algo := cfg.engine(n); algo == AlgoScan {
+	if cfg.engine(n) == AlgoScan {
 		scan()
 	} else {
 		mx := newMonotoneSolver(n)
@@ -103,7 +103,7 @@ func SolveWith(d *dist.Discrete, m core.CostModel, cfg Config) (Result, error) {
 		mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
 		mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
 		mx.reset()
-		if !mx.run(algo, cfg.verify()) {
+		if !mx.run(cfg.verify()) {
 			// Gate violation: discard the fast state and rerun the
 			// reference scan from scratch.
 			for i := range E {
@@ -279,9 +279,8 @@ func SolveMaxAttemptsWith(d *dist.Discrete, m core.CostModel, maxAttempts int, c
 	// (propagated up from the k=0 row) and is never selected inside
 	// entryCostBudget — though with the k=1 row closed-form above, every
 	// continuation a k >= 2 sweep reads is in fact finite.
-	algo := cfg.engine(n)
 	var mx *monotoneSolver
-	if algo != AlgoScan && maxAttempts >= 2 {
+	if cfg.engine(n) != AlgoScan && maxAttempts >= 2 {
 		mx = newMonotoneSolver(n)
 		for i := 0; i < n; i++ {
 			if S[i] > 0 {
@@ -307,7 +306,7 @@ func SolveMaxAttemptsWith(d *dist.Discrete, m core.CostModel, maxAttempts int, c
 		mx.at = func(i, j int) float64 { return entryCostBudget(m, vals, S, W, prev, i, j) }
 		mx.commit = func(i int) { cur[i], curChoice[i] = mx.best[i], mx.bestJ[i] }
 		mx.reset()
-		if !mx.run(algo, cfg.verify()) {
+		if !mx.run(cfg.verify()) {
 			// Gate violation on this sweep: recompute it with the
 			// reference scan (the sweep only reads prev, so the partial
 			// fast state is fully overwritten row by row).

@@ -19,8 +19,7 @@
 //
 // i.e. total monotonicity of the lower-triangular choice matrix. Its
 // standard consequence: the smallest-j argmin of row i is nondecreasing
-// in i, which is exactly what the divide-and-conquer and SMAWK row
-// optimizers below exploit. The same structure holds for the budgeted
+// in i, which is exactly what the SMAWK row optimizer below exploits. The same structure holds for the budgeted
 // recursion of SolveMaxAttempts (E replaced by the previous budget row,
 // which is finite wherever it is read — the k=0 infeasibility row is
 // consumed only by the closed-form k=1 sweep).
@@ -61,10 +60,6 @@ const (
 	// implementation (bestChoice / bestChoiceBudget). It is retained
 	// verbatim as the fallback target and the benchmark baseline.
 	AlgoScan
-	// AlgoDC is the divide-and-conquer row optimizer: O(n log² n) per
-	// solve via the offline driver, with no per-column state beyond the
-	// recursion.
-	AlgoDC
 	// AlgoSMAWK is the SMAWK totally-monotone matrix searcher applied to
 	// the driver's rectangular merges: O(n log n) per solve.
 	AlgoSMAWK
@@ -75,8 +70,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case AlgoScan:
 		return "scan"
-	case AlgoDC:
-		return "dc"
 	case AlgoSMAWK:
 		return "smawk"
 	default:
@@ -203,12 +196,12 @@ func (s *monotoneSolver) reset() {
 	}
 }
 
-// run executes the fast path with the chosen engine, gates the result,
-// and reports whether it stands. On false the caller must recompute
-// with the reference scan; best/bestJ (and anything commit published)
-// hold unusable partial state.
-func (s *monotoneSolver) run(algo Algorithm, verify bool) bool {
-	s.cdq(0, s.n, algo)
+// run executes the fast path, gates the result, and reports whether it
+// stands. On false the caller must recompute with the reference scan;
+// best/bestJ (and anything commit published) hold unusable partial
+// state.
+func (s *monotoneSolver) run(verify bool) bool {
+	s.cdq(0, s.n)
 	if !s.gate() || (verify && !s.verifyAll()) {
 		fallbackCount.Add(1)
 		return false
@@ -220,12 +213,12 @@ func (s *monotoneSolver) run(algo Algorithm, verify bool) bool {
 // >= hi is already committed, so at(i, j) is evaluable for any j in
 // [mid, hi) once cdq(mid, hi) returns. The recursion first finishes the
 // right half, then folds the rectangular batch rows [lo, mid) × cols
-// [mid, hi) with the selected engine, then descends into the left half;
+// [mid, hi) with SMAWK, then descends into the left half;
 // a leaf folds its own diagonal column and commits. Each row therefore
 // receives its column batches in decreasing column order, ending with
 // j = i — the order the <= combine in foldRow relies on for the
 // smallest-j tie-break.
-func (s *monotoneSolver) cdq(lo, hi int, algo Algorithm) {
+func (s *monotoneSolver) cdq(lo, hi int) {
 	if hi-lo == 1 {
 		if s.act[lo] {
 			s.foldRow(lo, s.at(lo, lo), lo)
@@ -234,17 +227,13 @@ func (s *monotoneSolver) cdq(lo, hi int, algo Algorithm) {
 		return
 	}
 	mid := (lo + hi) / 2
-	s.cdq(mid, hi, algo)
+	s.cdq(mid, hi)
 	rlo := lowerBound(s.rows, lo)
 	rhi := lowerBound(s.rows, mid)
 	if rlo < rhi {
-		if algo == AlgoSMAWK {
-			s.smawkBatch(rlo, rhi, mid, hi)
-		} else {
-			s.dcBatch(rlo, rhi, mid, hi)
-		}
+		s.smawkBatch(rlo, rhi, mid, hi)
 	}
-	s.cdq(lo, mid, algo)
+	s.cdq(lo, mid)
 }
 
 // foldRow merges one batch minimum (v at column j) into row i's running
@@ -259,31 +248,8 @@ func (s *monotoneSolver) foldRow(i int, v float64, j int) {
 	}
 }
 
-// dcBatch computes the batch row minima of active rows [rlo, rhi)
-// (positions in s.rows) over columns [clo, chi) by divide and conquer:
-// scan the middle row in full, then recurse left of its argmin and
-// right of it. Correct under monotone smallest-j argmins (the
-// consequence of total monotonicity the gate checks); O((R + C)·log R)
-// per batch.
-func (s *monotoneSolver) dcBatch(rlo, rhi, clo, chi int) {
-	if rlo >= rhi || clo >= chi {
-		return
-	}
-	rmid := (rlo + rhi) / 2
-	i := s.rows[rmid]
-	bv := math.Inf(1)
-	bj := -1
-	for j := clo; j < chi; j++ {
-		if c := s.at(i, j); c < bv {
-			bv, bj = c, j
-		}
-	}
-	s.foldRow(i, bv, bj)
-	s.dcBatch(rlo, rmid, clo, bj+1)
-	s.dcBatch(rmid+1, rhi, bj, chi)
-}
-
-// smawkBatch computes the same batch row minima with the SMAWK
+// smawkBatch computes the batch row minima of active rows [rlo, rhi)
+// (positions in s.rows) over columns [clo, chi) with the SMAWK
 // algorithm: O(R + C) entry evaluations per batch. The column range is
 // materialized into the arena; smawkRec then owns the rest of the
 // arena for its per-level reduced column lists.

@@ -13,7 +13,7 @@ import (
 
 // engineAlgos are the fast engines under test; AlgoScan is the
 // reference they must match bit for bit.
-var engineAlgos = []Algorithm{AlgoDC, AlgoSMAWK}
+var engineAlgos = []Algorithm{AlgoSMAWK}
 
 // testModels spans the three cost-model families the experiments use.
 var testModels = []core.CostModel{
@@ -268,7 +268,7 @@ func TestEnginesOnSyntheticTotallyMonotone(t *testing.T) {
 			wantE, wantJ := scanRows(n, at)
 			for _, algo := range engineAlgos {
 				mx, E, J := syntheticSolver(n, at)
-				if !mx.run(algo, true) {
+				if !mx.run(true) {
 					t.Fatalf("seed %d n=%d %v: gate tripped on an exactly monotone matrix", seed, n, algo)
 				}
 				for i := 0; i < n; i++ {
@@ -295,7 +295,7 @@ func TestGateTripsAndFallbackIsExact(t *testing.T) {
 	for _, algo := range engineAlgos {
 		before := Fallbacks()
 		mx, E, J := syntheticSolver(n, at)
-		if mx.run(algo, false) {
+		if mx.run(false) {
 			t.Fatalf("%v: gate accepted a non-monotone matrix", algo)
 		}
 		if Fallbacks() != before+1 {
@@ -354,7 +354,7 @@ func TestVerifyAllCatchesCorruptedRow(t *testing.T) {
 	mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
 	mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
 	mx.reset()
-	if !mx.run(AlgoSMAWK, true) {
+	if !mx.run(true) {
 		t.Fatal("fast path rejected a real instance")
 	}
 	// Corrupt one row's stored value by an ulp-scale nudge.
@@ -401,7 +401,7 @@ func TestDPRowKernelAllocsZero(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			run := func() {
 				mx.reset()
-				mx.cdq(0, n, algo)
+				mx.cdq(0, n)
 				if !mx.gate() {
 					t.Fatal("gate tripped on a real instance")
 				}
@@ -414,7 +414,7 @@ func TestDPRowKernelAllocsZero(t *testing.T) {
 	}
 	t.Run("verify", func(t *testing.T) {
 		mx.reset()
-		mx.cdq(0, n, AlgoSMAWK)
+		mx.cdq(0, n)
 		if allocs := testing.AllocsPerRun(10, func() {
 			if !mx.verifyAll() {
 				t.Fatal("verifyAll rejected a consistent solve")

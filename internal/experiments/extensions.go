@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/online"
-	"repro/internal/queuesim"
 	"repro/internal/tablefmt"
 	"repro/internal/trace"
 )
@@ -90,7 +90,7 @@ type QueueStudy struct {
 	// Synthetic is the law re-fitted from the synthetic log.
 	Synthetic trace.WaitTimeModel
 	// Stats summarizes the simulation run.
-	Stats queuesim.Stats
+	Stats cluster.Stats
 	// Profile is the simulated wait-vs-requested curve.
 	Profile []trace.WaitGroup
 }
@@ -106,13 +106,13 @@ func StudyQueueDerivedWaits(cfg Config) (QueueStudy, error) {
 	meanReq := (reqMax - reqMin) / math.Log(reqMax/reqMin)
 	meanRun := meanReq * (useFrac + 1) / 2
 	meanNodes := float64(1+maxJobNodes) / 2
-	wl := queuesim.WorkloadConfig{
+	wl := cluster.Fig2Workload{
 		Jobs: 4000, MaxJobNodes: maxJobNodes,
 		ArrivalRate:  0.9 * float64(nodes) / (meanRun * meanNodes),
 		RequestedMin: reqMin, RequestedMax: reqMax, UseFraction: useFrac,
 		Seed: cfg.Seed,
 	}
-	derived, prof, stats, err := queuesim.DeriveWaitTimeModel(nodes, wl, 20)
+	derived, prof, stats, err := cluster.DeriveWaitTimeModel(nodes, wl, 20)
 	if err != nil {
 		return QueueStudy{}, err
 	}

@@ -86,7 +86,7 @@ func FullReport(cfg Config) (string, error) {
 
 	qs, err := StudyQueueDerivedWaits(cfg)
 	if err != nil {
-		return "", fmt.Errorf("experiments: report queuesim: %w", err)
+		return "", fmt.Errorf("experiments: report queue study: %w", err)
 	}
 	section("Substrate — scheduler-derived wait law", RenderQueueStudy(qs).String())
 

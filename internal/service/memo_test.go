@@ -13,6 +13,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro"
 	"repro/service/api"
 )
 
@@ -335,6 +336,27 @@ func TestFastPathVars(t *testing.T) {
 	}
 	if err := json.Unmarshal(b, &feVars); err != nil || feVars.RouteMemoHits != 1 {
 		t.Errorf("frontend route_memo_hits = %d (%v)\n%s", feVars.RouteMemoHits, err, b)
+	}
+
+	// The DP's sub-quadratic fast path never falls back to the scan on
+	// the Table-1 grid under either discretization scheme.
+	for _, strat := range []string{repro.StrategyEqualTime, repro.StrategyEqualProb} {
+		for _, req := range WarmupRequests() {
+			req.Strategy = strat
+			b, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, _, _, body := postFE(t, s, api.PathPlan, string(b), ""); status != http.StatusOK {
+				t.Fatalf("%s %s: status %d\n%s", strat, req.Distribution, status, body)
+			}
+		}
+	}
+	var dpVars struct {
+		DPFallbacks *uint64 `json:"dp_fallbacks"`
+	}
+	if b := getVars(t, s); json.Unmarshal(b, &dpVars) != nil || dpVars.DPFallbacks == nil || *dpVars.DPFallbacks != 0 {
+		t.Errorf("dp_fallbacks missing or nonzero after the Table-1 DP grid\n%s", b)
 	}
 }
 

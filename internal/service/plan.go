@@ -22,7 +22,6 @@ type planInputs struct {
 	dist     repro.Distribution
 	strategy string // canonical: never empty
 	spec     string // canonical distribution spec (routing/cache key)
-	group    string // planner key: the batching group
 	key      string // canonical cache key, without endpoint prefix
 }
 
@@ -137,7 +136,6 @@ func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 		dist:     d,
 		strategy: strat,
 		spec:     spec,
-		group:    plKey,
 		key:      plKey + "|dist=" + spec + "|strategy=" + strat,
 	}, nil
 }
@@ -188,12 +186,11 @@ func (s *Backend) planner(model repro.CostModel, opts repro.Options) (*repro.Pla
 	return pl, key, nil
 }
 
-// resolved is a validated, keyed request: its response-cache key, its
-// batching group, and the computation that renders its response bytes
-// on a cache miss.
+// resolved is a validated, keyed request: its response-cache key and
+// the computation that renders its response bytes on a cache miss.
 type resolved struct {
-	key, group string
-	compute    func() ([]byte, error)
+	key     string
+	compute func() ([]byte, error)
 }
 
 // handlePlan implements POST /v1/plan.
@@ -216,7 +213,7 @@ func (s *Backend) resolvePlan(body io.Reader) (*resolved, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	return &resolved{key: "plan|" + in.key, group: in.group, compute: func() ([]byte, error) {
+	return &resolved{key: "plan|" + in.key, compute: func() ([]byte, error) {
 		p, err := in.planner.Plan(in.dist, in.strategy)
 		if err != nil {
 			return nil, err
@@ -253,7 +250,7 @@ func (s *Backend) resolveSimulate(body io.Reader) (*resolved, *apiError) {
 	key := "sim|" + in.key +
 		"|n=" + strconv.Itoa(req.Samples) +
 		"|simseed=" + strconv.FormatUint(req.SimSeed, 10)
-	return &resolved{key: key, group: in.group, compute: func() ([]byte, error) {
+	return &resolved{key: key, compute: func() ([]byte, error) {
 		p, err := in.planner.Plan(in.dist, in.strategy)
 		if err != nil {
 			return nil, err
@@ -323,7 +320,7 @@ func (s *Backend) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 	if whole {
 		s.memo.put(endpoint, head, res.key)
 	}
-	s.respond(w, r, res.key, res.group, res.compute)
+	s.respond(w, r, res.key, res.compute)
 }
 
 // respond serves a computed response for key: from the byte cache on a
@@ -331,9 +328,8 @@ func (s *Backend) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 // semaphore, honoring the per-request timeout. Cache hits return the
 // exact bytes the original miss stored, so identical requests are
 // byte-identical regardless of path; only the X-Cache header (hit,
-// miss, coalesced) distinguishes them. With batching enabled, group
-// names the planner-sharing batch the miss joins.
-func (s *Backend) respond(w http.ResponseWriter, r *http.Request, key, group string, compute func() ([]byte, error)) {
+// miss, coalesced) distinguishes them.
+func (s *Backend) respond(w http.ResponseWriter, r *http.Request, key string, compute func() ([]byte, error)) {
 	if body, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		writeBody(w, "hit", body)
@@ -367,19 +363,13 @@ func (s *Backend) respond(w http.ResponseWriter, r *http.Request, key, group str
 			if s.computeGate != nil {
 				s.computeGate(key)
 			}
-			cached := func() ([]byte, error) {
-				b, err := compute()
-				if err == nil {
-					s.cache.Put(key, b)
-				}
-				return b, err
-			}
-			if s.batch != nil {
-				return s.batch.do(group, key, cached)
-			}
 			s.acquire()
 			defer s.release()
-			return cached()
+			b, err := compute()
+			if err == nil {
+				s.cache.Put(key, b)
+			}
+			return b, err
 		})
 		// lateHit is only meaningful for the flight leader: a follower's
 		// closure never ran, so its lateHit stays false.

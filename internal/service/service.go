@@ -27,10 +27,7 @@
 // bounded by a semaphore of WorkerBudget slots. The pool's worker
 // gauge (workers_active / workers_peak in /debug/vars) therefore
 // stays at zero no matter the request load — the budget is visible as
-// the in_flight counter instead. Setting Limits.BatchWindow enables
-// request batching: misses that share a planner (same cost model and
-// options, different specs) arriving within the window are flushed
-// together through one parallel.ForEach call (see batch.go).
+// the in_flight counter instead.
 package service
 
 import (
@@ -42,6 +39,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dp"
 	"repro/internal/lru"
 	"repro/internal/parallel"
 	"repro/service/api"
@@ -52,7 +50,6 @@ import (
 const (
 	DefaultCacheSize        = 256
 	DefaultPlannerCacheSize = 32
-	DefaultBatchLimit       = 16
 )
 
 // maxRequestBytes bounds how much of a request body the decoder reads.
@@ -90,24 +87,12 @@ type LimitsConfig struct {
 	// (Options.Workers is forced to 1), so the budget is also a bound
 	// on the CPUs the backend consumes.
 	WorkerBudget int
-	// BatchWindow, when positive, enables request batching: a cache
-	// miss waits up to BatchWindow for other misses sharing its
-	// planner (identical cost model and options, any spec), and the
-	// group is computed in one parallel.ForEach flush. Zero (the
-	// default) computes every miss inline, immediately.
-	BatchWindow time.Duration
-	// BatchLimit caps the tasks per batch group; a full group flushes
-	// without waiting out the window (default 16).
-	BatchLimit int
 }
 
 // withDefaults returns c with unset fields replaced by defaults.
 func (c LimitsConfig) withDefaults() LimitsConfig {
 	if c.WorkerBudget <= 0 {
 		c.WorkerBudget = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchLimit <= 0 {
-		c.BatchLimit = DefaultBatchLimit
 	}
 	return c
 }
@@ -117,8 +102,7 @@ func (c LimitsConfig) withDefaults() LimitsConfig {
 type Config struct {
 	// Cache bounds the response and planner caches.
 	Cache CacheConfig
-	// Limits bounds computation concurrency, per-request time, and
-	// batching.
+	// Limits bounds computation concurrency and per-request time.
 	Limits LimitsConfig
 	// Now supplies timestamps for the latency metrics; nil selects
 	// time.Now. Tests inject a fake clock here.
@@ -146,7 +130,6 @@ type Backend struct {
 	cache      *lru.Cache[string, []byte]
 	memo       *bodyMemo
 	flight     flightGroup
-	batch      *batcher
 	sem        chan struct{}
 	metrics    *metrics
 	strategies map[string]bool
@@ -173,9 +156,6 @@ func New(cfg Config) *Backend {
 		s.strategies[name] = true
 	}
 	s.metrics = newMetrics(s.cache.Len, s.memo.entries.Len)
-	if cfg.Limits.BatchWindow > 0 {
-		s.batch = newBatcher(cfg.Limits.BatchWindow, cfg.Limits.BatchLimit, s.runBatch)
-	}
 	s.mux.HandleFunc(api.PathPlan, s.handlePlan)
 	s.mux.HandleFunc(api.PathSimulate, s.handleSimulate)
 	s.mux.HandleFunc(api.PathHealthz, s.handleHealthz)
@@ -196,24 +176,6 @@ func (s *Backend) acquire() { s.sem <- struct{}{} }
 
 // release returns a computation slot.
 func (s *Backend) release() { <-s.sem }
-
-// runBatch executes one batch flush: the group's tasks computed
-// concurrently on the parallel pool, each still charged one worker
-// slot. Called by the batcher on its own goroutine.
-func (s *Backend) runBatch(tasks []*batchTask) {
-	s.metrics.batchFlushes.Add(1)
-	s.metrics.batchedTasks.Add(int64(len(tasks)))
-	workers := s.cfg.Limits.WorkerBudget
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	parallel.ForEach(len(tasks), workers, func(i int) {
-		s.acquire()
-		defer s.release()
-		body, err := tasks[i].compute()
-		tasks[i].done <- batchResult{body: body, err: err}
-	})
-}
 
 // handleHealthz implements GET /healthz.
 func (s *Backend) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -253,16 +215,14 @@ func (s *Backend) handleNotFound(w http.ResponseWriter, r *http.Request) {
 // published to the global expvar registry (Publish panics on duplicate
 // names, and each Backend owns its own counters).
 type metrics struct {
-	vars         *expvar.Map
-	requests     *expvar.Map // request count per endpoint
-	errors       *expvar.Map // error count per code
-	latencyNS    *expvar.Map // cumulative handler nanoseconds per endpoint
-	cacheHits    *expvar.Int
-	cacheMisses  *expvar.Int
-	coalesced    *expvar.Int // requests served by joining another's computation
-	inFlight     *expvar.Int
-	batchedTasks *expvar.Int // computations that went through a batch flush
-	batchFlushes *expvar.Int
+	vars        *expvar.Map
+	requests    *expvar.Map // request count per endpoint
+	errors      *expvar.Map // error count per code
+	latencyNS   *expvar.Map // cumulative handler nanoseconds per endpoint
+	cacheHits   *expvar.Int
+	cacheMisses *expvar.Int
+	coalesced   *expvar.Int // requests served by joining another's computation
+	inFlight    *expvar.Int
 
 	bodyMemoHits  atomic.Int64 // hits answered from the body memo
 	plannerHits   atomic.Int64 // planner lookups served from the planner cache
@@ -271,16 +231,14 @@ type metrics struct {
 
 func newMetrics(cacheLen, memoLen func() int) *metrics {
 	m := &metrics{
-		vars:         new(expvar.Map).Init(),
-		requests:     new(expvar.Map).Init(),
-		errors:       new(expvar.Map).Init(),
-		latencyNS:    new(expvar.Map).Init(),
-		cacheHits:    new(expvar.Int),
-		cacheMisses:  new(expvar.Int),
-		coalesced:    new(expvar.Int),
-		inFlight:     new(expvar.Int),
-		batchedTasks: new(expvar.Int),
-		batchFlushes: new(expvar.Int),
+		vars:        new(expvar.Map).Init(),
+		requests:    new(expvar.Map).Init(),
+		errors:      new(expvar.Map).Init(),
+		latencyNS:   new(expvar.Map).Init(),
+		cacheHits:   new(expvar.Int),
+		cacheMisses: new(expvar.Int),
+		coalesced:   new(expvar.Int),
+		inFlight:    new(expvar.Int),
 	}
 	m.vars.Set("requests", m.requests)
 	m.vars.Set("errors", m.errors)
@@ -289,13 +247,14 @@ func newMetrics(cacheLen, memoLen func() int) *metrics {
 	m.vars.Set("cache_misses", m.cacheMisses)
 	m.vars.Set("coalesced", m.coalesced)
 	m.vars.Set("in_flight", m.inFlight)
-	m.vars.Set("batched_tasks", m.batchedTasks)
-	m.vars.Set("batch_flushes", m.batchFlushes)
 	m.vars.Set("cache_entries", expvar.Func(func() any { return cacheLen() }))
 	m.vars.Set("body_memo_hits", expvar.Func(func() any { return m.bodyMemoHits.Load() }))
 	m.vars.Set("body_memo_entries", expvar.Func(func() any { return memoLen() }))
 	m.vars.Set("planner_cache_hits", expvar.Func(func() any { return m.plannerHits.Load() }))
 	m.vars.Set("planner_cache_misses", expvar.Func(func() any { return m.plannerMisses.Load() }))
+	// Process-wide, like the worker gauges: every backend in the process
+	// reports the same count of DP fast-path solves abandoned to the scan.
+	m.vars.Set("dp_fallbacks", expvar.Func(func() any { return dp.Fallbacks() }))
 	m.vars.Set("workers_active", expvar.Func(func() any { return parallel.ActiveWorkers() }))
 	m.vars.Set("workers_peak", expvar.Func(func() any { return parallel.PeakWorkers() }))
 	return m

@@ -65,18 +65,6 @@ type BruteForce struct {
 	// Candidates entries holding only a lower bound. Ignored under
 	// Monte-Carlo scoring.
 	FullCosts bool
-	// Batched precomputes a core.SurvivalTable over the whole grid in
-	// one parallel pass and scores candidates against it, so the
-	// survival/density of each t1 is evaluated exactly once instead of
-	// once per candidate expansion. Results are bit-identical with or
-	// without it (the table stores the same pure function values the
-	// cursors would compute); it pays off when the first-step special
-	// functions are a real fraction of scoring — FullCosts analytic
-	// scans, and laws whose Survival/PDF invert incomplete
-	// gamma/beta functions — and is roughly neutral when the sample
-	// sweep or the budget prune dominates (see
-	// BenchmarkBatchedScoring).
-	Batched bool
 }
 
 // Name implements Strategy.
@@ -179,23 +167,6 @@ func evalWorkload(m core.CostModel, t1 float64, wl *simulate.Workload, cur *core
 	return Candidate{T1: t1, Cost: cost, Valid: true}
 }
 
-// evalAnalyticSeeded is evalAnalytic against a precomputed
-// survival-lookup entry: sf1/f1 are the SurvivalTable's values for
-// this grid point, standing in for the cursor's own first-step calls.
-// Bit-identical to evalAnalytic (see core.CostCursor.CostBudgetSeeded).
-//
-//repro:hotpath
-func evalAnalyticSeeded(t1, budget, sf1, f1 float64, cur *core.CostCursor) Candidate {
-	cost, pruned, err := cur.CostBudgetSeeded(t1, budget, sf1, f1)
-	if err != nil || math.IsNaN(cost) || math.IsInf(cost, 1) {
-		return Candidate{T1: t1, Cost: math.NaN()}
-	}
-	if pruned {
-		return Candidate{T1: t1, Cost: cost, Pruned: true}
-	}
-	return Candidate{T1: t1, Cost: cost, Valid: true}
-}
-
 // evalAnalytic scores one candidate through the fused Eq.-(4)/Eq.-(11)
 // cost cursor, abandoning it once the partial sum exceeds budget. The
 // caller owns the cursor and reuses it across candidates (it carries
@@ -247,22 +218,13 @@ func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate
 	if workers <= 0 || workers > gridM {
 		workers = parallel.Workers(gridM)
 	}
-	// Batched scoring: one parallel pass fills the survival-lookup
-	// table for the whole grid before any candidate is expanded.
-	var tab *core.SurvivalTable
-	if b.Batched {
-		tab = core.NewSurvivalTable(d, lo, hi, gridM)
-		parallel.ForEachBlock(gridM, workers, func(_, glo, ghi int) { tab.Fill(glo, ghi) })
-	}
 	// Each worker records its block's winner so the best candidate is
 	// never evaluated a second time after the scan. Both modes stream
 	// each candidate through one reused per-block cursor: the
 	// Monte-Carlo path through the Eq.-(11) RecurrenceCursor against
 	// the shared Workload, the analytic path through the fused
 	// Eq.-(4)/Eq.-(11) CostCursor, pruning against the block's best so
-	// far (unless FullCosts asks for every exact cost). With a table,
-	// cursors are seeded with the precomputed first-step values — same
-	// bits, fewer special-function calls.
+	// far (unless FullCosts asks for every exact cost).
 	cands := make([]Candidate, gridM)
 	wins := make([]int, workers)
 	parallel.ForEachBlock(gridM, workers, func(w, wlo, whi int) {
@@ -273,11 +235,7 @@ func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate
 			for i := wlo; i < whi; i++ {
 				// Paper's grid: t1 = a + m·(b-a)/M for m = 1..M.
 				t1 := lo + (hi-lo)*float64(i+1)/float64(gridM)
-				if tab != nil {
-					cur.ResetSeeded(t1, tab.SF0(), tab.SF(i), tab.PDF(i))
-				} else {
-					cur.Reset(t1)
-				}
+				cur.Reset(t1)
 				cands[i] = evalWorkload(m, t1, wl, &cur)
 				if cands[i].Valid && cands[i].Cost < bestCost {
 					bestCost, bestIdx = cands[i].Cost, i
@@ -291,11 +249,7 @@ func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate
 				if b.FullCosts {
 					budget = math.Inf(1)
 				}
-				if tab != nil {
-					cands[i] = evalAnalyticSeeded(t1, budget, tab.SF(i), tab.PDF(i), &cur)
-				} else {
-					cands[i] = evalAnalytic(t1, budget, &cur)
-				}
+				cands[i] = evalAnalytic(t1, budget, &cur)
 				if cands[i].Valid && cands[i].Cost < bestCost {
 					bestCost, bestIdx = cands[i].Cost, i
 				}

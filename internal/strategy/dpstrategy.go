@@ -28,12 +28,6 @@ type Discretized struct {
 	// MaxAttempts, when positive, caps the number of reservations the
 	// plan may use (dp.SolveMaxAttempts); zero means unconstrained.
 	MaxAttempts int
-	// DP selects the DP's argmin engine (dp.Config). The zero value is
-	// the gated sub-quadratic fast path with scan fallback — every
-	// setting returns bit-identical plans, so this is a performance and
-	// debugging knob (dp.AlgoScan to force the reference scan,
-	// Verify for per-row cross-checking), not a semantic one.
-	DP dp.Config
 }
 
 // Name implements Strategy.
@@ -73,9 +67,9 @@ func (s Discretized) SequenceOn(m core.CostModel, d dist.Distribution, dd *dist.
 	var res dp.Result
 	var err error
 	if s.MaxAttempts > 0 {
-		res, err = dp.SolveMaxAttemptsWith(dd, m, s.MaxAttempts, s.DP)
+		res, err = dp.SolveMaxAttempts(dd, m, s.MaxAttempts)
 	} else {
-		res, err = dp.SolveWith(dd, m, s.DP)
+		res, err = dp.Solve(dd, m)
 	}
 	if err != nil {
 		return nil, err
@@ -108,5 +102,5 @@ func (s Discretized) DPResult(m core.CostModel, d dist.Distribution) (dp.Result,
 	if err != nil {
 		return dp.Result{}, err
 	}
-	return dp.SolveWith(dd, m, s.DP)
+	return dp.Solve(dd, m)
 }

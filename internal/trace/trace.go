@@ -141,9 +141,9 @@ func GenerateWaitTimeLog(model WaitTimeModel, groups int, minReq, maxReq, noise 
 // into `groups` equal-size groups by requested runtime — the Fig.-2
 // protocol (20 groups of similar requested runtime) — and returns each
 // group's averages, directly consumable by FitWaitTimeModel. It is the
-// shared bucketing kernel behind queuesim.WaitProfile and
-// cluster.WaitProfile: any simulator that produces per-job requested
-// times and waits can derive an affine wait-time law from them.
+// bucketing kernel behind cluster.WaitProfile: any simulator that
+// produces per-job requested times and waits can derive an affine
+// wait-time law from them.
 func BucketWaits(requested, waits []float64, groups int) ([]WaitGroup, error) {
 	if groups < 2 {
 		return nil, fmt.Errorf("trace: need at least 2 groups, got %d", groups)

@@ -14,23 +14,30 @@
 #      ESCAPES.json baseline exactly (regenerate deliberate cold-path
 #      additions with `go run ./cmd/lint -escapes -write`)
 #   5. go test    — the full unit/integration suite
-#   6. go test -race over the concurrency substrate: the parallel
+#   6. behaviour fingerprint — TestBehaviourFingerprint (cmd/experiments)
+#      hashes every experiment CSV, the service's response bodies over
+#      the Table-1 warmup grid, fleet-simulator traces and summaries,
+#      and the scheduler-derived Fig.-2 wait law against the committed
+#      golden file (cmd/experiments/testdata/behaviour.golden); any
+#      refactor must leave every hash unchanged. Runs on the GOARCH the
+#      golden was recorded on and skips elsewhere.
+#   7. go test -race over the concurrency substrate: the parallel
 #      worker pool, the simulators that fan out onto it (including the
 #      cluster simulator's parallel workload generation), the core
 #      package whose shared-cursor scoring runs on worker blocks, the
 #      DP package whose verify/fallback switches are process-wide
 #      atomics exercised from concurrent solves, and the serving tier
 #      (service backend/frontend, shard ring, tenant limiter, client).
-#   7. loadgen smoke — a one-to-two-second in-process fleet run
+#   8. loadgen smoke — a one-to-two-second in-process fleet run
 #      (cmd/loadgen -smoke) asserting the sharded serving invariants:
 #      cold misses == unique specs (deterministic routing) and a
 #      warmed Table-1 fleet serves at a 100% hit ratio.
-#   8. clustersim smoke — the simulator's built-in gate (cmd/clustersim
+#   9. clustersim smoke — the simulator's built-in gate (cmd/clustersim
 #      -smoke): a small (strategy × shape × replicate) sweep matrix must
 #      be bit-identical for 1, 4, and 16 workers, and the streaming
 #      quantile sketch must agree with exact sorted-sample quantiles
 #      within its documented error bound.
-#   9. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
+#  10. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
 #      core fuzz targets on top of their committed corpora
 #      (testdata/fuzz), so a freshly broken invariant is found here, not
 #      in a nightly.
@@ -70,8 +77,11 @@ go run ./cmd/lint -escapes ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== behaviour fingerprint"
+go test -count=1 -run '^TestBehaviourFingerprint$' -v ./cmd/experiments/ | grep -E '^(--- |ok|FAIL)|fingerprint'
+
 echo "== go test -race (concurrency substrate)"
-go test -race ./internal/parallel/... ./internal/simulate/... ./internal/queuesim/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./client/...
+go test -race ./internal/parallel/... ./internal/simulate/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./client/...
 
 echo "== loadgen smoke (sharded serving invariants)"
 go run ./cmd/loadgen -smoke
