@@ -12,7 +12,6 @@
 //	go run ./cmd/bench -bench . -out all.json
 //	go run ./cmd/bench -cpuprofile cpu.out   # profile the benchmarked code
 //	go run ./cmd/bench -compare BENCH.json   # regression check, no write
-//	go run ./cmd/bench -loadgen=false        # skip the loadgen entries
 //	scripts/check.sh --bench                 # full gate + benchmarks
 //
 // The output is deterministic apart from the measurements themselves:
@@ -20,11 +19,9 @@
 // no timestamps are recorded (wall-clock metadata would make every run
 // a spurious diff).
 //
-// With -loadgen (the default), bench also runs `go run ./cmd/loadgen
-// -bench-json -` — a short deterministic load-generator pass against an
-// in-process sharded plan service — and merges its latency-quantile and
-// hit-ratio entries into the report, so fleet-level serving numbers are
-// written to and gated by BENCH.json exactly like the micro-benchmarks.
+// Every entry is a `go test -bench` result in ns/op. End-to-end
+// serving and fleet numbers, each with its own unit and direction, come
+// from the repository benchmark in perfbench/ instead.
 //
 // -cpuprofile/-memprofile are handed through to `go test`, which writes
 // the profile files and the compiled test binary (needed by `go tool
@@ -35,7 +32,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,12 +46,13 @@ import (
 // defaultBench is the scoring-path subset — the candidate-evaluation
 // benchmarks the empirical-cost fast path is accountable to, the DP
 // solver benchmarks (sub-quadratic fast path, O(n²) reference scan,
-// budgeted variant) — plus the plan-service pair contrasting cached and uncached request latency,
-// the in-process cached-hit pair (backend handler alone; frontend →
-// in-process transport → backend) that leaves loopback HTTP out, and
-// the cluster-simulator trio (streaming calendar engine, buffered heap
-// baseline, parallel sweep) whose speedup ratio the gate below pins. The full suite (-bench .) includes multi-second experiment
-// drivers and is opt-in.
+// budgeted variant) — plus the plan-service pair contrasting cached
+// and uncached request latency, the in-process cached-hit pair (backend
+// handler alone; frontend → in-process transport → backend) that leaves
+// loopback HTTP out, and the cluster-simulator trio (streaming calendar
+// engine, buffered heap baseline, parallel sweep) whose speedup ratio
+// TestCompareAgainstCommittedBaseline pins. The full suite (-bench .)
+// includes multi-second experiment drivers and is opt-in.
 const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
 
 // compareTolerance is the -compare regression threshold: a benchmark
@@ -79,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (passed to go test)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file (passed to go test)")
 	compare := fs.String("compare", "", "baseline JSON to diff against instead of writing -out; exit nonzero on >25% ns/op regressions")
-	loadgen := fs.Bool("loadgen", true, "also run cmd/loadgen and merge its serving-latency entries into the report")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -120,15 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bench: no benchmarks matched %q\n", *benchRe)
 		return 1
 	}
-	if *loadgen {
-		entries, err := runLoadgen(stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "bench: loadgen: %v\n", err)
-			return 1
-		}
-		report = benchfmt.Merge(report, entries)
-		fmt.Fprintf(stderr, "bench: merged %d loadgen entries\n", len(entries))
-	}
 	if *compare != "" {
 		baseline, err := benchfmt.ReadFile(*compare)
 		if err != nil {
@@ -152,26 +139,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "bench: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
 	return 0
-}
-
-// runLoadgen executes the load generator's bench pass (its committed
-// default mix against an in-process sharded service) and returns the
-// BENCH.json entries it printed on stdout.
-func runLoadgen(stderr io.Writer) ([]benchfmt.Result, error) {
-	args := []string{"run", "./cmd/loadgen", "-bench-json", "-"}
-	fmt.Fprintf(stderr, "bench: go %s\n", strings.Join(args, " "))
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = stderr
-	raw, err := cmd.Output()
-	if err != nil {
-		return nil, err
-	}
-	var entries []benchfmt.Result
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return nil, fmt.Errorf("parsing loadgen output: %v", err)
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("loadgen produced no entries")
-	}
-	return entries, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -252,6 +253,29 @@ func TestStripProcsSuffix(t *testing.T) {
 	for in, want := range cases {
 		if got := benchfmt.StripProcsSuffix(in); got != want {
 			t.Errorf("StripProcsSuffix(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestCommittedEntriesMatchDefaultBench: every committed BENCH.json
+// entry is one that a default `cmd/bench` run produces, so entries
+// without a benchmark behind them (and hence without a unit the
+// -compare gate understands) cannot creep back in. `go test -bench`
+// matches the pattern against the top-level benchmark name; defaultBench
+// has no '/' element, so every sub-benchmark of a match runs.
+func TestCommittedEntriesMatchDefaultBench(t *testing.T) {
+	baseline, err := benchfmt.ReadFile("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(baseline.Benchmarks) == 0 {
+		t.Fatal("committed BENCH.json has no entries")
+	}
+	re := regexp.MustCompile(defaultBench)
+	for _, r := range baseline.Benchmarks {
+		top, _, _ := strings.Cut(r.Name, "/")
+		if !re.MatchString(top) {
+			t.Errorf("BENCH.json entry %q is not produced by the default -bench pattern", r.Name)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/benchfmt"
 	"repro/internal/rng"
 	"repro/internal/service"
 	"repro/service/api"
@@ -126,25 +125,6 @@ func (r report) hitRatio() float64 {
 		return 0
 	}
 	return float64(r.Hits+r.Coalesced) / float64(r.Requests)
-}
-
-// benchResults renders the gated BENCH.json entries: latency
-// quantiles in ns/op and the deterministic ratio entries in
-// percentage points. Names follow the Benchmark* convention so the
-// cmd/bench -compare machinery treats them like any micro-benchmark.
-func (r report) benchResults() []benchfmt.Result {
-	prefix := "BenchmarkLoadgen/" + r.Label + "/"
-	mk := func(name string, v float64) benchfmt.Result {
-		return benchfmt.Result{Name: prefix + name, Runs: 1, Iterations: float64(r.Requests), NsPerOp: v}
-	}
-	return []benchfmt.Result{
-		mk("p50", r.P50NS),
-		mk("p99", r.P99NS),
-		mk("p999", r.P999NS),
-		mk("miss_pct", 100*float64(r.Misses)/float64(max(r.Requests, 1))),
-		mk("served_from_cache_pct", 100*r.hitRatio()),
-		mk("shard_imbalance_x100", 100*r.Imbalance),
-	}
 }
 
 // specStream produces the deterministic request stream: a universe of

@@ -3,12 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/benchfmt"
 )
 
 // TestZipfRoutingMissesEqualUniqueSpecs is the ISSUE acceptance
@@ -183,59 +180,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-// TestReportBenchResults: the emitted entries carry the gated names
-// and deterministic values.
-func TestReportBenchResults(t *testing.T) {
-	rep := report{
-		Label: "zipf", Requests: 200, Hits: 140, Misses: 50, Coalesced: 10,
-		P50NS: 1000, P99NS: 5000, P999NS: 9000, Imbalance: 1.2,
-	}
-	results := rep.benchResults()
-	byName := make(map[string]benchfmt.Result)
-	for _, r := range results {
-		byName[r.Name] = r
-	}
-	if r := byName["BenchmarkLoadgen/zipf/p99"]; r.NsPerOp != 5000 || r.Iterations != 200 {
-		t.Errorf("p99 entry = %+v", r)
-	}
-	if r := byName["BenchmarkLoadgen/zipf/miss_pct"]; r.NsPerOp != 25 {
-		t.Errorf("miss_pct = %g, want 25", r.NsPerOp)
-	}
-	if r := byName["BenchmarkLoadgen/zipf/served_from_cache_pct"]; r.NsPerOp != 75 {
-		t.Errorf("served_from_cache_pct = %g, want 75", r.NsPerOp)
-	}
-	if r := byName["BenchmarkLoadgen/zipf/shard_imbalance_x100"]; r.NsPerOp != 120 {
-		t.Errorf("shard_imbalance_x100 = %g, want 120", r.NsPerOp)
-	}
-}
-
-// TestRunBenchJSONStdout: -bench-json - prints a parseable result
-// array on stdout with the human report diverted to stderr.
-func TestRunBenchJSONStdout(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{
-		"-shards", "2", "-requests", "60", "-universe", "10", "-bench-json", "-",
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []benchfmt.Result
-	if err := json.Unmarshal(stdout.Bytes(), &results); err != nil {
-		t.Fatalf("stdout is not a result array: %v\n%s", err, stdout.Bytes())
-	}
-	if len(results) == 0 {
-		t.Fatal("no results emitted")
-	}
-	for _, r := range results {
-		if !strings.HasPrefix(r.Name, "BenchmarkLoadgen/") {
-			t.Errorf("entry %q lacks the BenchmarkLoadgen/ prefix", r.Name)
-		}
-	}
-	if !strings.Contains(stderr.String(), "scenario zipf") {
-		t.Errorf("human report missing from stderr:\n%s", stderr.String())
-	}
-}
-
 // TestRunRejectsInvalidFlags: bad flag values fail before any load.
 func TestRunRejectsInvalidFlags(t *testing.T) {
 	for _, args := range [][]string{
@@ -249,7 +193,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"-mix", "nope"},
 		{"stray"},
 	} {
-		if err := run(context.Background(), args, new(bytes.Buffer), new(bytes.Buffer)); err == nil {
+		if err := run(context.Background(), args, new(bytes.Buffer)); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
 	}
@@ -262,7 +206,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Skip("smoke warms the Table-1 grid; skipped under -short")
 	}
 	var stdout bytes.Buffer
-	if err := run(context.Background(), []string{"-smoke"}, &stdout, new(bytes.Buffer)); err != nil {
+	if err := run(context.Background(), []string{"-smoke"}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()

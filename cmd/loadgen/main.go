@@ -10,53 +10,47 @@
 // -mix table1), so repeated runs issue the same specs in the same
 // order and cache-miss counts are reproducible.
 //
-// -bench-json writes the scenario's quantiles and ratios as
-// benchfmt.Result entries; cmd/bench merges them into BENCH.json where
-// the -compare gate tracks them like any micro-benchmark.
+// -smoke runs a fixed 1-2 s suite and fails unless its deterministic
+// invariants hold. The repository benchmark (perfbench) measures the
+// plan path end to end; loadgen's report is for humans.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"time"
-
-	"repro/internal/benchfmt"
 )
 
 func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-// run parses flags, executes the scenario(s), and writes the report.
-// Human-readable reports go to stdout, except when -bench-json -
-// claims stdout for the JSON; then they move to stderr so cmd/bench
-// can parse the output.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+// run parses flags, executes the scenario(s), and writes the report
+// to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
-		target    = fs.String("target", "", "base URL of a live service; empty runs an in-process fleet")
-		shards    = fs.Int("shards", 4, "in-process backend shards behind the frontend")
-		requests  = fs.Int("requests", 2000, "requests to issue per scenario")
-		workers   = fs.Int("workers", 8, "concurrent in-flight requests")
-		mix       = fs.String("mix", "zipf", "spec mix: zipf or table1")
-		universe  = fs.Int("universe", 100, "zipf mix: number of distinct specs")
-		zipfS     = fs.Float64("zipf-s", 1.1, "zipf exponent (>1 skews toward the head)")
-		arrivals  = fs.String("arrivals", "closed", "arrival process: closed, poisson, or bursty")
-		rate      = fs.Float64("rate", 2000, "poisson/bursty arrivals: long-run requests/sec")
-		burst     = fs.Int("burst", 32, "bursty arrivals: requests per burst")
-		tenants   = fs.String("tenants", "", "comma-separated tenant names cycled across requests")
-		seed      = fs.Uint64("seed", 1, "seed for the spec and arrival streams")
-		warm      = fs.Bool("warm", false, "pre-warm the Table-1 grid before measuring")
-		smoke     = fs.Bool("smoke", false, "run the fixed 1-2s CI smoke suite and verify its invariants")
-		benchJSON = fs.String("bench-json", "", "write benchfmt results to this path ('-' = stdout)")
+		target   = fs.String("target", "", "base URL of a live service; empty runs an in-process fleet")
+		shards   = fs.Int("shards", 4, "in-process backend shards behind the frontend")
+		requests = fs.Int("requests", 2000, "requests to issue per scenario")
+		workers  = fs.Int("workers", 8, "concurrent in-flight requests")
+		mix      = fs.String("mix", "zipf", "spec mix: zipf or table1")
+		universe = fs.Int("universe", 100, "zipf mix: number of distinct specs")
+		zipfS    = fs.Float64("zipf-s", 1.1, "zipf exponent (>1 skews toward the head)")
+		arrivals = fs.String("arrivals", "closed", "arrival process: closed, poisson, or bursty")
+		rate     = fs.Float64("rate", 2000, "poisson/bursty arrivals: long-run requests/sec")
+		burst    = fs.Int("burst", 32, "bursty arrivals: requests per burst")
+		tenants  = fs.String("tenants", "", "comma-separated tenant names cycled across requests")
+		seed     = fs.Uint64("seed", 1, "seed for the spec and arrival streams")
+		warm     = fs.Bool("warm", false, "pre-warm the Table-1 grid before measuring")
+		smoke    = fs.Bool("smoke", false, "run the fixed 1-2s CI smoke suite and verify its invariants")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,19 +100,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		reports = []report{rep}
 	}
 
-	reportDst := stdout
-	if *benchJSON == "-" {
-		reportDst = stderr
-	}
 	for _, rep := range reports {
-		printReport(reportDst, rep)
-	}
-	if *benchJSON != "" {
-		var results []benchfmt.Result
-		for _, rep := range reports {
-			results = append(results, rep.benchResults()...)
-		}
-		return writeBenchJSON(*benchJSON, results, stdout)
+		printReport(stdout, rep)
 	}
 	return nil
 }
@@ -181,18 +164,4 @@ func printReport(w io.Writer, rep report) {
 	if rep.BodyMemoHits > 0 || rep.RouteMemoHits > 0 {
 		fmt.Fprintf(w, "  memos    %d body-memo hits, %d route-memo hits\n", rep.BodyMemoHits, rep.RouteMemoHits)
 	}
-}
-
-// writeBenchJSON emits the results as a benchfmt JSON array.
-func writeBenchJSON(path string, results []benchfmt.Result, stdout io.Writer) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err = stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	serve [-addr :8080] [-cache 256] [-planner-cache 32]
-//	      [-worker-budget 0] [-request-timeout 30s] [-shutdown-grace 5s]
+//	serve [-addr :8080] [-cache 256] [-worker-budget 0]
+//	      [-request-timeout 30s] [-shutdown-grace 5s]
 //	      [-shards 1] [-peers name=url,...] [-replicas 128]
 //	      [-warm] [-admit-rate 0] [-tenant-weights name=w,...]
 //	      [-dpverify]
@@ -44,13 +44,12 @@ import (
 
 // config is the parsed, validated command line.
 type config struct {
-	addr             string
-	cacheSize        int
-	plannerCacheSize int
-	workerBudget     int
-	requestTimeout   time.Duration
-	shutdownGrace    time.Duration
-	dpVerify         bool
+	addr           string
+	cacheSize      int
+	workerBudget   int
+	requestTimeout time.Duration
+	shutdownGrace  time.Duration
+	dpVerify       bool
 
 	shards        int
 	peers         map[string]string // name -> base URL, nil when unset
@@ -112,7 +111,6 @@ func parseFlags(args []string) (config, error) {
 	var peersFlag, weightsFlag string
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.cacheSize, "cache", service.DefaultCacheSize, "response cache capacity per shard, in entries")
-	fs.IntVar(&cfg.plannerCacheSize, "planner-cache", service.DefaultPlannerCacheSize, "planner cache capacity per shard, in entries")
 	fs.IntVar(&cfg.workerBudget, "worker-budget", 0, "max concurrent plan computations per shard (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.requestTimeout, "request-timeout", 30*time.Second, "per-request computation timeout (0 = none)")
 	fs.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 5*time.Second, "graceful-shutdown drain deadline")
@@ -134,9 +132,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.cacheSize < 1 {
 		return config{}, fmt.Errorf("-cache must be at least 1, got %d", cfg.cacheSize)
-	}
-	if cfg.plannerCacheSize < 1 {
-		return config{}, fmt.Errorf("-planner-cache must be at least 1, got %d", cfg.plannerCacheSize)
 	}
 	if cfg.workerBudget < 0 {
 		return config{}, fmt.Errorf("-worker-budget must not be negative, got %d", cfg.workerBudget)
@@ -174,10 +169,7 @@ func parseFlags(args []string) (config, error) {
 // backendConfig is the per-shard service configuration.
 func (cfg config) backendConfig() service.Config {
 	return service.Config{
-		Cache: service.CacheConfig{
-			Responses: cfg.cacheSize,
-			Planners:  cfg.plannerCacheSize,
-		},
+		Cache: service.CacheConfig{Responses: cfg.cacheSize},
 		Limits: service.LimitsConfig{
 			RequestTimeout: cfg.requestTimeout,
 			WorkerBudget:   cfg.workerBudget,

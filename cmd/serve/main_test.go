@@ -22,8 +22,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.addr != ":8080" {
 		t.Errorf("addr = %q", cfg.addr)
 	}
-	if cfg.cacheSize != 256 || cfg.plannerCacheSize != 32 {
-		t.Errorf("cache sizes = %d/%d", cfg.cacheSize, cfg.plannerCacheSize)
+	if cfg.cacheSize != 256 {
+		t.Errorf("cache size = %d", cfg.cacheSize)
 	}
 	if cfg.workerBudget != 0 {
 		t.Errorf("worker budget = %d", cfg.workerBudget)
@@ -35,13 +35,13 @@ func TestParseFlagsDefaults(t *testing.T) {
 
 func TestParseFlagsOverrides(t *testing.T) {
 	cfg, err := parseFlags([]string{
-		"-addr", "127.0.0.1:9090", "-cache", "8", "-planner-cache", "2",
+		"-addr", "127.0.0.1:9090", "-cache", "8",
 		"-worker-budget", "3", "-request-timeout", "1s", "-shutdown-grace", "2s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != "127.0.0.1:9090" || cfg.cacheSize != 8 || cfg.plannerCacheSize != 2 ||
+	if cfg.addr != "127.0.0.1:9090" || cfg.cacheSize != 8 ||
 		cfg.workerBudget != 3 || cfg.requestTimeout != time.Second || cfg.shutdownGrace != 2*time.Second {
 		t.Errorf("cfg = %+v", cfg)
 	}
@@ -52,7 +52,6 @@ func TestParseFlagsRejectsInvalid(t *testing.T) {
 		{"-addr", ""},
 		{"-cache", "0"},
 		{"-cache", "-1"},
-		{"-planner-cache", "0"},
 		{"-worker-budget", "-2"},
 		{"-request-timeout", "-1s"},
 		{"-shutdown-grace", "-1s"},

@@ -171,51 +171,14 @@ type Plan struct {
 	workers int // the defaulted Options.Workers the plan was built with
 }
 
-// MakePlan computes a reservation plan using the named strategy.
+// MakePlan computes a reservation plan using the named strategy. It is
+// NewPlanner followed by Plan.
 func MakePlan(m CostModel, d Distribution, strategyName string, opts Options) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	st, err := opts.resolve(strategyName)
+	pl, err := NewPlanner(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	seq, err := st.Sequence(m, d)
-	if err != nil {
-		return nil, fmt.Errorf("repro: strategy %s failed: %w", strategyName, err)
-	}
-	return newPlan(m, d, strategyName, opts, seq)
-}
-
-// newPlan finishes plan construction from a computed sequence: exact
-// cost, normalization, and the trimmed preview. Shared by MakePlan and
-// Planner.Plan.
-func newPlan(m CostModel, d Distribution, strategyName string, opts Options, seq *core.Sequence) (*Plan, error) {
-	e, err := core.ExpectedCost(m, d, seq.Clone())
-	if err != nil {
-		return nil, fmt.Errorf("repro: cost evaluation failed: %w", err)
-	}
-	preview, err := seq.Clone().Prefix(opts.PreviewLen)
-	if err != nil {
-		return nil, err
-	}
-	// Trim the preview once the remaining probability mass is
-	// negligible: reservations out there exist only to keep the
-	// sequence formally unbounded and would read as absurd numbers.
-	for len(preview) > 1 && d.Survival(preview[len(preview)-2]) < 1e-10 {
-		preview = preview[:len(preview)-1]
-	}
-	return &Plan{
-		Strategy:       strategyName,
-		Reservations:   preview,
-		ExpectedCost:   e,
-		NormalizedCost: e / m.OmniscientCost(d),
-		model:          m,
-		dist:           d,
-		seq:            seq,
-		workers:        opts.Workers,
-	}, nil
+	return pl.Plan(d, strategyName)
 }
 
 // resolve maps a strategy name to its implementation. The receiver

@@ -1,10 +1,8 @@
-// Package benchfmt defines the BENCH.json schema shared by the
-// benchmark driver (cmd/bench) and the load generator (cmd/loadgen):
-// parsing `go test -bench` output into Report entries, merging entries
-// from several producers into one file, and the regression comparison
-// that gates perf claims. Keeping one definition here means a loadgen
-// latency entry and a micro-benchmark entry are gated by the exact
-// same machinery.
+// Package benchfmt defines the BENCH.json schema written by the
+// benchmark driver (cmd/bench): parsing `go test -bench` output into
+// Report entries, reading and writing the committed file, and the
+// ns/op and allocs/op regression comparison behind `cmd/bench
+// -compare`.
 package benchfmt
 
 import (
@@ -23,12 +21,9 @@ type Result struct {
 	Name string `json:"name"`
 	// Runs is the number of -count repetitions averaged together.
 	Runs int `json:"runs"`
-	// Iterations is the mean b.N across runs (for loadgen entries, the
-	// request count backing the measurement).
+	// Iterations is the mean b.N across runs.
 	Iterations float64 `json:"iterations"`
 	// NsPerOp is the mean ns/op — the value the -compare gate tracks.
-	// Loadgen entries reuse it for latency quantiles (ns) and ratio
-	// entries (percentage points), so they regress under the same rule.
 	NsPerOp float64 `json:"ns_per_op"`
 	// BytesPerOp is the mean B/op (0 unless -benchmem reported it).
 	BytesPerOp float64 `json:"bytes_per_op"`
@@ -176,29 +171,6 @@ func Compare(baseline, current Report, tolerance float64) (lines []string, regre
 		}
 	}
 	return lines, regressed
-}
-
-// Merge upserts add into dst by benchmark name and re-sorts, so a
-// loadgen run can refresh its entries in a BENCH.json produced by
-// cmd/bench without disturbing the micro-benchmark entries (and vice
-// versa).
-func Merge(dst Report, add []Result) Report {
-	byName := make(map[string]int, len(dst.Benchmarks))
-	for i, r := range dst.Benchmarks {
-		byName[r.Name] = i
-	}
-	for _, r := range add {
-		if i, ok := byName[r.Name]; ok {
-			dst.Benchmarks[i] = r
-			continue
-		}
-		byName[r.Name] = len(dst.Benchmarks)
-		dst.Benchmarks = append(dst.Benchmarks, r)
-	}
-	sort.Slice(dst.Benchmarks, func(i, j int) bool {
-		return dst.Benchmarks[i].Name < dst.Benchmarks[j].Name
-	})
-	return dst
 }
 
 // ReadFile loads a BENCH.json report.

@@ -7,37 +7,6 @@ import (
 	"testing"
 )
 
-func TestMergeUpsertsAndSorts(t *testing.T) {
-	base := Report{Benchmarks: []Result{
-		{Name: "BenchmarkB", NsPerOp: 2},
-		{Name: "BenchmarkA", NsPerOp: 1},
-	}}
-	merged := Merge(base, []Result{
-		{Name: "BenchmarkB", NsPerOp: 20},              // update in place
-		{Name: "LoadgenZipf/p99", NsPerOp: 5, Runs: 1}, // new entry
-		{Name: "LoadgenZipf/p50", NsPerOp: 3, Runs: 1}, // new entry, sorts before p99
-	})
-	want := []Result{
-		{Name: "BenchmarkA", NsPerOp: 1},
-		{Name: "BenchmarkB", NsPerOp: 20},
-		{Name: "LoadgenZipf/p50", NsPerOp: 3, Runs: 1},
-		{Name: "LoadgenZipf/p99", NsPerOp: 5, Runs: 1},
-	}
-	if !reflect.DeepEqual(merged.Benchmarks, want) {
-		t.Errorf("merged = %+v, want %+v", merged.Benchmarks, want)
-	}
-}
-
-func TestMergeEmptySides(t *testing.T) {
-	if got := Merge(Report{}, nil); len(got.Benchmarks) != 0 {
-		t.Errorf("empty merge = %+v", got.Benchmarks)
-	}
-	got := Merge(Report{}, []Result{{Name: "X", NsPerOp: 1}})
-	if len(got.Benchmarks) != 1 || got.Benchmarks[0].Name != "X" {
-		t.Errorf("merge into empty = %+v", got.Benchmarks)
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	in := Report{

@@ -165,14 +165,8 @@ func NextReservationConvex(g ConvexCost, beta float64, d dist.Distribution, tPre
 	return g.Inverse(y)
 }
 
-// SequenceFromFirstConvex is SequenceFromFirst under a convex
-// reservation cost G (Proposition 3), with the strict validity rule.
-func SequenceFromFirstConvex(g ConvexCost, beta float64, d dist.Distribution, t1 float64) *Sequence {
-	return SequenceFromFirstConvexTail(g, beta, d, t1, 0)
-}
-
-// SequenceFromFirstConvexTail is SequenceFromFirstConvex with the tail
-// tolerance semantics of SequenceFromFirstTail.
+// SequenceFromFirstConvexTail is SequenceFromFirstTail under a convex
+// reservation cost G (Proposition 3).
 func SequenceFromFirstConvexTail(g ConvexCost, beta float64, d dist.Distribution, t1, tailEps float64) *Sequence {
 	return sequenceFromRecurrence(d, t1, tailEps, func(prev2, prev float64) float64 {
 		return NextReservationConvex(g, beta, d, prev2, prev)

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mixture is a finite mixture Σ w_i · D_i of execution-time laws. Job
@@ -168,31 +167,4 @@ func (m *Mixture) CondMean(tau float64) float64 {
 		num += m.weights[i] * si * cm
 	}
 	return num / den
-}
-
-// Components returns the component laws and normalized weights (copies
-// of the slices' headers; callers must not mutate).
-func (m *Mixture) Components() ([]Distribution, []float64) {
-	return m.components, m.weights
-}
-
-// SplitByQuantile is a convenience for building a bimodal job
-// population: it returns the weights and a sorted copy of components
-// ordered by their medians (cosmetic; mixtures are order-independent).
-func SplitByQuantile(components []Distribution, weights []float64) ([]Distribution, []float64) {
-	type pair struct {
-		d Distribution
-		w float64
-	}
-	ps := make([]pair, len(components))
-	for i := range components {
-		ps[i] = pair{components[i], weights[i]}
-	}
-	sort.Slice(ps, func(i, j int) bool { return Median(ps[i].d) < Median(ps[j].d) })
-	outD := make([]Distribution, len(ps))
-	outW := make([]float64, len(ps))
-	for i, p := range ps {
-		outD[i], outW[i] = p.d, p.w
-	}
-	return outD, outW
 }

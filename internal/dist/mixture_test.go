@@ -107,9 +107,12 @@ func TestMixtureWeightNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, w := m.Components()
-	if math.Abs(w[0]-0.25) > 1e-12 || math.Abs(w[1]-0.75) > 1e-12 {
-		t.Errorf("weights = %v", w)
+	// Weights 2:6 normalize to 1/4 and 3/4.
+	for _, x := range []float64{0.1, 1, 5} {
+		want := 0.25*MustExponential(1).CDF(x) + 0.75*MustExponential(2).CDF(x)
+		if got := m.CDF(x); math.Abs(got-want) > 1e-12 {
+			t.Errorf("CDF(%g) = %g, want %g", x, got, want)
+		}
 	}
 }
 
@@ -142,17 +145,5 @@ func TestMixtureValidation(t *testing.T) {
 	}
 	if _, err := NewMixture([]Distribution{nil}, []float64{1}); err == nil {
 		t.Error("nil component accepted")
-	}
-}
-
-func TestSplitByQuantileOrders(t *testing.T) {
-	ds, ws := SplitByQuantile(
-		[]Distribution{MustLogNormal(2, 0.3), MustLogNormal(0, 0.3)},
-		[]float64{0.4, 0.6})
-	if Median(ds[0]) > Median(ds[1]) {
-		t.Error("components not ordered by median")
-	}
-	if ws[0] != 0.6 || ws[1] != 0.4 {
-		t.Errorf("weights not carried: %v", ws)
 	}
 }

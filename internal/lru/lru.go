@@ -1,8 +1,6 @@
 // Package lru provides a small, concurrency-safe, bounded
-// least-recently-used cache. It backs the caching layers of the serving
-// stack: the Planner's per-distribution derived state (workloads,
-// discretizations), and the plan service's response cache, planner
-// cache and hit-path memos.
+// least-recently-used cache. It backs the plan service's caches: the
+// backend's response cache and body memo, and the frontend's route memo.
 package lru
 
 import (

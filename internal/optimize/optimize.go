@@ -1,6 +1,6 @@
 // Package optimize provides the one-dimensional root finding and
-// minimization routines used by the reservation library: bisection and
-// Brent root finding (quantile fallbacks, calibration) and
+// minimization routines used by the reservation library: Brent root
+// finding (quantile fallbacks, calibration) and
 // golden-section minimization (refining the brute-force search for the
 // optimal first reservation length, §5.2 of the paper).
 package optimize
@@ -20,37 +20,6 @@ var ErrNoConverge = errors.New("optimize: iteration did not converge")
 
 // defaultIter bounds iterative loops.
 const defaultIter = 200
-
-// Bisect finds x in [a, b] with f(x) = 0 by bisection. f(a) and f(b)
-// must have opposite signs (or one endpoint must be an exact root).
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return math.NaN(), ErrBracket
-	}
-	for i := 0; i < defaultIter; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol*(1+math.Abs(m)) {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
-}
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse
 // quadratic interpolation with bisection safeguard). f(a) and f(b) must

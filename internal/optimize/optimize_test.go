@@ -7,7 +7,7 @@ import (
 )
 
 func TestBisect(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-13)
+	x, err := bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,12 +15,12 @@ func TestBisect(t *testing.T) {
 		t.Errorf("bisect sqrt2 = %.15g", x)
 	}
 	// Exact roots at the endpoints.
-	x, err = Bisect(func(x float64) float64 { return x }, 0, 1, 0)
+	x, err = bisect(func(x float64) float64 { return x }, 0, 1, 0)
 	if err != nil || x != 0 {
 		t.Errorf("endpoint root: x=%g err=%v", x, err)
 	}
 	// Non-bracketing interval.
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 0); err != ErrBracket {
+	if _, err := bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 0); err != ErrBracket {
 		t.Errorf("expected ErrBracket, got %v", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestBrentAgreesWithBisect(t *testing.T) {
 		s := math.Mod(shift, 5)
 		g := func(x float64) float64 { return math.Tanh(x - s) }
 		a, b := s-3, s+3
-		xb, err1 := Bisect(g, a, b, 1e-13)
+		xb, err1 := bisect(g, a, b, 1e-13)
 		xr, err2 := Brent(g, a, b, 1e-13)
 		if err1 != nil || err2 != nil {
 			return false
@@ -112,4 +112,36 @@ func TestMinimizeGrid(t *testing.T) {
 	if !math.IsNaN(x) || !math.IsInf(fx, 1) {
 		t.Errorf("all-NaN grid: x=%g fx=%g", x, fx)
 	}
+}
+
+// bisect finds x in [a, b] with f(x) = 0 by bisection: the
+// reference root finder Brent is checked against. f(a) and f(b)
+// must have opposite signs (or one endpoint must be an exact root).
+func bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	fa, fb := f(a), f(b)
+	if fa == 0 {
+		return a, nil
+	}
+	if fb == 0 {
+		return b, nil
+	}
+	if math.Signbit(fa) == math.Signbit(fb) {
+		return math.NaN(), ErrBracket
+	}
+	for i := 0; i < defaultIter; i++ {
+		m := 0.5 * (a + b)
+		fm := f(m)
+		if fm == 0 || (b-a)/2 < tol*(1+math.Abs(m)) {
+			return m, nil
+		}
+		if math.Signbit(fm) == math.Signbit(fa) {
+			a, fa = m, fm
+		} else {
+			b = m
+		}
+	}
+	return 0.5 * (a + b), nil
 }

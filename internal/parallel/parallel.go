@@ -174,28 +174,3 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	})
 	return out
 }
-
-// SumBlocks computes Σ_{i=0}^{n-1} fn(i) with one partial sum per
-// worker, summed deterministically in worker order so the result does
-// not depend on scheduling.
-func SumBlocks(n, workers int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if workers <= 0 || workers > n {
-		workers = Workers(n)
-	}
-	partial := make([]float64, workers)
-	ForEachBlock(n, workers, func(w, lo, hi int) {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += fn(i)
-		}
-		partial[w] = s
-	})
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}

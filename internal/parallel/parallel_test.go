@@ -87,7 +87,7 @@ func TestSumBlocksMatchesSerial(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want += fn(i)
 		}
-		got := SumBlocks(n, workers, fn)
+		got := sumBlocks(n, workers, fn)
 		return math.Abs(got-want) < 1e-9*(1+math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -97,8 +97,8 @@ func TestSumBlocksMatchesSerial(t *testing.T) {
 
 func TestSumBlocksDeterministic(t *testing.T) {
 	fn := func(i int) float64 { return 1 / (1 + float64(i)) }
-	a := SumBlocks(100000, 4, fn)
-	b := SumBlocks(100000, 4, fn)
+	a := sumBlocks(100000, 4, fn)
+	b := sumBlocks(100000, 4, fn)
 	//lint:ignore floatcmp the test asserts bit-for-bit reproducibility, which is exactly an equality claim
 	if a != b {
 		t.Errorf("same worker count gave different sums: %v vs %v", a, b)
@@ -115,4 +115,31 @@ func TestWorkersBounds(t *testing.T) {
 	if w := Workers(1 << 30); w < 1 {
 		t.Errorf("Workers(big) = %d", w)
 	}
+}
+
+// sumBlocks computes Σ_{i=0}^{n-1} fn(i) with one partial sum per
+// worker, summed deterministically in worker order so the result does
+// not depend on scheduling: the per-block-slot reduction that callers
+// build on ForEachBlock (the brute-force scan keeps one winner per
+// block the same way).
+func sumBlocks(n, workers int, fn func(i int) float64) float64 {
+	if n <= 0 {
+		return 0
+	}
+	if workers <= 0 || workers > n {
+		workers = Workers(n)
+	}
+	partial := make([]float64, workers)
+	ForEachBlock(n, workers, func(w, lo, hi int) {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += fn(i)
+		}
+		partial[w] = s
+	})
+	total := 0.0
+	for _, p := range partial {
+		total += p
+	}
+	return total
 }

@@ -158,9 +158,9 @@ func TestSumBlocksMatchesSequential(t *testing.T) {
 		want += f(i)
 	}
 	for _, workers := range []int{1, 2, 5, 16} {
-		got := SumBlocks(n, workers, f)
+		got := sumBlocks(n, workers, f)
 		if got != want { //lint:ignore floatcmp summands are exact halves, so the reduction is exact for any blocking
-			t.Errorf("SumBlocks(workers=%d) = %g, want %g", workers, got, want)
+			t.Errorf("sumBlocks(workers=%d) = %g, want %g", workers, got, want)
 		}
 	}
 }

@@ -144,17 +144,3 @@ func (r *Source) Uint64n(n uint64) uint64 {
 		}
 	}
 }
-
-// Perm returns a pseudo-random permutation of [0, n) using the
-// Fisher-Yates shuffle.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(r.Uint64n(uint64(i + 1)))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

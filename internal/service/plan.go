@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -91,11 +90,10 @@ func CanonicalSpec(spec string) (string, error) {
 }
 
 // resolveInputs validates a plan request and canonicalizes it into a
-// Planner (shared across requests with the same model and options), a
-// parsed distribution, and a cache key. Two requests that spell the
-// same plan differently — "exp(1)" vs "exponential(1.0)", an omitted
-// option vs its default, an empty strategy vs "brute-force" — resolve
-// to the same key.
+// Planner, a parsed distribution, and a cache key. Two requests that
+// spell the same plan differently — "exp(1)" vs "exponential(1.0)", an
+// omitted option vs its default, an empty strategy vs "brute-force" —
+// resolve to the same key.
 func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 	if strings.TrimSpace(req.Distribution) == "" {
 		return nil, badRequest("missing distribution spec (e.g. \"lognormal(3,0.5)\")")
@@ -123,7 +121,7 @@ func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 		MaxAttempts: req.Options.MaxAttempts,
 		Workers:     1, // inline: the server parallelizes across requests
 	}
-	pl, plKey, err := s.planner(model, opts)
+	pl, err := repro.NewPlanner(model, opts)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
@@ -136,54 +134,8 @@ func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 		dist:     d,
 		strategy: strat,
 		spec:     spec,
-		key:      plKey + "|dist=" + spec + "|strategy=" + strat,
+		key:      plannerKey(pl.CostModel(), pl.Options()) + "|dist=" + spec + "|strategy=" + strat,
 	}, nil
-}
-
-// plannerReq is the planner cache's key: a request's cost model and
-// options as sent, before validation and defaulting. Floats are held as
-// bits, so values plannerKey spells differently (-0 and 0) never share
-// an entry.
-type plannerReq struct {
-	alpha, beta, gamma, epsilon uint64
-	opts                        repro.Options // Epsilon cleared: held in epsilon
-}
-
-// plannerEntry is a cached Planner and its canonical plannerKey.
-type plannerEntry struct {
-	planner *repro.Planner
-	key     string
-}
-
-// planner returns the Planner for (model, opts) and its canonical key.
-// A cache hit costs one lookup keyed by the request's own values; only
-// a miss builds a Planner — validating the model and resolving the
-// option defaults — and derives the key. Two spellings of one option
-// set (an omitted option and its default) cache separate but
-// equivalent Planners under the same canonical key. A concurrent miss
-// may build two equivalent Planners; either works and the cache keeps
-// the later one.
-func (s *Backend) planner(model repro.CostModel, opts repro.Options) (*repro.Planner, string, error) {
-	req := plannerReq{
-		alpha:   math.Float64bits(model.Alpha),
-		beta:    math.Float64bits(model.Beta),
-		gamma:   math.Float64bits(model.Gamma),
-		epsilon: math.Float64bits(opts.Epsilon),
-		opts:    opts,
-	}
-	req.opts.Epsilon = 0
-	if e, ok := s.planners.Get(req); ok {
-		s.metrics.plannerHits.Add(1)
-		return e.planner, e.key, nil
-	}
-	s.metrics.plannerMisses.Add(1)
-	pl, err := repro.NewPlanner(model, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	key := plannerKey(pl.CostModel(), pl.Options())
-	s.planners.Put(req, plannerEntry{pl, key})
-	return pl, key, nil
 }
 
 // resolved is a validated, keyed request: its response-cache key and
@@ -273,7 +225,7 @@ func (s *Backend) resolveSimulate(body io.Reader) (*resolved, *apiError) {
 // serve is the shared body of the POST endpoints: the method check,
 // the request / in-flight / latency metrics, and the hit path. A body of
 // at most memoBodyCap bytes that resolved before is answered from the
-// body memo and the response cache: no decode, parse or Planner lookup.
+// body memo and the response cache: no decode, parse or Planner construction.
 // Anything else — a larger body, a memo miss, a memo hit whose response
 // was evicted — is strictly decoded and resolved, and answered by
 // respond; a small body that resolves is memoized on the way.

@@ -47,31 +47,22 @@ import (
 
 // Default configuration values, used when the corresponding config
 // field is unset.
-const (
-	DefaultCacheSize        = 256
-	DefaultPlannerCacheSize = 32
-)
+const DefaultCacheSize = 256
 
 // maxRequestBytes bounds how much of a request body the decoder reads.
 const maxRequestBytes = 1 << 20
 
-// CacheConfig bounds a Backend's two caches.
+// CacheConfig bounds a Backend's response cache.
 type CacheConfig struct {
 	// Responses bounds the response byte cache, in entries
 	// (default 256).
 	Responses int
-	// Planners bounds how many Planners — one per distinct
-	// (cost model, options) pair — the backend retains (default 32).
-	Planners int
 }
 
 // withDefaults returns c with unset fields replaced by defaults.
 func (c CacheConfig) withDefaults() CacheConfig {
 	if c.Responses <= 0 {
 		c.Responses = DefaultCacheSize
-	}
-	if c.Planners <= 0 {
-		c.Planners = DefaultPlannerCacheSize
 	}
 	return c
 }
@@ -100,7 +91,7 @@ func (c LimitsConfig) withDefaults() LimitsConfig {
 // Config tunes a Backend. The zero value is usable: unset fields take
 // the documented defaults.
 type Config struct {
-	// Cache bounds the response and planner caches.
+	// Cache bounds the response cache.
 	Cache CacheConfig
 	// Limits bounds computation concurrency and per-request time.
 	Limits LimitsConfig
@@ -120,13 +111,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Backend is one plan-computing shard of the service: the HTTP handler
-// that owns the planner and response caches. Construct with New; safe
+// that owns the response cache. Construct with New; safe
 // for concurrent use. A deployment is one or more Backends behind a
 // Frontend, or a single Backend serving directly.
 type Backend struct {
 	cfg        Config
 	mux        *http.ServeMux
-	planners   *lru.Cache[plannerReq, plannerEntry]
 	cache      *lru.Cache[string, []byte]
 	memo       *bodyMemo
 	flight     flightGroup
@@ -146,7 +136,6 @@ func New(cfg Config) *Backend {
 	s := &Backend{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
-		planners:   lru.New[plannerReq, plannerEntry](cfg.Cache.Planners),
 		cache:      lru.New[string, []byte](cfg.Cache.Responses),
 		memo:       newBodyMemo(cfg.Cache.Responses),
 		sem:        make(chan struct{}, cfg.Limits.WorkerBudget),
@@ -224,9 +213,7 @@ type metrics struct {
 	coalesced   *expvar.Int // requests served by joining another's computation
 	inFlight    *expvar.Int
 
-	bodyMemoHits  atomic.Int64 // hits answered from the body memo
-	plannerHits   atomic.Int64 // planner lookups served from the planner cache
-	plannerMisses atomic.Int64 // planner lookups that built a Planner
+	bodyMemoHits atomic.Int64 // hits answered from the body memo
 }
 
 func newMetrics(cacheLen, memoLen func() int) *metrics {
@@ -250,8 +237,6 @@ func newMetrics(cacheLen, memoLen func() int) *metrics {
 	m.vars.Set("cache_entries", expvar.Func(func() any { return cacheLen() }))
 	m.vars.Set("body_memo_hits", expvar.Func(func() any { return m.bodyMemoHits.Load() }))
 	m.vars.Set("body_memo_entries", expvar.Func(func() any { return memoLen() }))
-	m.vars.Set("planner_cache_hits", expvar.Func(func() any { return m.plannerHits.Load() }))
-	m.vars.Set("planner_cache_misses", expvar.Func(func() any { return m.plannerMisses.Load() }))
 	// Process-wide, like the worker gauges: every backend in the process
 	// reports the same count of DP fast-path solves abandoned to the scan.
 	m.vars.Set("dp_fallbacks", expvar.Func(func() any { return dp.Fallbacks() }))

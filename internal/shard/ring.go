@@ -4,8 +4,7 @@
 // "node\x00replica" for the virtual nodes and over the key for
 // lookups — so any process that knows the
 // member list computes the same routing with no coordination, and a
-// spec's derived state (workloads, discretizations, cached responses)
-// concentrates on exactly one shard.
+// spec's cached responses concentrate on exactly one shard.
 //
 // Each member is placed at Replicas virtual positions; lookups walk
 // clockwise from the key's hash. Removing a member only reassigns the

@@ -42,26 +42,6 @@ func Samples(d dist.Distribution, n int, seed uint64) []float64 {
 	return dist.SampleN(d, rng.New(seed), n)
 }
 
-// AntitheticSamples draws n execution times in antithetic pairs:
-// quantiles at u and 1-u share one uniform draw. Because the run cost
-// of any reservation sequence is nondecreasing in the job duration,
-// pairing negatively correlated durations is guaranteed to reduce the
-// variance of the Eq.-(13) estimate (classical antithetic-variates
-// argument for monotone integrands). Odd n is rounded up to the next
-// pair and truncated.
-func AntitheticSamples(d dist.Distribution, n int, seed uint64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	r := rng.New(seed)
-	out := make([]float64, 0, n+1)
-	for len(out) < n {
-		u := r.Float64Open()
-		out = append(out, d.Quantile(u), d.Quantile(1-u))
-	}
-	return out[:n]
-}
-
 // CostOnSamples evaluates the Eq.-(13) estimate of a sequence's
 // expected cost over a fixed workload. The sequence is cloned per
 // worker; its generator must be pure. An error from any run (invalid

@@ -131,71 +131,3 @@ func TestUniformSingleReservationExactCost(t *testing.T) {
 		t.Errorf("max attempts = %d, want 1", est.MaxAttempts)
 	}
 }
-
-// TestAntitheticReducesVariance: for the monotone run cost, antithetic
-// pairing must cut the estimator variance versus plain sampling at the
-// same budget. Measured over many independent estimates.
-func TestAntitheticReducesVariance(t *testing.T) {
-	d := dist.MustLogNormal(3, 0.5)
-	m := core.ReservationOnly
-	mean := d.Mean()
-	mk := func() *core.Sequence {
-		return core.NewSequence(func(i int, _ []float64) (float64, bool) {
-			return mean * math.Pow(2, float64(i)), true
-		})
-	}
-	const reps, n = 200, 200
-	variance := func(sampler func(seed uint64) []float64) float64 {
-		var sum, sum2 float64
-		for k := 0; k < reps; k++ {
-			est, err := CostOnSamples(m, mk(), sampler(uint64(k)), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += est.Mean
-			sum2 += est.Mean * est.Mean
-		}
-		mu := sum / reps
-		return sum2/reps - mu*mu
-	}
-	vPlain := variance(func(seed uint64) []float64 { return Samples(d, n, seed) })
-	vAnti := variance(func(seed uint64) []float64 { return AntitheticSamples(d, n, seed) })
-	if !(vAnti < vPlain) {
-		t.Errorf("antithetic variance %g not below plain %g", vAnti, vPlain)
-	}
-	// The antithetic estimator stays unbiased: its grand mean matches
-	// the analytic value.
-	want, err := core.ExpectedCost(m, d, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for k := 0; k < reps; k++ {
-		est, err := CostOnSamples(m, mk(), AntitheticSamples(d, n, uint64(k)), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += est.Mean
-	}
-	if grand := sum / reps; math.Abs(grand-want) > 0.02*want {
-		t.Errorf("antithetic grand mean %g vs analytic %g", grand, want)
-	}
-}
-
-func TestAntitheticSamplesShape(t *testing.T) {
-	d := dist.MustExponential(1)
-	if got := AntitheticSamples(d, 0, 1); got != nil {
-		t.Errorf("n=0 returned %v", got)
-	}
-	odd := AntitheticSamples(d, 7, 1)
-	if len(odd) != 7 {
-		t.Errorf("odd n gave %d samples", len(odd))
-	}
-	// Pairs map to quantiles u and 1-u: their CDF values sum to 1.
-	pairs := AntitheticSamples(d, 10, 3)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if s := d.CDF(pairs[i]) + d.CDF(pairs[i+1]); math.Abs(s-1) > 1e-9 {
-			t.Errorf("pair %d CDFs sum to %g", i/2, s)
-		}
-	}
-}

@@ -221,13 +221,6 @@ func InvGammaP(a, p float64) float64 {
 	return x
 }
 
-// InvGammaQ returns x such that Q(a, x) = q, for a > 0 and q in (0, 1].
-// This is the inverse upper incomplete gamma function of Table 5 in
-// regularized form: Γ^{-1}(a, q·Γ(a)) = InvGammaQ(a, q).
-func InvGammaQ(a, q float64) float64 {
-	return InvGammaP(a, 1-q)
-}
-
 // LogBeta returns log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a+b).
 func LogBeta(a, b float64) float64 {
 	la, _ := math.Lgamma(a)

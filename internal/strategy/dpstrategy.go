@@ -38,34 +38,19 @@ func (s Discretized) Name() string {
 	return "Equal-probability"
 }
 
-// Discretize truncates and discretizes d with this strategy's
-// parameters (N, Epsilon, Scheme). Exposed so callers evaluating many
-// strategies or requests on one distribution can compute the discrete
-// law once and feed it back through SequenceOn.
-func (s Discretized) Discretize(d dist.Distribution) (*dist.Discrete, error) {
+// Sequence implements Strategy: discretize d with this strategy's
+// parameters (N, Epsilon, Scheme), solve the discrete problem, and
+// lift the solution back to the continuous law.
+func (s Discretized) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequence, error) {
 	n := s.N
 	if n <= 0 {
 		n = discretize.DefaultSamples
 	}
-	return discretize.Discretize(d, n, s.Epsilon, s.Scheme)
-}
-
-// Sequence implements Strategy.
-func (s Discretized) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequence, error) {
-	dd, err := s.Discretize(d)
+	dd, err := discretize.Discretize(d, n, s.Epsilon, s.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	return s.SequenceOn(m, d, dd)
-}
-
-// SequenceOn solves the discrete problem on a precomputed
-// discretization dd of d (as returned by Discretize) and lifts the
-// solution back to the continuous law. It is Sequence with the
-// discretization step hoisted out.
-func (s Discretized) SequenceOn(m core.CostModel, d dist.Distribution, dd *dist.Discrete) (*core.Sequence, error) {
 	var res dp.Result
-	var err error
 	if s.MaxAttempts > 0 {
 		res, err = dp.SolveMaxAttempts(dd, m, s.MaxAttempts)
 	} else {
@@ -93,14 +78,4 @@ func (s Discretized) SequenceOn(m core.CostModel, d dist.Distribution, dd *dist.
 		}
 		return 2 * prefix[i-1], true
 	}), nil
-}
-
-// DPResult exposes the underlying discrete solution (for tests and the
-// experiment harness).
-func (s Discretized) DPResult(m core.CostModel, d dist.Distribution) (dp.Result, error) {
-	dd, err := s.Discretize(d)
-	if err != nil {
-		return dp.Result{}, err
-	}
-	return dp.Solve(dd, m)
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/discretize"
 	"repro/internal/dist"
+	"repro/internal/dp"
 	"repro/internal/rng"
 	"repro/internal/simulate"
 )
@@ -422,16 +424,30 @@ func TestStrategyInterfaceSequenceMethods(t *testing.T) {
 	}
 }
 
+// TestDiscretizedDPResult: the DP on a uniform law's discretization
+// reserves the upper bound once (Theorem 4), and the strategy lifts
+// exactly that; an invalid truncation quantile is rejected.
 func TestDiscretizedDPResult(t *testing.T) {
 	d := dist.MustUniform(10, 20)
-	res, err := Discretized{N: 50}.DPResult(core.ReservationOnly, d)
+	dd, err := discretize.Discretize(d, 50, 0, discretize.EqualProbability)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dp.Solve(dd, core.ReservationOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Sequence) != 1 || res.Sequence[0] != 20 {
 		t.Errorf("DP result %v, want [20] (Theorem 4)", res.Sequence)
 	}
-	if _, err := (Discretized{N: -1, Epsilon: 2}).DPResult(core.ReservationOnly, d); err == nil {
+	seq, err := Discretized{N: 50}.Sequence(core.ReservationOnly, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := seq.First(); err != nil || v != 20 {
+		t.Errorf("lifted first reservation %g (%v), want 20", v, err)
+	}
+	if _, err := (Discretized{N: -1, Epsilon: 2}).Sequence(core.ReservationOnly, d); err == nil {
 		t.Error("invalid epsilon accepted")
 	}
 }

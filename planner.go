@@ -3,39 +3,17 @@ package repro
 import (
 	"fmt"
 
-	"repro/internal/dist"
-	"repro/internal/lru"
-	"repro/internal/simulate"
-	"repro/internal/strategy"
+	"repro/internal/core"
 )
-
-// plannerStateCap bounds how many distributions' derived state (Monte
-// Carlo workloads, discretized laws) one Planner retains. Entries
-// beyond the cap are evicted least-recently-used; eviction only costs
-// recomputation, never correctness.
-const plannerStateCap = 128
 
 // Planner is a reusable, concurrency-safe plan factory for one cost
 // model and option set. Both are validated and resolved to their
-// defaults once, at construction, and are immutable afterwards.
-//
-// Unlike repeated MakePlan calls, a Planner reuses the expensive
-// per-distribution derived state across calls: the Monte-Carlo
-// Workload (sorted samples + prefix sums, shared by all brute-force
-// scans on one law) and the §4.2 discretization (shared by the
-// DP-based strategies). State is keyed by the distribution's canonical
-// spec, so two structurally identical laws share one entry;
-// distributions without a spec (empirical, mixtures, wrappers) are
-// planned correctly but their state is not cached.
-//
-// All methods are safe for concurrent use; results are byte-for-byte
-// identical to the corresponding MakePlan call.
+// defaults once, at construction, and are immutable afterwards; a
+// Planner holds no other state, so every Plan call computes its plan
+// from scratch.
 type Planner struct {
 	model CostModel
 	opts  Options // fully defaulted at construction
-
-	workloads *lru.Cache[string, *simulate.Workload]
-	discs     *lru.Cache[string, *dist.Discrete]
 }
 
 // NewPlanner validates the cost model, resolves opts through the
@@ -44,12 +22,7 @@ func NewPlanner(m CostModel, opts Options) (*Planner, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{
-		model:     m,
-		opts:      opts.withDefaults(),
-		workloads: lru.New[string, *simulate.Workload](plannerStateCap),
-		discs:     lru.New[string, *dist.Discrete](plannerStateCap),
-	}, nil
+	return &Planner{model: m, opts: opts.withDefaults()}, nil
 }
 
 // CostModel returns the validated cost model the Planner was built with.
@@ -59,18 +32,42 @@ func (pl *Planner) CostModel() CostModel { return pl.model }
 // every plan with.
 func (pl *Planner) Options() Options { return pl.opts }
 
-// Plan computes a reservation plan for d using the named strategy,
-// reusing any cached per-distribution state.
+// Plan computes a reservation plan for d using the named strategy:
+// the strategy's sequence, its exact Eq.-(4) cost, the normalization
+// against the omniscient scheduler, and the trimmed preview.
 func (pl *Planner) Plan(d Distribution, strategyName string) (*Plan, error) {
 	st, err := pl.opts.resolve(strategyName)
 	if err != nil {
 		return nil, err
 	}
-	seq, err := pl.sequence(st, d)
+	seq, err := st.Sequence(pl.model, d)
 	if err != nil {
 		return nil, fmt.Errorf("repro: strategy %s failed: %w", strategyName, err)
 	}
-	return newPlan(pl.model, d, strategyName, pl.opts, seq)
+	e, err := core.ExpectedCost(pl.model, d, seq.Clone())
+	if err != nil {
+		return nil, fmt.Errorf("repro: cost evaluation failed: %w", err)
+	}
+	preview, err := seq.Clone().Prefix(pl.opts.PreviewLen)
+	if err != nil {
+		return nil, err
+	}
+	// Trim the preview once the remaining probability mass is
+	// negligible: reservations out there exist only to keep the
+	// sequence formally unbounded and would read as absurd numbers.
+	for len(preview) > 1 && d.Survival(preview[len(preview)-2]) < 1e-10 {
+		preview = preview[:len(preview)-1]
+	}
+	return &Plan{
+		Strategy:       strategyName,
+		Reservations:   preview,
+		ExpectedCost:   e,
+		NormalizedCost: e / pl.model.OmniscientCost(d),
+		model:          pl.model,
+		dist:           d,
+		seq:            seq,
+		workers:        pl.opts.Workers,
+	}, nil
 }
 
 // PlanSpec is Plan over the canonical distribution grammar: the spec
@@ -81,70 +78,4 @@ func (pl *Planner) PlanSpec(distSpec, strategyName string) (*Plan, error) {
 		return nil, err
 	}
 	return pl.Plan(d, strategyName)
-}
-
-// sequence runs the strategy with shared state hoisted in where the
-// implementation supports it.
-func (pl *Planner) sequence(st strategy.Strategy, d Distribution) (*Sequence, error) {
-	switch s := st.(type) {
-	case strategy.BruteForce:
-		// Both modes stream through SearchOn with one reused cursor per
-		// worker block: Monte-Carlo against the cached Workload,
-		// analytic through the fused Eq.-(4) CostCursor with budget
-		// pruning (no per-distribution state to cache — the cursor is
-		// rebuilt per block from the distribution's closed forms).
-		var wl *simulate.Workload
-		if s.Mode == strategy.EvalMonteCarlo {
-			wl = pl.workload(d)
-		}
-		res, err := s.SearchOn(pl.model, d, wl)
-		if err != nil {
-			return nil, err
-		}
-		return res.Sequence, nil
-	case strategy.Discretized:
-		dd, err := pl.discrete(d, s)
-		if err != nil {
-			return nil, err
-		}
-		return s.SequenceOn(pl.model, d, dd)
-	}
-	return st.Sequence(pl.model, d)
-}
-
-// workload returns the Monte-Carlo scorer for d under this Planner's
-// (SamplesN, Seed), cached per canonical spec. A concurrent miss on
-// the same spec may build the workload twice; construction is
-// deterministic, so either result is identical and the extra build is
-// only wasted work.
-func (pl *Planner) workload(d Distribution) *simulate.Workload {
-	spec, ok := dist.SpecOf(d)
-	if !ok {
-		return simulate.NewWorkloadFrom(d, pl.opts.SamplesN, pl.opts.Seed)
-	}
-	if wl, ok := pl.workloads.Get(spec); ok {
-		return wl
-	}
-	wl := simulate.NewWorkloadFrom(d, pl.opts.SamplesN, pl.opts.Seed)
-	pl.workloads.Put(spec, wl)
-	return wl
-}
-
-// discrete returns the §4.2 discretization of d for the given DP
-// strategy, cached per canonical spec and scheme.
-func (pl *Planner) discrete(d Distribution, s strategy.Discretized) (*dist.Discrete, error) {
-	spec, ok := dist.SpecOf(d)
-	if !ok {
-		return s.Discretize(d)
-	}
-	key := spec + "|" + s.Scheme.String()
-	if dd, ok := pl.discs.Get(key); ok {
-		return dd, nil
-	}
-	dd, err := s.Discretize(d)
-	if err != nil {
-		return nil, err
-	}
-	pl.discs.Put(key, dd)
-	return dd, nil
 }

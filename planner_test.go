@@ -7,8 +7,7 @@ import (
 )
 
 // TestPlannerMatchesMakePlan: every strategy produces the identical
-// plan through the Planner and through MakePlan, including the cached
-// second call.
+// plan through the Planner and through MakePlan, on repeated passes.
 func TestPlannerMatchesMakePlan(t *testing.T) {
 	d, _ := LogNormal(3, 0.5)
 	opts := Options{GridM: 300, DiscN: 200}
@@ -21,7 +20,7 @@ func TestPlannerMatchesMakePlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for pass := 0; pass < 2; pass++ { // second pass hits the caches
+		for pass := 0; pass < 2; pass++ {
 			got, err := pl.Plan(d, name)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", name, pass, err)
@@ -44,8 +43,9 @@ func TestPlannerMatchesMakePlan(t *testing.T) {
 	}
 }
 
-// TestPlannerMonteCarloReusesWorkload: Monte-Carlo scans share one
-// cached workload per distribution spec and still agree with MakePlan.
+// TestPlannerMonteCarloReusesWorkload: repeated Monte-Carlo plans on
+// one Planner redraw the same (SamplesN, Seed) workload and agree with
+// MakePlan bit for bit on every pass.
 func TestPlannerMonteCarloReusesWorkload(t *testing.T) {
 	d, _ := Gamma(2, 2)
 	opts := Options{GridM: 200, SamplesN: 500, Seed: 7, MonteCarlo: true}
@@ -66,35 +66,35 @@ func TestPlannerMonteCarloReusesWorkload(t *testing.T) {
 			t.Errorf("pass %d: cost %g, want %g", pass, got.ExpectedCost, want.ExpectedCost)
 		}
 	}
-	if n := pl.workloads.Len(); n != 1 {
-		t.Errorf("workload cache holds %d entries, want 1", n)
-	}
 }
 
-// TestPlannerDiscretizationCache: the two DP schemes cache separate
-// discretizations under one spec.
+// TestPlannerDiscretizationCache: interleaving the two DP schemes on
+// one Planner gives each scheme its own discretization, identical to
+// MakePlan's on every pass.
 func TestPlannerDiscretizationCache(t *testing.T) {
 	d, _ := Weibull(1, 0.5)
-	pl, err := NewPlanner(ReservationOnly, Options{DiscN: 150})
+	opts := Options{DiscN: 150}
+	pl, err := NewPlanner(ReservationOnly, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Plan(d, StrategyEqualProb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Plan(d, StrategyEqualTime); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Plan(d, StrategyEqualProb); err != nil {
-		t.Fatal(err)
-	}
-	if n := pl.discs.Len(); n != 2 {
-		t.Errorf("discretization cache holds %d entries, want 2", n)
+	for _, name := range []string{StrategyEqualProb, StrategyEqualTime, StrategyEqualProb} {
+		want, err := MakePlan(ReservationOnly, d, name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pl.Plan(d, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ExpectedCost != want.ExpectedCost {
+			t.Errorf("%s: cost %g, want %g", name, got.ExpectedCost, want.ExpectedCost)
+		}
 	}
 }
 
 // TestPlannerUnspeccableDistribution: laws without a canonical spec
-// plan correctly and simply bypass the state caches.
+// plan correctly.
 func TestPlannerUnspeccableDistribution(t *testing.T) {
 	base, _ := LogNormal(1, 0.4)
 	var samples []float64
@@ -115,9 +115,6 @@ func TestPlannerUnspeccableDistribution(t *testing.T) {
 	}
 	if p.NormalizedCost < 1 || math.IsNaN(p.NormalizedCost) {
 		t.Errorf("normalized cost %g", p.NormalizedCost)
-	}
-	if pl.workloads.Len() != 0 || pl.discs.Len() != 0 {
-		t.Errorf("unspeccable law polluted the caches: %d/%d", pl.workloads.Len(), pl.discs.Len())
 	}
 }
 

@@ -6,9 +6,12 @@
 # analytic CostCursor vs per-candidate ExpectedCost, Eq.-(4) and
 # Eq.-(13) evaluation), the DP solver set (sub-quadratic fast path vs
 # the retained O(n²) reference scan at n = 256/4096/16384, plus the
-# K-budgeted variant) and the batched grid-scoring pair
-# (survival-lookup table vs per-candidate evaluation), parsed into a
-# deterministic JSON report.
+# K-budgeted variant), the plan-service pairs (cached vs uncached over
+# loopback HTTP; cached hit on the backend alone vs through the
+# in-process frontend) and the cluster-simulator trio (calendar engine,
+# heap baseline, parallel sweep), parsed into a deterministic JSON
+# report. Every entry is a `go test -bench` result in ns/op; end-to-end
+# serving and fleet numbers come from perfbench/run.sh instead.
 #
 # Usage:
 #   scripts/bench.sh                     # default subset -> BENCH.json
