@@ -1,8 +1,9 @@
 // Package client is the typed Go client of the plan service wire API
 // (service/api). It is the single consumer-side implementation of the
 // schema: the sharding frontend proxies through it to backend shards,
-// the load generator drives fleets with it, and external programs use
-// it as the supported SDK.
+// the benchmark (perfbench) and the serving-invariant tests drive
+// in-process fleets with it, and external programs use it as the
+// supported SDK.
 //
 // Plan and simulate computations are pure functions of the request, so
 // every request is idempotent; the client therefore retries transport

@@ -8,8 +8,8 @@ import (
 // HandlerTransport returns an http.RoundTripper that serves every
 // request by invoking h directly, with no network or listener in
 // between. It is how cmd/serve wires N in-process backend shards
-// behind one frontend, and how tests and cmd/loadgen drive a whole
-// fleet inside one process:
+// behind one frontend, and how tests and perfbench drive a whole fleet
+// inside one process:
 //
 //	c, _ := client.New(client.Config{
 //		BaseURL:    "http://shard0",

@@ -226,6 +226,67 @@ func TestFrontendAllShardsDown(t *testing.T) {
 	}
 }
 
+// TestFrontendProbeLoopRevivesShard: the background prober returns a
+// shard marked down to rotation once it answers /healthz again, and
+// returns promptly when its context is cancelled.
+func TestFrontendProbeLoopRevivesShard(t *testing.T) {
+	fe, backends := newFleet(t, 2, func(cfg *FrontendConfig) {
+		cfg.Shard.HealthInterval = time.Millisecond
+	})
+	backends[0].down.Store(true)
+	if down := fe.CheckHealth(context.Background()); len(down) != 1 || down[0] != "shard-0" {
+		t.Fatalf("CheckHealth = %v, want [shard-0]", down)
+	}
+	backends[0].down.Store(false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		fe.ProbeLoop(ctx)
+		close(done)
+	}()
+	waitFor(t, "the prober to revive shard-0", func() bool { return !fe.isDown("shard-0") })
+	cancel()
+	waitFor(t, "ProbeLoop to return after cancel", func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	})
+}
+
+// TestFrontendHealthz: the frontend is healthy while it can route to at
+// least one shard, answers unavailable once every shard is marked down,
+// and accepts only GET.
+func TestFrontendHealthz(t *testing.T) {
+	fe, backends := newFleet(t, 2, nil)
+	get := func() (int, []byte) {
+		rec := httptest.NewRecorder()
+		fe.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, api.PathHealthz, nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+	backends[0].down.Store(true)
+	fe.CheckHealth(context.Background())
+	if status, body := get(); status != http.StatusOK {
+		t.Errorf("one shard up: status %d\n%s", status, body)
+	}
+	backends[1].down.Store(true)
+	fe.CheckHealth(context.Background())
+	status, body := get()
+	if status != api.Status(api.CodeUnavailable) {
+		t.Errorf("all shards down: status %d, want %d\n%s", status, api.Status(api.CodeUnavailable), body)
+	}
+	var er api.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error.Code != api.CodeUnavailable {
+		t.Errorf("all shards down: error body %s", body)
+	}
+	if status, _, _, body := postFE(t, fe, api.PathHealthz, "", ""); status != http.StatusMethodNotAllowed {
+		t.Errorf("POST: status %d, want 405\n%s", status, body)
+	}
+}
+
 // frontendClock is a manual clock shared by the frontend and limiter.
 type frontendClock struct {
 	mu sync.Mutex

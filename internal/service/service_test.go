@@ -119,6 +119,24 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 }
 
+// TestPlanTailOverflowLaw: a lognormal law whose Eq.-(11) recurrence
+// overflows past the plan preview is a valid request and gets its plan,
+// not 500 plan_failed.
+func TestPlanTailOverflowLaw(t *testing.T) {
+	body := `{"distribution": "lognormal(3,0.40315)", "cost_model": {"alpha": 1}, "strategy": "brute-force"}`
+	status, _, _, b := postFE(t, New(Config{}), api.PathPlan, body, "")
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200\n%s", status, b)
+	}
+	var resp api.PlanResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Plan.Reservations) == 0 || resp.Plan.NormalizedCost < 1 {
+		t.Errorf("reservations %v, normalized cost %g", resp.Plan.Reservations, resp.Plan.NormalizedCost)
+	}
+}
+
 // TestCacheHitByteIdentical: a repeat request is served from the cache
 // with the exact bytes of the original response, and requests that
 // spell the same plan differently share the canonical key.

@@ -376,16 +376,20 @@ func InvRegIncBeta(a, b, p float64) float64 {
 }
 
 // invRegIncBetaBisect is a slow-but-sure inverse used when the Newton
-// iteration leaves the domain.
+// iteration leaves the domain. It keeps I(lo) < p <= I(hi) and halves
+// the bracket until lo and hi are adjacent floats, so it resolves
+// answers down to the smallest subnormal, and returns hi.
 func invRegIncBetaBisect(a, b, p float64) float64 {
 	lo, hi := 0.0, 1.0
-	for i := 0; i < 200; i++ {
+	for {
 		mid := 0.5 * (lo + hi)
+		if mid <= lo || mid >= hi {
+			return hi
+		}
 		if RegIncBeta(a, b, mid) < p {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return 0.5 * (lo + hi)
 }

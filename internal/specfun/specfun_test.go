@@ -239,3 +239,29 @@ func TestIncBetaMatchesBetaAtOne(t *testing.T) {
 		}
 	}
 }
+
+// TestInvRegIncBetaBisectBrackets: inputs whose answer lies beyond
+// what the Newton iteration can represent reach the bisection fallback,
+// which must return x with I(x) bracketing p one ulp either side.
+func TestInvRegIncBetaBisectBrackets(t *testing.T) {
+	for _, c := range []struct{ a, b, p float64 }{
+		{0.01, 1, 1e-10},
+		{0.5, 0.5, 1e-300},
+		{1, 0.01, 1 - 1e-12},
+	} {
+		for _, r := range []struct {
+			name string
+			x    float64
+		}{
+			{"InvRegIncBeta", InvRegIncBeta(c.a, c.b, c.p)},
+			{"invRegIncBetaBisect", invRegIncBetaBisect(c.a, c.b, c.p)},
+		} {
+			below := RegIncBeta(c.a, c.b, math.Nextafter(r.x, 0))
+			above := RegIncBeta(c.a, c.b, math.Nextafter(r.x, 1))
+			if !(below <= c.p && c.p <= above) {
+				t.Errorf("%s(%g, %g, %g) = %g: I one ulp either side = [%g, %g], does not bracket p",
+					r.name, c.a, c.b, c.p, r.x, below, above)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -48,15 +49,24 @@ func (pl *Planner) Plan(d Distribution, strategyName string) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: cost evaluation failed: %w", err)
 	}
-	preview, err := seq.Clone().Prefix(pl.opts.PreviewLen)
-	if err != nil {
-		return nil, err
-	}
-	// Trim the preview once the remaining probability mass is
+	// End the preview once the remaining probability mass is
 	// negligible: reservations out there exist only to keep the
-	// sequence formally unbounded and would read as absurd numbers.
-	for len(preview) > 1 && d.Survival(preview[len(preview)-2]) < 1e-10 {
-		preview = preview[:len(preview)-1]
+	// sequence formally unbounded, would read as absurd numbers, and
+	// can overflow the Eq.-(11) recurrence to +Inf or NaN.
+	tail := seq.Clone()
+	var preview []float64
+	for i := 0; i < pl.opts.PreviewLen; i++ {
+		v, err := tail.At(i)
+		if errors.Is(err, core.ErrEnd) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		preview = append(preview, v)
+		if d.Survival(v) < 1e-10 {
+			break
+		}
 	}
 	return &Plan{
 		Strategy:       strategyName,

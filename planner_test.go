@@ -194,3 +194,52 @@ type errDrift struct {
 func (e errDrift) Error() string {
 	return e.spec + "/" + e.strat + ": concurrent cost differs from sequential"
 }
+
+// TestPlannerTailOverflowLaws: lognormal laws whose Eq.-(11) recurrence
+// overflows to +Inf and then NaN a few reservations past the point
+// where S(t) < 1e-10 plan under every strategy and both scoring modes.
+// The preview stops at that point instead of validating the overflow,
+// and the plan's closed-form and sampled evaluations still succeed.
+func TestPlannerTailOverflowLaws(t *testing.T) {
+	for _, spec := range []string{"lognormal(3,0.40315)", "lognormal(3,0.7760321568029569)"} {
+		for _, mc := range []bool{false, true} {
+			pl, err := NewPlanner(ReservationOnly, Options{MonteCarlo: mc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range Strategies() {
+				p, err := pl.PlanSpec(spec, name)
+				if err != nil {
+					t.Errorf("%s %s MonteCarlo=%v: %v", spec, name, mc, err)
+					continue
+				}
+				if len(p.Reservations) == 0 {
+					t.Errorf("%s %s MonteCarlo=%v: empty preview", spec, name, mc)
+					continue
+				}
+				prev := 0.0
+				for i, v := range p.Reservations {
+					if math.IsInf(v, 0) || !(v > prev) {
+						t.Errorf("%s %s MonteCarlo=%v: reservation %d = %g after %g", spec, name, mc, i, v, prev)
+					}
+					prev = v
+				}
+				if !(p.NormalizedCost >= 1) || math.IsInf(p.NormalizedCost, 0) {
+					t.Errorf("%s %s MonteCarlo=%v: normalized cost %g", spec, name, mc, p.NormalizedCost)
+				}
+				if _, err := p.Stats(); err != nil {
+					t.Errorf("%s %s MonteCarlo=%v: Stats: %v", spec, name, mc, err)
+				}
+				if _, err := p.CostQuantile(0.99); err != nil {
+					t.Errorf("%s %s MonteCarlo=%v: CostQuantile: %v", spec, name, mc, err)
+				}
+				if _, _, err := p.CostFor(p.Reservations[len(p.Reservations)-1]); err != nil {
+					t.Errorf("%s %s MonteCarlo=%v: CostFor: %v", spec, name, mc, err)
+				}
+				if _, _, err := p.Simulate(1000, 1); err != nil {
+					t.Errorf("%s %s MonteCarlo=%v: Simulate: %v", spec, name, mc, err)
+				}
+			}
+		}
+	}
+}

@@ -28,10 +28,14 @@
 #      DP package whose verify/fallback switches are process-wide
 #      atomics exercised from concurrent solves, and the serving tier
 #      (service backend/frontend, shard ring, tenant limiter, client).
-#   8. loadgen smoke — a one-to-two-second in-process fleet run
-#      (cmd/loadgen -smoke) asserting the sharded serving invariants:
-#      cold misses == unique specs (deterministic routing) and a
-#      warmed Table-1 fleet serves at a 100% hit ratio.
+#   8. serving invariants — TestFleetServingInvariants
+#      (internal/service) drives an in-process four-shard fleet with
+#      seeded concurrent traffic: zero errors, cold misses == unique
+#      request bodies (ring routing pins each spec to one shard), every
+#      response names its shard, zero misses after the Table-1 warmup,
+#      and the body and route memos both hit on the warm pass. Its
+#      subtests show a ring bypass, a skipped warm key and a bypassed
+#      memo each break the invariant meant to catch them.
 #   9. clustersim smoke — the simulator's built-in gate (cmd/clustersim
 #      -smoke): a small (strategy × shape × replicate) sweep matrix must
 #      be bit-identical for 1, 4, and 16 workers, and the streaming
@@ -83,8 +87,8 @@ go test -count=1 -run '^TestBehaviourFingerprint$' -v ./cmd/experiments/ | grep 
 echo "== go test -race (concurrency substrate)"
 go test -race ./internal/parallel/... ./internal/simulate/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./client/...
 
-echo "== loadgen smoke (sharded serving invariants)"
-go run ./cmd/loadgen -smoke
+echo "== serving invariants"
+go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
 
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke

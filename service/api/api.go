@@ -3,7 +3,7 @@
 // /v1/simulate, the stable error-code table, and the header and path
 // names shared by every producer and consumer. The backend handlers
 // (internal/service), the sharding frontend, the typed client
-// (repro/client), and the load generator (cmd/loadgen) all import
+// (repro/client), and the benchmark driver (perfbench) all import
 // these definitions, so the wire schema has exactly one Go definition.
 //
 // Compatibility contract: fields are only ever added, never renamed or
