@@ -10,6 +10,12 @@
 // errors and transient server statuses (502/503/504) with jittered
 // exponential backoff. Deterministic failures (4xx, plan_failed 500)
 // are never retried.
+//
+// A Client whose HTTPClient is a bare http.Client around
+// HandlerTransport (no Timeout, Jar or CheckRedirect) serves its plan
+// and simulate posts by calling the handler directly rather than
+// through http.Client.Do; see HandlerTransport for exactly what that
+// call does.
 package client
 
 import (
@@ -19,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -70,6 +77,12 @@ type Config struct {
 // concurrent use.
 type Client struct {
 	cfg Config
+
+	// handler and direct are set for a Client that calls its
+	// HandlerTransport's handler in process: direct maps each path
+	// served that way to its URL, parsed once.
+	handler http.Handler
+	direct  map[string]*url.URL
 
 	mu     sync.Mutex
 	jitter *rng.Source
@@ -131,7 +144,9 @@ func New(cfg Config) (*Client, error) {
 	if cfg.sleep == nil {
 		cfg.sleep = sleepCtx
 	}
-	return &Client{cfg: cfg, jitter: rng.New(cfg.Seed)}, nil
+	c := &Client{cfg: cfg, jitter: rng.New(cfg.Seed)}
+	c.handler, c.direct = inProcess(cfg.HTTPClient, cfg.BaseURL)
+	return c, nil
 }
 
 // Plan computes a reservation plan. Non-2xx responses come back as
@@ -239,6 +254,10 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte, tenant s
 
 // once issues a single POST attempt.
 func (c *Client) once(ctx context.Context, path string, body []byte, tenant string) (*Raw, error) {
+	// A nil ctx goes to Do, which reports it as an error.
+	if u := c.direct[path]; u != nil && ctx != nil {
+		return serveInProcess(c.handler, newPost(ctx, u, body, tenant)), nil
+	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err

@@ -15,9 +15,10 @@
 //	scripts/check.sh --bench                 # full gate + benchmarks
 //
 // The output is deterministic apart from the measurements themselves:
-// benchmarks are sorted by name, repeated -count runs are averaged, and
-// no timestamps are recorded (wall-clock metadata would make every run
-// a spurious diff).
+// benchmarks are sorted by name, each entry's ns/op is the median of
+// its -count runs (5 by default; the other columns are means), and no
+// timestamps are recorded (wall-clock metadata would make every run a
+// spurious diff).
 //
 // Every entry is a `go test -bench` result in ns/op. End-to-end
 // serving and fleet numbers, each with its own unit and direction, come
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "BENCH.json", "output JSON file")
 	benchRe := fs.String("bench", defaultBench, "go test -bench regexp")
 	benchtime := fs.String("benchtime", "1s", "go test -benchtime value")
-	count := fs.Int("count", 1, "go test -count repetitions (averaged)")
+	count := fs.Int("count", 5, "go test -count repetitions (median ns/op)")
 	pkg := fs.String("pkg", ".", "package to benchmark")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (passed to go test)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file (passed to go test)")

@@ -59,10 +59,30 @@ func TestParseBenchOutput(t *testing.T) {
 		mc.BytesPerOp != 156252 || mc.AllocsPerOp != 13 {
 		t.Errorf("monte-carlo = %+v", mc)
 	}
-	// The duplicated workload line (-count 2) is averaged.
+	// The duplicated workload line (-count 2) has the mean of its two
+	// runs as its median.
 	wl := report.Benchmarks[3]
 	if wl.Runs != 2 || math.Abs(wl.NsPerOp-548700) > 0.5 || wl.AllocsPerOp != 6 {
-		t.Errorf("workload = %+v, want 2 runs averaging to 548700 ns/op", wl)
+		t.Errorf("workload = %+v, want 2 runs with median 548700 ns/op", wl)
+	}
+}
+
+// TestParseBenchOutputMedian: over an odd number of runs ns/op is the
+// middle run, so one slow run moves it no more than a fast one would;
+// allocs/op stays the mean.
+func TestParseBenchOutputMedian(t *testing.T) {
+	report, err := benchfmt.ParseGoBench(`BenchmarkX-2	100	300 ns/op	0 B/op	1 allocs/op
+BenchmarkX-2	100	100 ns/op	0 B/op	1 allocs/op
+BenchmarkX-2	100	9000 ns/op	0 B/op	4 allocs/op
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Benchmarks) != 1 {
+		t.Fatalf("benchmarks = %+v", report.Benchmarks)
+	}
+	if x := report.Benchmarks[0]; x.Runs != 3 || x.NsPerOp != 300 || x.AllocsPerOp != 2 {
+		t.Errorf("BenchmarkX = %+v, want 3 runs, median 300 ns/op, mean 2 allocs/op", x)
 	}
 }
 

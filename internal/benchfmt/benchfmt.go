@@ -14,16 +14,19 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's averaged measurements.
+// Result is one benchmark's measurements over its -count runs.
 type Result struct {
 	// Name is the benchmark name with the GOMAXPROCS suffix stripped
 	// (BenchmarkFoo/bar-8 -> BenchmarkFoo/bar).
 	Name string `json:"name"`
-	// Runs is the number of -count repetitions averaged together.
+	// Runs is the number of -count repetitions summarized: NsPerOp is
+	// their median, the other measurements their mean.
 	Runs int `json:"runs"`
 	// Iterations is the mean b.N across runs.
 	Iterations float64 `json:"iterations"`
-	// NsPerOp is the mean ns/op — the value the -compare gate tracks.
+	// NsPerOp is the median ns/op — the value the -compare gate
+	// tracks. A median of five runs shrugs off the one run a busy host
+	// slowed, which a mean would carry.
 	NsPerOp float64 `json:"ns_per_op"`
 	// BytesPerOp is the mean B/op (0 unless -benchmem reported it).
 	BytesPerOp float64 `json:"bytes_per_op"`
@@ -41,13 +44,15 @@ type Report struct {
 }
 
 // ParseGoBench turns `go test -bench` text into a Report. Repeated
-// lines for one benchmark (from -count > 1) are averaged; benchmarks
-// are sorted by name.
+// lines for one benchmark (from -count > 1) are summarized by their
+// median ns/op and mean iterations, B/op and allocs/op; benchmarks are
+// sorted by name.
 func ParseGoBench(text string) (Report, error) {
 	var report Report
 	type acc struct {
-		runs                       int
-		iters, ns, bytesOp, allocs float64
+		runs                   int
+		iters, bytesOp, allocs float64
+		ns                     []float64
 	}
 	sums := make(map[string]*acc)
 	var order []string
@@ -96,7 +101,7 @@ func ParseGoBench(text string) (Report, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				a.ns += v
+				a.ns = append(a.ns, v)
 			case "B/op":
 				a.bytesOp += v
 			case "allocs/op":
@@ -113,12 +118,26 @@ func ParseGoBench(text string) (Report, error) {
 			Name:        name,
 			Runs:        a.runs,
 			Iterations:  a.iters / n,
-			NsPerOp:     a.ns / n,
+			NsPerOp:     median(a.ns),
 			BytesPerOp:  a.bytesOp / n,
 			AllocsPerOp: a.allocs / n,
 		})
 	}
 	return report, nil
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), or 0 for none. It sorts xs.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 // Compare diffs current ns/op and allocs/op against the baseline for

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"hash/maphash"
@@ -14,6 +15,7 @@ import (
 	"testing/iotest"
 
 	"repro"
+	"repro/client"
 	"repro/service/api"
 )
 
@@ -271,6 +273,49 @@ func TestBackendHitAllocs(t *testing.T) {
 	}
 	if allocs > maxHitAllocs {
 		t.Errorf("memo hit allocates %.1f times, ceiling %d", allocs, maxHitAllocs)
+	}
+}
+
+// maxFrontendHitAllocs caps the allocations of client.PostRaw through
+// client.HandlerTransport to a Frontend and on to its Backend, answered
+// from the backend's body memo: 20 measured (22 under the race
+// detector, which drops pooled items at random), plus slack. Through http.Client.Do and an
+// httptest.ResponseRecorder per hop the same request took 70, so a
+// client that falls back to Do fails the pin.
+const maxFrontendHitAllocs = 24
+
+// TestFrontendHitAllocs pins the allocation count of a hit through both
+// in-process hops.
+func TestFrontendHitAllocs(t *testing.T) {
+	be := New(Config{})
+	fe, err := NewFrontend(FrontendConfig{Backends: []BackendRef{{Name: "shard-0", Handler: be}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.New(client.Config{
+		BaseURL:    "http://fleet",
+		HTTPClient: &http.Client{Transport: client.HandlerTransport(fe)},
+		MaxRetries: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(planBodyFor("exponential(1)"))
+	ctx := context.Background()
+	post := func() {
+		raw, err := c.PostRaw(ctx, api.PathPlan, body, "")
+		if err != nil || raw.Status != http.StatusOK {
+			t.Fatalf("PostRaw: %v, %+v", err, raw)
+		}
+	}
+	post() // miss: computes and memoizes
+	memoHits := be.metrics.bodyMemoHits.Load()
+	allocs := testing.AllocsPerRun(200, post)
+	if got := be.metrics.bodyMemoHits.Load() - memoHits; got != 201 {
+		t.Fatalf("%d of 201 runs were memo hits", got)
+	}
+	if allocs > maxFrontendHitAllocs {
+		t.Errorf("frontend hit allocates %.1f times, ceiling %d", allocs, maxFrontendHitAllocs)
 	}
 }
 
