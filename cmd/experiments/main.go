@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/dp"
 	"repro/internal/experiments"
 	"repro/internal/tablefmt"
 	"repro/internal/trace"
@@ -41,12 +40,8 @@ func main() {
 		analytic = flag.Bool("analytic", false, "score with the exact Eq.(4) value instead of Monte Carlo")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 		report   = flag.String("report", "", "write a full Markdown report to this file and exit")
-		dpVerify = flag.Bool("dpverify", false, "cross-check every DP row computed by the sub-quadratic solvers against the reference scan (debug; slow)")
 	)
 	flag.Parse()
-	if *dpVerify {
-		dp.SetVerifyRows(true)
-	}
 
 	cfg := experiments.Config{
 		M: *gridM, N: *samplesN, DiscN: *discN,

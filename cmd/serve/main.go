@@ -8,7 +8,6 @@
 //	      [-request-timeout 30s] [-shutdown-grace 5s]
 //	      [-shards 1] [-peers name=url,...] [-replicas 128]
 //	      [-warm] [-admit-rate 0] [-tenant-weights name=w,...]
-//	      [-dpverify]
 //
 // With the default -shards 1 and no -peers, one backend serves
 // directly. -shards N runs N in-process backend shards behind a
@@ -37,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dp"
 	"repro/internal/service"
 	"repro/internal/tenant"
 )
@@ -49,7 +47,6 @@ type config struct {
 	workerBudget   int
 	requestTimeout time.Duration
 	shutdownGrace  time.Duration
-	dpVerify       bool
 
 	shards        int
 	peers         map[string]string // name -> base URL, nil when unset
@@ -114,7 +111,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.workerBudget, "worker-budget", 0, "max concurrent plan computations per shard (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.requestTimeout, "request-timeout", 30*time.Second, "per-request computation timeout (0 = none)")
 	fs.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 5*time.Second, "graceful-shutdown drain deadline")
-	fs.BoolVar(&cfg.dpVerify, "dpverify", false, "cross-check every DP row computed by the sub-quadratic solvers against the reference scan (debug; slow)")
 	fs.IntVar(&cfg.shards, "shards", 1, "in-process backend shard count behind the routing frontend")
 	fs.StringVar(&peersFlag, "peers", "", "comma-separated name=url backend peers to route to instead of in-process shards")
 	fs.IntVar(&cfg.replicas, "replicas", 0, "virtual nodes per shard on the routing ring (0 = default)")
@@ -215,10 +211,6 @@ func buildHandler(cfg config) (http.Handler, func(ctx context.Context), error) {
 // run serves until the listener fails or ctx is canceled, then drains
 // gracefully.
 func run(ctx context.Context, cfg config, logger *log.Logger) error {
-	if cfg.dpVerify {
-		dp.SetVerifyRows(true)
-		logger.Printf("dpverify: per-row DP cross-checking enabled")
-	}
 	handler, start, err := buildHandler(cfg)
 	if err != nil {
 		return err

@@ -267,7 +267,7 @@ func TestExpectedCostExponentialArithmetic(t *testing.T) {
 func TestRecurrenceExponential(t *testing.T) {
 	d := dist.MustExponential(1)
 	s1 := 0.74219
-	s := SequenceFromFirst(ReservationOnly, d, s1)
+	s := SequenceFromFirstTail(ReservationOnly, d, s1, 0)
 	v0, _ := s.At(0)
 	v1, err := s.At(1)
 	if err != nil {
@@ -353,12 +353,12 @@ func TestExponentialScaleInvariance(t *testing.T) {
 func TestRecurrenceBoundedValidity(t *testing.T) {
 	u := dist.MustUniform(10, 20)
 	for _, t1 := range []float64{12.5, 15, 17.5, 19.9} {
-		s := SequenceFromFirst(ReservationOnly, u, t1)
+		s := SequenceFromFirstTail(ReservationOnly, u, t1, 0)
 		if _, err := s.Prefix(10); !errors.Is(err, ErrNonIncreasing) {
 			t.Errorf("Uniform t1=%g: err = %v, want ErrNonIncreasing", t1, err)
 		}
 	}
-	s := SequenceFromFirst(ReservationOnly, u, 20)
+	s := SequenceFromFirstTail(ReservationOnly, u, 20, 0)
 	vals, err := s.Prefix(10)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestRecurrenceBoundedValidity(t *testing.T) {
 	}
 
 	beta := dist.MustBeta(2, 2)
-	s = SequenceFromFirst(ReservationOnly, beta, 0.85)
+	s = SequenceFromFirstTail(ReservationOnly, beta, 0.85, 0)
 	vals, err = s.Prefix(10)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestRecurrenceBoundedValidity(t *testing.T) {
 		t.Errorf("Beta t1=0.85: sequence %v, want (0.85, 1)", vals)
 	}
 	// Below the threshold the strict rule invalidates the candidate.
-	s = SequenceFromFirst(ReservationOnly, beta, 0.5)
+	s = SequenceFromFirstTail(ReservationOnly, beta, 0.5, 0)
 	if _, err := s.Prefix(10); !errors.Is(err, ErrNonIncreasing) {
 		t.Errorf("Beta t1=0.5: err = %v, want ErrNonIncreasing", err)
 	}

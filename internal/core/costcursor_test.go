@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -18,112 +19,83 @@ var costCursorModels = []CostModel{
 	{Alpha: 1, Beta: 0.5, Gamma: 0.1},
 }
 
+// parityLaws are the laws of the parity tests against the oracle:
+// every Table-1 law plus a lognormal(3, σ) sweep that includes the two
+// recorded tail-overflow laws.
+func parityLaws() []dist.Distribution {
+	laws := dist.Table1()
+	for _, sigma := range []float64{0.1, 0.25, 0.40315, 0.55, 0.7760321568029569, 0.95, 1.2, 1.45} {
+		laws = append(laws, dist.MustLogNormal(3, sigma))
+	}
+	return laws
+}
+
+// parityFracs place first reservations across a search interval,
+// including its ends and a point beyond it (clamped on bounded
+// support).
+var parityFracs = []float64{0.003, 0.01, 0.05, 0.12, 0.2, 0.33, 0.5, 0.61, 0.75, 0.9, 1.0, 1.3}
+
+// sameResult reports whether two (value, error) results are
+// Float64bits-equal with the same error.
+func sameResult(a float64, errA error, b float64, errB error) bool {
+	return errA == errB && math.Float64bits(a) == math.Float64bits(b)
+}
+
+// checkBudgets compares got's CostBudget with the oracle cursor's over
+// an unbounded budget and finite budgets around the exact cost: value
+// bits, the pruned flag and the error must all agree.
+func checkBudgets(t *testing.T, what string, t1 float64, got func(t1, budget float64) (float64, bool, error), want func(t1, budget float64) (float64, bool, error)) {
+	t.Helper()
+	exact, _, _ := want(t1, math.Inf(1))
+	for _, budget := range []float64{math.Inf(1), exact, exact * 0.9, exact * 0.3, 1} {
+		w, wp, errW := want(t1, budget)
+		g, gp, errG := got(t1, budget)
+		if !sameResult(w, errW, g, errG) || wp != gp {
+			t.Fatalf("%s t1=%g budget=%g: oracle (%.17g, %v, %v), cursor (%.17g, %v, %v)",
+				what, t1, budget, w, wp, errW, g, gp, errG)
+		}
+	}
+}
+
 // TestCostCursorMatchesExpectedCost is the equivalence property behind
-// the analytic fast path: across all nine Table-1 distributions, the
-// three cost-model scenarios, a sweep of first reservations and both
-// tail rules, the fused cursor must reproduce ExpectedCost over the
-// materialized SequenceFromFirstTail — same value (bitwise: the fused
-// loop performs the identical IEEE-754 operations, merely sharing the
-// survival evaluations) and the same error classification.
+// the analytic fast path: across the parity laws, the three cost-model
+// scenarios, a sweep of first reservations and both tail rules, the
+// fused cursor must reproduce the oracle's fused CostBudget (finite and
+// unbounded budgets, with the pruned flag) and ExpectedCost over the
+// oracle's materialized sequence — same bits, same errors.
 func TestCostCursorMatchesExpectedCost(t *testing.T) {
 	for _, m := range costCursorModels {
-		for _, d := range dist.Table1() {
+		for _, d := range parityLaws() {
 			lo, _ := d.Support()
 			hi := BoundFirstReservation(m, d)
 			for _, tailEps := range []float64{0, DefaultTailEps} {
 				cur := NewCostCursor(m, d, tailEps) // one cursor across all candidates
-				for _, frac := range []float64{0.01, 0.05, 0.2, 0.5, 0.75, 0.9, 1.0} {
+				oracle := newOracleCostCursor(m, d, tailEps)
+				what := fmt.Sprintf("%s %v eps=%g", d.Name(), m, tailEps)
+				for _, frac := range parityFracs {
 					t1 := lo + (hi-lo)*frac
-					want, errWant := ExpectedCost(m, d, SequenceFromFirstTail(m, d, t1, tailEps))
+					want, errWant := ExpectedCost(m, d, oracleSequenceFromFirstTail(m, d, t1, tailEps))
 					got, errGot := cur.Cost(t1)
-					if (errWant == nil) != (errGot == nil) {
-						t.Fatalf("%s %v t1=%g eps=%g: ExpectedCost err %v, cursor err %v",
-							d.Name(), m, t1, tailEps, errWant, errGot)
+					if !sameResult(want, errWant, got, errGot) {
+						t.Fatalf("%s t1=%g: ExpectedCost (%.17g, %v), cursor (%.17g, %v)", what, t1, want, errWant, got, errGot)
 					}
-					if errWant != nil {
-						if !errors.Is(errGot, errWant) {
-							t.Fatalf("%s t1=%g: error mismatch: %v vs %v", d.Name(), t1, errWant, errGot)
-						}
-						continue
-					}
-					if want != got { //lint:ignore floatcmp parity test: identical operations must give identical bits
-						t.Errorf("%s %v t1=%g eps=%g: ExpectedCost %.17g, cursor %.17g",
-							d.Name(), m, t1, tailEps, want, got)
-					}
+					checkBudgets(t, what, t1, cur.CostBudget, oracle.CostBudget)
 				}
 			}
 		}
 	}
 }
 
-// TestCostCursorCostOfMatchesExpectedCost: the generic streaming
-// evaluator must agree with ExpectedCost on sequences that do not come
-// from the recurrence — explicit finite plans, including the uncovered
-// (+Inf) case.
-func TestCostCursorCostOfMatchesExpectedCost(t *testing.T) {
-	for _, m := range costCursorModels {
-		for _, d := range dist.Table1() {
-			cur := NewCostCursor(m, d, 0)
-			q99 := d.Quantile(0.99)
-			for _, vals := range [][]float64{
-				{d.Quantile(0.5)},                        // short: typically uncovered on unbounded laws
-				{d.Quantile(0.5), q99, q99 * 2, q99 * 8}, // deeper coverage
-				{d.Quantile(0.999999999999), q99 * 16},   // near-total coverage
-			} {
-				s, err := NewExplicitSequence(strictlyIncreasing(vals)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, errWant := ExpectedCost(m, d, s.Clone())
-				sc := s.Cursor()
-				got, errGot := cur.CostOf(&sc)
-				if (errWant == nil) != (errGot == nil) {
-					t.Fatalf("%s %v seq=%v: ExpectedCost err %v, CostOf err %v", d.Name(), m, vals, errWant, errGot)
-				}
-				if errWant != nil {
-					continue
-				}
-				if want != got { //lint:ignore floatcmp parity test: identical operations must give identical bits
-					t.Errorf("%s %v seq=%v: ExpectedCost %.17g, CostOf %.17g", d.Name(), m, vals, want, got)
-				}
-			}
-		}
-	}
-}
-
-// strictlyIncreasing drops values that do not strictly increase, so
-// quantile-derived test sequences stay valid on every law.
-func strictlyIncreasing(vals []float64) []float64 {
-	out := vals[:0:0]
-	prev := 0.0
-	for _, v := range vals {
-		if v > prev {
-			out = append(out, v)
-			prev = v
-		}
-	}
-	return out
-}
-
-// TestCostCursorUncoveredFinite: a finite explicit sequence ending
-// below the distribution's effective support must score +Inf on both
-// the reference and the streaming path.
-func TestCostCursorUncoveredFinite(t *testing.T) {
+// TestExpectedCostUncoveredFinite: a finite explicit sequence ending
+// below the distribution's effective support scores +Inf.
+func TestExpectedCostUncoveredFinite(t *testing.T) {
 	d := dist.MustLogNormal(3, 0.5)
-	m := ReservationOnly
 	s, err := NewExplicitSequence(d.Quantile(0.25), d.Quantile(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExpectedCost(m, d, s.Clone())
-	if err != nil || !math.IsInf(want, 1) {
-		t.Fatalf("ExpectedCost = %g, %v; want +Inf", want, err)
-	}
-	cur := NewCostCursor(m, d, 0)
-	sc := s.Cursor()
-	got, err := cur.CostOf(&sc)
-	if err != nil || !math.IsInf(got, 1) {
-		t.Errorf("CostOf = %g, %v; want +Inf", got, err)
+	if got, err := ExpectedCost(ReservationOnly, d, s); err != nil || !math.IsInf(got, 1) {
+		t.Fatalf("ExpectedCost = %g, %v; want +Inf", got, err)
 	}
 }
 
@@ -213,40 +185,63 @@ func TestCostCursorInvalidCandidates(t *testing.T) {
 	}
 }
 
-// TestConvexCostCursorMatchesExpectedCostConvex: the convex cursor
-// must reproduce ExpectedCostConvex over SequenceFromFirstConvexTail,
-// for both a strictly convex cost and the affine instance.
+// TestConvexCostCursorMatchesExpectedCostConvex: under an affine and
+// a strictly convex G, β in {0, 0.5, 1} and both tail rules, the
+// convex walk must reproduce the oracle's Eq.-(37) sequence value for
+// value, and the convex cursor must reproduce ExpectedCostConvex over
+// that sequence and the oracle's fused convex CostBudget — same bits,
+// same errors, same pruned flag.
 func TestConvexCostCursorMatchesExpectedCostConvex(t *testing.T) {
 	costs := []ConvexCost{
 		QuadraticCost{A: 0.1, B: 1, C: 0.5},
 		AffineCost{Alpha: 1, Gamma: 0.2},
 	}
 	for _, g := range costs {
-		for _, beta := range []float64{0, 1} {
-			for _, d := range []dist.Distribution{
-				dist.MustLogNormal(1, 0.5),
-				dist.MustExponential(0.5),
-				dist.MustUniform(2, 9),
-			} {
+		for _, beta := range []float64{0, 0.5, 1} {
+			for _, d := range parityLaws() {
 				lo, _ := d.Support()
 				upper := lo + 10*d.Mean()
-				cur := NewConvexCostCursor(g, beta, d, DefaultTailEps)
-				for _, frac := range []float64{0.05, 0.3, 0.6, 0.95} {
-					t1 := lo + (upper-lo)*frac
-					s := SequenceFromFirstConvexTail(g, beta, d, t1, DefaultTailEps)
-					want, errWant := ExpectedCostConvex(g, beta, d, s)
-					got, errGot := cur.Cost(t1)
-					if (errWant == nil) != (errGot == nil) {
-						t.Fatalf("%s g=%#v β=%g t1=%g: reference err %v, cursor err %v",
-							d.Name(), g, beta, t1, errWant, errGot)
+				for _, tailEps := range []float64{0, DefaultTailEps} {
+					cur := NewConvexCostCursor(g, beta, d, tailEps)
+					oracle := newOracleConvexCostCursor(g, beta, d, tailEps)
+					what := fmt.Sprintf("%s g=%#v β=%g eps=%g", d.Name(), g, beta, tailEps)
+					for _, frac := range parityFracs {
+						t1 := lo + (upper-lo)*frac
+						s := oracleSequenceFromFirstConvexTail(g, beta, d, t1, tailEps)
+						sc := SequenceFromFirstConvexTail(g, beta, d, t1, tailEps).Cursor()
+						checkSequence(t, what, t1, &sc, s.Clone())
+						want, errWant := ExpectedCostConvex(g, beta, d, s)
+						got, errGot := cur.Cost(t1)
+						if !sameResult(want, errWant, got, errGot) {
+							t.Fatalf("%s t1=%g: reference (%.17g, %v), cursor (%.17g, %v)", what, t1, want, errWant, got, errGot)
+						}
+						checkBudgets(t, what, t1, cur.CostBudget, oracle.CostBudget)
 					}
-					if errWant != nil {
-						continue
-					}
-					if want != got { //lint:ignore floatcmp parity test: identical operations must give identical bits
-						t.Errorf("%s g=%#v β=%g t1=%g: reference %.17g, cursor %.17g",
-							d.Name(), g, beta, t1, want, got)
-					}
+				}
+			}
+		}
+	}
+}
+
+// TestCostCursorRejectsNonpositiveFirst: a first reservation that is
+// not positive does not increase from t_0 = 0, so both cursor
+// constructors reject it with ErrNonIncreasing — as ExpectedCost over
+// the materialized sequence does.
+func TestCostCursorRejectsNonpositiveFirst(t *testing.T) {
+	for _, d := range []dist.Distribution{dist.MustExponential(1), dist.MustUniform(0, 1), dist.MustLogNormal(3, 0.5)} {
+		for _, cur := range []CostCursor{
+			NewCostCursor(ReservationOnly, d, DefaultTailEps),
+			NewConvexCostCursor(QuadraticCost{A: 0.1, B: 1}, 0.5, d, DefaultTailEps),
+		} {
+			for _, t1 := range []float64{0, -1, math.NaN()} {
+				if _, err := ExpectedCost(ReservationOnly, d, SequenceFromFirstTail(ReservationOnly, d, t1, DefaultTailEps)); !errors.Is(err, ErrNonIncreasing) {
+					t.Errorf("%s t1=%g: ExpectedCost err = %v, want ErrNonIncreasing", d.Name(), t1, err)
+				}
+				if _, err := cur.Cost(t1); !errors.Is(err, ErrNonIncreasing) {
+					t.Errorf("%s t1=%g: Cost err = %v, want ErrNonIncreasing", d.Name(), t1, err)
+				}
+				if _, pruned, err := cur.CostBudget(t1, 1e-9); pruned || !errors.Is(err, ErrNonIncreasing) {
+					t.Errorf("%s t1=%g: CostBudget pruned=%v err=%v, want ErrNonIncreasing", d.Name(), t1, pruned, err)
 				}
 			}
 		}

@@ -52,33 +52,28 @@ func (c *SequenceCursor) Next() (float64, error) {
 // RecurrenceCursor iterates the Proposition-1 sequence — a first
 // reservation t1 followed by the Eq.-(11) recurrence — without
 // materializing it. It reproduces SequenceFromFirstTail value for
-// value, including the tail-tolerance and bounded-support stopping
-// rules, but keeps only O(1) state (the recurrence needs just t_{i-1}
-// and t_{i-2}), so scoring a brute-force candidate allocates nothing.
+// value through the same walk, but keeps only O(1) state: t_{i-1} and
+// S(t_{i-2}), so each step costs one Survival and one PDF evaluation
+// and scoring a brute-force candidate allocates nothing.
 //
 //repro:hotpath
 type RecurrenceCursor struct {
-	m       CostModel
-	d       dist.Distribution
-	t1      float64
-	tailEps float64
-	hi      float64
-	bounded bool
-	i       int
-	prev2   float64
-	prev    float64
-	err     error
+	w      walk
+	sf0    float64 // S(t_0) = Survival(0)
+	t1     float64
+	i      int
+	prev   float64 // t_{i-1}
+	sfPrev float64 // S(t_{i-2})
+	err    error
 }
 
 // NewRecurrenceCursor returns a cursor over the same values as
 // SequenceFromFirstTail(m, d, t1, tailEps). It is returned by value so
 // callers in tight loops keep it on the stack.
 func NewRecurrenceCursor(m CostModel, d dist.Distribution, t1, tailEps float64) RecurrenceCursor {
-	_, hi := d.Support()
-	return RecurrenceCursor{
-		m: m, d: d, t1: t1, tailEps: tailEps,
-		hi: hi, bounded: !math.IsInf(hi, 1),
-	}
+	c := RecurrenceCursor{w: newWalk(affine(m), d, tailEps), sf0: d.Survival(0)}
+	c.Reset(t1)
+	return c
 }
 
 // Reset repositions the cursor at a new first reservation, keeping the
@@ -89,7 +84,7 @@ func NewRecurrenceCursor(m CostModel, d dist.Distribution, t1, tailEps float64) 
 func (c *RecurrenceCursor) Reset(t1 float64) {
 	c.t1 = t1
 	c.i = 0
-	c.prev2, c.prev = 0, 0
+	c.prev, c.sfPrev = 0, c.sf0
 	c.err = nil
 }
 
@@ -103,40 +98,19 @@ func (c *RecurrenceCursor) Next() (float64, error) {
 		return math.NaN(), c.err
 	}
 	var v float64
+	var err error
 	if c.i == 0 {
-		v = c.t1
-		if c.bounded && v >= c.hi {
-			v = c.hi
-		}
+		v, err = c.w.first(c.t1)
 	} else {
-		if c.bounded && c.prev >= c.hi {
-			c.err = ErrEnd // support covered; the sequence is complete
-			return math.NaN(), c.err
-		}
-		v = NextReservation(c.m, c.d, c.prev2, c.prev)
-		sfPrev := math.NaN()
-		if v <= c.prev || math.IsNaN(v) {
-			sfPrev = c.d.Survival(c.prev)
-		}
-		if v > c.prev {
-			if c.bounded && v >= c.hi {
-				v = c.hi // stopping rule: close with b
-			}
-		} else if sfPrev <= c.tailEps {
-			// Breakdown in the negligible tail: close with b (bounded)
-			// or extend geometrically (unbounded).
-			if c.bounded {
-				v = c.hi
-			} else {
-				v = 2 * c.prev
-			}
-		}
+		sf := c.w.d.Survival(c.prev)
+		v, err = c.w.next(c.prev, sf, c.sfPrev)
+		c.sfPrev = sf
 	}
-	if math.IsNaN(v) || v <= c.prev {
-		c.err = ErrNonIncreasing
-		return math.NaN(), c.err
+	if err != nil {
+		c.err = err
+		return math.NaN(), err
 	}
 	c.i++
-	c.prev2, c.prev = c.prev, v
+	c.prev = v
 	return v, nil
 }

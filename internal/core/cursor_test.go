@@ -2,52 +2,52 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/dist"
 )
 
-// cursorModels are the cost models the parity tests probe: the paper's
-// RESERVATIONONLY instance and a general affine model exercising β and γ.
-var cursorModels = []CostModel{
-	ReservationOnly,
-	{Alpha: 0.95, Beta: 1, Gamma: 1.05},
+// checkSequence walks got against the oracle's materialized sequence
+// want: the first 300 values must be Float64bits-equal, and both must
+// end with the same error at the same index.
+func checkSequence(t *testing.T, what string, t1 float64, got Cursor, want *Sequence) {
+	t.Helper()
+	for i := 0; i < 300; i++ {
+		w, errW := want.At(i)
+		g, errG := got.Next()
+		if !sameResult(w, errW, g, errG) {
+			t.Fatalf("%s t1=%g i=%d: oracle (%g, %v), got (%g, %v)", what, t1, i, w, errW, g, errG)
+		}
+		if errW != nil {
+			return
+		}
+	}
 }
 
-// TestRecurrenceCursorMatchesSequence: the allocation-free cursor must
-// yield exactly the values (and the same terminal error) as the
-// materialized SequenceFromFirstTail, across all paper distributions,
-// several first reservations, and both cost models.
+// TestRecurrenceCursorMatchesSequence: the lazy Sequence and the
+// allocation-free cursor must both yield exactly the values (and the
+// same terminal error) of the oracle's Eq.-(11) sequence, across the
+// parity laws, the three cost models, first reservations inside,
+// beyond and below the search interval, and both tail rules.
 func TestRecurrenceCursorMatchesSequence(t *testing.T) {
-	for _, m := range cursorModels {
-		for _, d := range dist.Table1() {
+	for _, m := range costCursorModels {
+		for _, d := range parityLaws() {
 			lo, _ := d.Support()
 			hi := BoundFirstReservation(m, d)
-			for _, frac := range []float64{0.02, 0.2, 0.5, 0.9, 1.0} {
-				t1 := lo + (hi-lo)*frac
-				for _, tailEps := range []float64{0, DefaultTailEps} {
-					s := SequenceFromFirstTail(m, d, t1, tailEps)
-					cur := NewRecurrenceCursor(m, d, t1, tailEps)
-					for i := 0; i < 200; i++ {
-						want, errS := s.At(i)
-						got, errC := cur.Next()
-						if (errS == nil) != (errC == nil) {
-							t.Fatalf("%s %v t1=%g eps=%g i=%d: sequence err %v, cursor err %v",
-								d.Name(), m, t1, tailEps, i, errS, errC)
-						}
-						if errS != nil {
-							if !errors.Is(errC, errS) {
-								t.Fatalf("%s t1=%g i=%d: error mismatch: sequence %v, cursor %v",
-									d.Name(), t1, i, errS, errC)
-							}
-							break
-						}
-						if want != got { //lint:ignore floatcmp parity test: identical operations must give identical bits
-							t.Fatalf("%s %v t1=%g eps=%g i=%d: sequence %g, cursor %g",
-								d.Name(), m, t1, tailEps, i, want, got)
-						}
-					}
+			t1s := []float64{0, -1, math.NaN()}
+			for _, frac := range parityFracs {
+				t1s = append(t1s, lo+(hi-lo)*frac)
+			}
+			for _, tailEps := range []float64{0, DefaultTailEps} {
+				what := fmt.Sprintf("%s %v eps=%g", d.Name(), m, tailEps)
+				rc := NewRecurrenceCursor(m, d, 0, tailEps)
+				for _, t1 := range t1s {
+					rc.Reset(t1)
+					checkSequence(t, what+" cursor", t1, &rc, oracleSequenceFromFirstTail(m, d, t1, tailEps))
+					sc := SequenceFromFirstTail(m, d, t1, tailEps).Cursor()
+					checkSequence(t, what+" sequence", t1, &sc, oracleSequenceFromFirstTail(m, d, t1, tailEps))
 				}
 			}
 		}

@@ -28,11 +28,12 @@ func ExampleCostModel_RunCost() {
 	// 25.5 over 3 attempts
 }
 
-// ExampleSequenceFromFirst expands a first reservation with the optimal
-// recurrence of Theorem 3 (Eq. 11): for Exp(1), t2 = e^{t1}.
-func ExampleSequenceFromFirst() {
+// ExampleSequenceFromFirstTail expands a first reservation with the
+// optimal recurrence of Theorem 3 (Eq. 11) under the strict rule
+// (tailEps = 0): for Exp(1), t2 = e^{t1}.
+func ExampleSequenceFromFirstTail() {
 	d := dist.MustExponential(1)
-	s := core.SequenceFromFirst(core.ReservationOnly, d, 0.5)
+	s := core.SequenceFromFirstTail(core.ReservationOnly, d, 0.5, 0)
 	v, _ := s.Prefix(2)
 	fmt.Printf("t1=%.3f t2=%.3f\n", v[0], v[1])
 	// Output:

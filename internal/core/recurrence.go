@@ -6,36 +6,6 @@ import (
 	"repro/internal/dist"
 )
 
-// NextReservation computes t_{i+1} from (t_{i-1}, t_i) using the
-// optimality recurrence of Theorem 3 / Proposition 1 (Eq. 11):
-//
-//	t_{i+1} = (1-F(t_{i-1}))/f(t_i) + (β/α)·((1-F(t_i))/f(t_i) - t_i) - γ/α.
-//
-// It returns NaN when the density vanishes at t_i (the recurrence is
-// undefined there; Theorem 3 shows this cannot happen along an optimal
-// sequence).
-//
-//repro:hotpath
-func NextReservation(m CostModel, d dist.Distribution, tPrev, tCur float64) float64 {
-	f := d.PDF(tCur)
-	if !(f > 0) || math.IsInf(f, 0) {
-		return math.NaN()
-	}
-	return d.Survival(tPrev)/f + m.Beta/m.Alpha*(d.Survival(tCur)/f-tCur) - m.Gamma/m.Alpha
-}
-
-// SequenceFromFirst builds the reservation sequence characterized by
-// Proposition 1: the given first reservation t1 followed by the Eq.-(11)
-// recurrence, under the paper's strict validity rule — the sequence
-// must stay strictly increasing, and for bounded support it closes with
-// the upper bound b as soon as the recurrence reaches or exceeds it
-// (the F(t_i) = 1 stopping rule). Candidates whose recurrence breaks
-// monotonicity report ErrNonIncreasing through the sequence methods;
-// the brute-force procedure (§4.1) discards them.
-func SequenceFromFirst(m CostModel, d dist.Distribution, t1 float64) *Sequence {
-	return SequenceFromFirstTail(m, d, t1, 0)
-}
-
 // DefaultTailEps is the tail tolerance matching the paper's evaluation
 // protocol: with N = 1000 Monte-Carlo samples, the paper's brute force
 // never materializes the recurrence past survival ≈ 1/N, so
@@ -44,61 +14,143 @@ func SequenceFromFirst(m CostModel, d dist.Distribution, t1 float64) *Sequence {
 // behaviour for the deterministic Eq.-(4) evaluation.
 const DefaultTailEps = 1e-3
 
-// SequenceFromFirstTail is SequenceFromFirst with an explicit tail
-// tolerance: once the survival probability at the last reservation is
-// at most tailEps, a recurrence breakdown no longer invalidates the
-// candidate — the sequence is closed with the support bound b (bounded
-// support) or extended geometrically by doubling (unbounded support),
-// which perturbs the expected cost by at most O(α·t·tailEps).
-// tailEps = 0 gives the strict rule.
+// rule is the successor formula of a Proposition-1 sequence: Eq. (11)
+// of Theorem 3 under the affine cost (α, β, γ) when g is nil,
 //
-// This mirrors the paper's protocol (§4.1/§5.1): the exact optimal t1
-// keeps Eq. (11) increasing forever, but any perturbed t1 — including
-// every point of a finite search grid — eventually breaks down; the
-// paper's Monte-Carlo evaluation simply never looks that far.
-func SequenceFromFirstTail(m CostModel, d dist.Distribution, t1, tailEps float64) *Sequence {
-	return sequenceFromRecurrence(d, t1, tailEps, func(prev2, prev float64) float64 {
-		return NextReservation(m, d, prev2, prev)
+//	t_{i+1} = (1-F(t_{i-1}))/f(t_i) + (β/α)·((1-F(t_i))/f(t_i) - t_i) - γ/α,
+//
+// and Eq. (37) of Appendix C under a convex reservation cost G,
+//
+//	t_{i+1} = G^{-1}( G'(t_i)·(1-F(t_{i-1}))/f(t_i) + β·((1-F(t_i))/f(t_i) - t_i) ).
+//
+//repro:hotpath
+type rule struct {
+	alpha, beta, gamma float64
+	g                  ConvexCost
+}
+
+// affine is the Eq.-(11) rule of the cost model m.
+func affine(m CostModel) rule { return rule{alpha: m.Alpha, beta: m.Beta, gamma: m.Gamma} }
+
+// succ returns t_{i+1} for t = t_i with density f > 0, sf = S(t_i) and
+// sfPrev = S(t_{i-1}).
+func (r *rule) succ(t, f, sf, sfPrev float64) float64 {
+	if r.g == nil {
+		return sfPrev/f + r.beta/r.alpha*(sf/f-t) - r.gamma/r.alpha
+	}
+	return r.g.Inverse(r.g.Deriv(t)*sfPrev/f + r.beta*(sf/f-t))
+}
+
+// walk is the whole Proposition-1 expansion rule — the successor of
+// rule plus the stopping and validity rules — shared by the lazy
+// Sequence, RecurrenceCursor and CostCursor (whose loop writes next
+// out):
+//
+//   - the sequence must stay strictly increasing from t_0 = 0;
+//   - on bounded support [a, b] it closes with b as soon as the
+//     recurrence reaches or exceeds b (the F(t_i) = 1 stopping rule);
+//   - once S(t_i) <= tailEps, a breakdown no longer invalidates the
+//     candidate: the sequence closes with b (bounded support) or
+//     doubles (unbounded support), which perturbs the expected cost by
+//     at most O(α·t·tailEps).
+//
+//repro:hotpath
+type walk struct {
+	rule
+	d       dist.Distribution
+	tailEps float64
+	hi      float64
+	bounded bool
+}
+
+func newWalk(r rule, d dist.Distribution, tailEps float64) walk {
+	_, hi := d.Support()
+	return walk{rule: r, d: d, tailEps: tailEps, hi: hi, bounded: !math.IsInf(hi, 1)}
+}
+
+// first returns t_1: the candidate, clamped to b on bounded support.
+// A t_1 that is not positive does not increase from t_0 = 0.
+func (w *walk) first(t1 float64) (float64, error) {
+	if w.bounded && t1 >= w.hi {
+		t1 = w.hi
+	}
+	if !(t1 > 0) {
+		return math.NaN(), ErrNonIncreasing
+	}
+	return t1, nil
+}
+
+// next returns t_{i+1} from t = t_i, sf = S(t_i) and sfPrev =
+// S(t_{i-1}). It reports ErrEnd once t has reached b and
+// ErrNonIncreasing on a breakdown above the tail tolerance (including
+// a vanishing density at t, where Eq. (11) is undefined).
+func (w *walk) next(t, sf, sfPrev float64) (float64, error) {
+	if w.bounded && t >= w.hi {
+		return math.NaN(), ErrEnd
+	}
+	v := math.NaN()
+	if f := w.d.PDF(t); f > 0 && !math.IsInf(f, 0) {
+		v = w.succ(t, f, sf, sfPrev)
+	}
+	if v > t {
+		if w.bounded && v >= w.hi {
+			v = w.hi
+		}
+	} else if sf <= w.tailEps {
+		if w.bounded {
+			v = w.hi
+		} else {
+			v = 2 * t
+		}
+	}
+	if math.IsNaN(v) || v <= t {
+		return math.NaN(), ErrNonIncreasing
+	}
+	return v, nil
+}
+
+// walkSequence returns the lazy Sequence of w from t1. Its generator
+// stays pure (Clone shares it), so each step evaluates the two
+// survivals it needs from the prefix (t_0 = 0).
+func walkSequence(w walk, t1 float64) *Sequence {
+	return NewSequence(func(i int, prefix []float64) (float64, bool) {
+		var v float64
+		var err error
+		if i == 0 {
+			v, err = w.first(t1)
+		} else {
+			tPrev := 0.0
+			if i >= 2 {
+				tPrev = prefix[i-2]
+			}
+			t := prefix[i-1]
+			v, err = w.next(t, w.d.Survival(t), w.d.Survival(tPrev))
+		}
+		return v, err != ErrEnd // NaN on ErrNonIncreasing: At reports it
 	})
 }
 
-// sequenceFromRecurrence builds a sequence from t1 and a two-term
-// recurrence with the validity and tail rules described on
-// SequenceFromFirstTail.
-func sequenceFromRecurrence(d dist.Distribution, t1, tailEps float64, step func(prev2, prev float64) float64) *Sequence {
-	_, hi := d.Support()
-	bounded := !math.IsInf(hi, 1)
-	return NewSequence(func(i int, prefix []float64) (float64, bool) {
-		if i == 0 {
-			if bounded && t1 >= hi {
-				return hi, true
-			}
-			return t1, true
-		}
-		prev := prefix[i-1]
-		if bounded && prev >= hi {
-			return 0, false // support covered; the sequence is complete
-		}
-		prev2 := 0.0 // t_0 = 0
-		if i >= 2 {
-			prev2 = prefix[i-2]
-		}
-		next := step(prev2, prev)
-		if next > prev {
-			if bounded && next >= hi {
-				return hi, true // stopping rule: close with b
-			}
-			return next, true
-		}
-		// Monotonicity breakdown (including NaN).
-		if d.Survival(prev) <= tailEps {
-			if bounded {
-				return hi, true
-			}
-			return 2 * prev, true
-		}
-		return next, true // surfaces as ErrNonIncreasing
-	})
+// SequenceFromFirstTail builds the reservation sequence characterized
+// by Proposition 1: the given first reservation t1 followed by the
+// Eq.-(11) recurrence, under the validity, bounded-support and tail
+// rules of walk. tailEps = 0 gives the paper's strict rule: candidates
+// whose recurrence breaks monotonicity report ErrNonIncreasing through
+// the sequence methods, and the brute-force procedure (§4.1) discards
+// them.
+//
+// A positive tailEps mirrors the paper's protocol (§4.1/§5.1): the
+// exact optimal t1 keeps Eq. (11) increasing forever, but any perturbed
+// t1 — including every point of a finite search grid — eventually
+// breaks down; the paper's Monte-Carlo evaluation simply never looks
+// that far.
+func SequenceFromFirstTail(m CostModel, d dist.Distribution, t1, tailEps float64) *Sequence {
+	return walkSequence(newWalk(affine(m), d, tailEps), t1)
+}
+
+// SequenceFromFirstConvexTail is SequenceFromFirstTail under a convex
+// reservation cost G (Proposition 3, Eq. 37).
+func SequenceFromFirstConvexTail(g ConvexCost, beta float64, d dist.Distribution, t1, tailEps float64) *Sequence {
+	return walkSequence(newWalk(rule{beta: beta, g: g}, d, tailEps), t1)
 }
 
 // ConvexCost is a convex reservation-cost function G(x) for the
@@ -148,56 +200,4 @@ func (c QuadraticCost) Inverse(y float64) float64 {
 		return math.NaN()
 	}
 	return (-c.B + math.Sqrt(disc)) / (2 * c.A)
-}
-
-// NextReservationConvex computes t_{i+1} from (t_{i-1}, t_i) under a
-// convex reservation cost G (Appendix C, Eq. 37):
-//
-//	t_{i+1} = G^{-1}( G'(t_i)·(1-F(t_{i-1}))/f(t_i) + β·((1-F(t_i))/f(t_i) - t_i) ).
-//
-//repro:hotpath
-func NextReservationConvex(g ConvexCost, beta float64, d dist.Distribution, tPrev, tCur float64) float64 {
-	f := d.PDF(tCur)
-	if !(f > 0) || math.IsInf(f, 0) {
-		return math.NaN()
-	}
-	y := g.Deriv(tCur)*d.Survival(tPrev)/f + beta*(d.Survival(tCur)/f-tCur)
-	return g.Inverse(y)
-}
-
-// SequenceFromFirstConvexTail is SequenceFromFirstTail under a convex
-// reservation cost G (Proposition 3).
-func SequenceFromFirstConvexTail(g ConvexCost, beta float64, d dist.Distribution, t1, tailEps float64) *Sequence {
-	return sequenceFromRecurrence(d, t1, tailEps, func(prev2, prev float64) float64 {
-		return NextReservationConvex(g, beta, d, prev2, prev)
-	})
-}
-
-// ExpectedCostConvex evaluates the Appendix-C objective
-//
-//	E(S) = β·E[X] + Σ_{i>=0} (G(t_{i+1}) + β·t_i)·P(X >= t_i)
-//
-// (which reduces to Eq. 4 when G is affine).
-func ExpectedCostConvex(g ConvexCost, beta float64, d dist.Distribution, s *Sequence) (float64, error) {
-	sum := beta * d.Mean()
-	tPrev := 0.0
-	for i := 0; ; i++ {
-		sf := d.Survival(tPrev)
-		if sf <= survivalCutoff {
-			return sum, nil
-		}
-		ti, err := s.At(i)
-		if err != nil {
-			if err == ErrEnd {
-				return math.Inf(1), nil
-			}
-			return math.NaN(), err
-		}
-		term := (g.At(ti) + beta*tPrev) * sf
-		sum += term
-		if sf < 1e-9 && term < expectedCostTol*math.Max(1, sum) {
-			return sum, nil
-		}
-		tPrev = ti
-	}
 }

@@ -103,7 +103,7 @@ func SolveWith(d *dist.Discrete, m core.CostModel, cfg Config) (Result, error) {
 		mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
 		mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
 		mx.reset()
-		if !mx.run(cfg.verify()) {
+		if !mx.run(cfg.Verify) {
 			// Gate violation: discard the fast state and rerun the
 			// reference scan from scratch.
 			for i := range E {
@@ -306,7 +306,7 @@ func SolveMaxAttemptsWith(d *dist.Discrete, m core.CostModel, maxAttempts int, c
 		mx.at = func(i, j int) float64 { return entryCostBudget(m, vals, S, W, prev, i, j) }
 		mx.commit = func(i int) { cur[i], curChoice[i] = mx.best[i], mx.bestJ[i] }
 		mx.reset()
-		if !mx.run(cfg.verify()) {
+		if !mx.run(cfg.Verify) {
 			// Gate violation on this sweep: recompute it with the
 			// reference scan (the sweep only reads prev, so the partial
 			// fast state is fully overwritten row by row).

@@ -29,8 +29,8 @@
 // blindly: after a fast solve, an O(n) spot-check gate re-derives a
 // sample of cross-row optimality and quadrangle inequalities with the
 // exact entry expression and falls back to the O(n²) reference scan on
-// the first violation. A debug mode (Config.Verify or the -dpverify
-// flag via SetVerifyRows) re-scans every row instead.
+// the first violation. A debug mode (Config.Verify) re-scans every row
+// instead.
 //
 // Tie-break contract: all engines reproduce bestChoice/bestChoiceBudget
 // bit for bit — the smallest j among minimizers, with every evaluated
@@ -86,9 +86,7 @@ type Config struct {
 	Algo Algorithm
 	// Verify additionally cross-checks every fast-path row against a
 	// full reference scan (O(n²), debug only). Any mismatch — value or
-	// winning index — discards the fast result and falls back. The
-	// package-level SetVerifyRows switch (the -dpverify flag) forces
-	// this for every solve in the process.
+	// winning index — discards the fast result and falls back.
 	Verify bool
 }
 
@@ -108,21 +106,7 @@ func (c Config) engine(n int) Algorithm {
 	return c.Algo
 }
 
-// verify reports whether per-row verification is in force.
-func (c Config) verify() bool { return c.Verify || debugVerify.Load() }
-
-var (
-	debugVerify   atomic.Bool
-	fallbackCount atomic.Uint64
-)
-
-// SetVerifyRows toggles the process-wide debug mode behind the
-// -dpverify flag of cmd/serve and cmd/experiments: every fast-path
-// solve cross-checks every row against the reference scan and falls
-// back on any mismatch. Results are unchanged either way (the fallback
-// is the exact scan); the switch exists to flush out monotonicity
-// violations the O(n) gate's sampling might miss.
-func SetVerifyRows(v bool) { debugVerify.Store(v) }
+var fallbackCount atomic.Uint64
 
 // Fallbacks returns the cumulative number of fast-path solves (or
 // budgeted row sweeps) that the gate or verifier abandoned to the
@@ -392,7 +376,7 @@ func (s *monotoneSolver) checkPair(p1, p2 int) bool {
 	return true
 }
 
-// verifyAll is the -dpverify mode: every active row is re-scanned in
+// verifyAll is the Config.Verify mode: every active row is re-scanned in
 // full with the exact entry expression, and the fast answer must match
 // bit for bit — value and winning index.
 func (s *monotoneSolver) verifyAll() bool {

@@ -134,7 +134,8 @@ func TestEnginesMatchOracleSmallLaws(t *testing.T) {
 
 // TestEnginesMatchScanLargeLaws pins the engines to the reference scan
 // on laws big enough to exercise deep recursion, including discretized
-// lognormals (the experiment workload) and laws with zero-mass points.
+// lognormals (the experiment workload) and laws with zero-mass points;
+// the default engine must also agree with per-row verification on.
 func TestEnginesMatchScanLargeLaws(t *testing.T) {
 	laws := []*dist.Discrete{}
 	for _, n := range []int{130, 257, 512, 1000} {
@@ -153,6 +154,8 @@ func TestEnginesMatchScanLargeLaws(t *testing.T) {
 			want := mustSolveWith(t, d, m, Config{Algo: AlgoScan})
 			auto := mustSolveWith(t, d, m, Config{})
 			assertBitIdentical(t, fmt.Sprintf("law %d model %d auto", li, mi), auto, want)
+			verified := mustSolveWith(t, d, m, Config{Verify: true})
+			assertBitIdentical(t, fmt.Sprintf("law %d model %d auto verified", li, mi), verified, want)
 			for _, algo := range engineAlgos {
 				got := mustSolveWith(t, d, m, Config{Algo: algo})
 				assertBitIdentical(t, fmt.Sprintf("law %d model %d %v", li, mi, algo), got, want)
@@ -185,20 +188,6 @@ func TestBudgetedEnginesMatchScan(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSetVerifyRowsMode drives the -dpverify debug switch end to end:
-// with the process-wide mode on, the default Solve must still agree
-// with the scan bitwise (every row cross-checked).
-func TestSetVerifyRowsMode(t *testing.T) {
-	SetVerifyRows(true)
-	defer SetVerifyRows(false)
-	d := randomLaw(t, rng.New(99), 400)
-	for _, m := range testModels {
-		want := mustSolveWith(t, d, m, Config{Algo: AlgoScan})
-		got := mustSolveWith(t, d, m, Config{})
-		assertBitIdentical(t, "dpverify", got, want)
 	}
 }
 
@@ -321,7 +310,7 @@ func TestGateTripsAndFallbackIsExact(t *testing.T) {
 	}
 }
 
-// TestVerifyAllCatchesCorruptedRow: the -dpverify cross-check must
+// TestVerifyAllCatchesCorruptedRow: the Config.Verify cross-check must
 // reject a fast result whose stored winner was tampered with, even when
 // the cheap gate cannot see the difference.
 func TestVerifyAllCatchesCorruptedRow(t *testing.T) {

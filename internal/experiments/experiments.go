@@ -97,12 +97,7 @@ func (c Config) scoreSequence(m core.CostModel, d dist.Distribution, s *core.Seq
 	var cost float64
 	var err error
 	if c.Analytic || wl == nil {
-		// Stream Eq. (4) over the sequence's cursor — the analytic
-		// counterpart of the Workload path below, bit-identical to
-		// core.ExpectedCost.
-		cur := core.NewCostCursor(m, d, 0)
-		sc := s.Cursor()
-		cost, err = cur.CostOf(&sc)
+		cost, err = core.ExpectedCost(m, d, s)
 	} else {
 		cost, err = wl.CostSequence(m, s)
 	}

@@ -73,6 +73,3 @@ func (c *Cache[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Cap returns the configured capacity.
-func (c *Cache[K, V]) Cap() int { return c.cap }

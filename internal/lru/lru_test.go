@@ -27,8 +27,8 @@ func TestGetPutEvict(t *testing.T) {
 	if v, ok := c.Get("c"); !ok || v != 3 {
 		t.Errorf("c = %d, %v", v, ok)
 	}
-	if c.Len() != 2 || c.Cap() != 2 {
-		t.Errorf("len %d cap %d", c.Len(), c.Cap())
+	if c.Len() != 2 {
+		t.Errorf("len %d, want 2", c.Len())
 	}
 }
 

@@ -85,7 +85,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 func TestInvalidSequencePropagates(t *testing.T) {
 	d := dist.MustUniform(10, 20)
-	s := core.SequenceFromFirst(core.ReservationOnly, d, 15) // invalid candidate
+	s := core.SequenceFromFirstTail(core.ReservationOnly, d, 15, 0) // invalid candidate
 	if _, err := EstimateCost(core.ReservationOnly, d, s, 1000, 1, 0); err == nil {
 		t.Error("invalid sequence evaluated without error")
 	}

@@ -71,10 +71,6 @@ func NewWorkloadFrom(d dist.Distribution, n int, seed uint64) *Workload {
 // N returns the number of samples.
 func (w *Workload) N() int { return len(w.sorted) }
 
-// Sorted returns the ascending sample values. The slice is shared:
-// callers must not modify it.
-func (w *Workload) Sorted() []float64 { return w.sorted }
-
 // errNoSamples is hoisted so the empty-workload check costs nothing on
 // the per-candidate path.
 var errNoSamples = errors.New("simulate: workload has no samples")

@@ -102,19 +102,26 @@ type SearchResult struct {
 }
 
 func (b BruteForce) params() (m, n int, tailEps float64) {
-	m, n, tailEps = b.M, b.N, b.TailEps
+	m, n = b.M, b.N
 	if m <= 0 {
 		m = 5000
 	}
 	if n <= 0 {
 		n = simulate.DefaultSamples
 	}
-	if tailEps == 0 {
-		tailEps = core.DefaultTailEps
-	} else if tailEps < 0 {
-		tailEps = 0
+	return m, n, tailTolerance(b.TailEps)
+}
+
+// tailTolerance resolves a TailEps field: zero selects
+// core.DefaultTailEps and a negative value the strict rule.
+func tailTolerance(eps float64) float64 {
+	if eps == 0 {
+		return core.DefaultTailEps
 	}
-	return m, n, tailEps
+	if eps < 0 {
+		return 0
+	}
+	return eps
 }
 
 // EvaluateT1 scores a single first-reservation candidate under the
@@ -184,6 +191,70 @@ func evalAnalytic(t1, budget float64, cur *core.CostCursor) Candidate {
 	return Candidate{T1: t1, Cost: cost, Valid: true}
 }
 
+// scanGrid runs block over contiguous blocks of an m-point grid, one
+// per worker, each returning its best valid candidate. Reducing the
+// block winners in worker order with a strict < keeps the winner of a
+// linear scan (the first grid index on ties) at any worker count.
+func scanGrid(m, workers int, block func(lo, hi int) Candidate) Candidate {
+	if workers <= 0 || workers > m {
+		workers = parallel.Workers(m)
+	}
+	wins := make([]Candidate, workers)
+	parallel.ForEachBlock(m, workers, func(w, lo, hi int) { wins[w] = block(lo, hi) })
+	best := Candidate{Cost: math.Inf(1)}
+	for _, c := range wins {
+		if c.Valid && c.Cost < best.Cost {
+			best = c
+		}
+	}
+	return best
+}
+
+// scanAnalytic is the §4.1 scan of the m-point grid t1 = lo +
+// k·(hi-lo)/m, k = 1..m, scored through a per-block copy of cur. Each
+// candidate is pruned against its block's best so far unless full:
+// a candidate is abandoned only once its partial sum strictly exceeds
+// the block's incumbent, so every candidate whose exact cost ties or
+// beats the eventual minimum is scored exactly and the winner is the
+// unpruned one. A non-nil cands records every candidate.
+func scanAnalytic(cur core.CostCursor, lo, hi float64, m, workers int, full bool, cands []Candidate) Candidate {
+	return scanGrid(m, workers, func(wlo, whi int) Candidate {
+		cur := cur
+		best := Candidate{Cost: math.Inf(1)}
+		for i := wlo; i < whi; i++ {
+			t1 := lo + (hi-lo)*float64(i+1)/float64(m)
+			budget := best.Cost
+			if full {
+				budget = math.Inf(1)
+			}
+			c := evalAnalytic(t1, budget, &cur)
+			if cands != nil {
+				cands[i] = c
+			}
+			if c.Valid && c.Cost < best.Cost {
+				best = c
+			}
+		}
+		return best
+	})
+}
+
+// polish minimizes the exact cost by golden section between the grid
+// neighbours t1 ± step (clipped to [lo, hi]) and scores the result.
+// It uses no budget: golden section orders probe values against each
+// other, so a pruned lower bound would mis-order the bracket.
+func polish(cur *core.CostCursor, t1, step, lo, hi float64) Candidate {
+	obj := func(x float64) float64 {
+		c := evalAnalytic(x, math.Inf(1), cur)
+		if !c.Valid {
+			return math.Inf(1)
+		}
+		return c.Cost
+	}
+	x := optimize.GoldenSection(obj, math.Max(lo, t1-step), math.Min(hi, t1+step), 1e-10)
+	return evalAnalytic(x, math.Inf(1), cur)
+}
+
 // Search runs the full grid scan and returns every candidate along
 // with the winner. In Monte-Carlo mode the (N, Seed) workload is drawn
 // and precomputed once for the whole scan.
@@ -214,64 +285,28 @@ func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate
 		wl = nil
 	}
 
-	workers := b.Workers
-	if workers <= 0 || workers > gridM {
-		workers = parallel.Workers(gridM)
-	}
-	// Each worker records its block's winner so the best candidate is
-	// never evaluated a second time after the scan. Both modes stream
-	// each candidate through one reused per-block cursor: the
-	// Monte-Carlo path through the Eq.-(11) RecurrenceCursor against
-	// the shared Workload, the analytic path through the fused
-	// Eq.-(4)/Eq.-(11) CostCursor, pruning against the block's best so
-	// far (unless FullCosts asks for every exact cost).
+	// Both modes stream each candidate through one reused per-block
+	// cursor: the Monte-Carlo path through the Eq.-(11)
+	// RecurrenceCursor against the shared Workload, the analytic path
+	// through the fused Eq.-(4)/Eq.-(11) CostCursor.
 	cands := make([]Candidate, gridM)
-	wins := make([]int, workers)
-	parallel.ForEachBlock(gridM, workers, func(w, wlo, whi int) {
-		bestIdx := -1
-		bestCost := math.Inf(1)
-		if wl != nil {
-			cur := core.NewRecurrenceCursor(m, d, 0, tailEps) // reused across the block
+	var best Candidate
+	if wl != nil {
+		best = scanGrid(gridM, b.Workers, func(wlo, whi int) Candidate {
+			cur := core.NewRecurrenceCursor(m, d, 0, tailEps)
+			best := Candidate{Cost: math.Inf(1)}
 			for i := wlo; i < whi; i++ {
-				// Paper's grid: t1 = a + m·(b-a)/M for m = 1..M.
 				t1 := lo + (hi-lo)*float64(i+1)/float64(gridM)
 				cur.Reset(t1)
 				cands[i] = evalWorkload(m, t1, wl, &cur)
-				if cands[i].Valid && cands[i].Cost < bestCost {
-					bestCost, bestIdx = cands[i].Cost, i
+				if cands[i].Valid && cands[i].Cost < best.Cost {
+					best = cands[i]
 				}
 			}
-		} else {
-			cur := core.NewCostCursor(m, d, tailEps) // reused across the block
-			for i := wlo; i < whi; i++ {
-				t1 := lo + (hi-lo)*float64(i+1)/float64(gridM)
-				budget := bestCost
-				if b.FullCosts {
-					budget = math.Inf(1)
-				}
-				cands[i] = evalAnalytic(t1, budget, &cur)
-				if cands[i].Valid && cands[i].Cost < bestCost {
-					bestCost, bestIdx = cands[i].Cost, i
-				}
-			}
-		}
-		wins[w] = bestIdx
-	})
-
-	// Blocks are contiguous, so reducing in worker order with a strict
-	// < keeps the same winner (first grid index on ties) as a linear
-	// scan, independent of the worker count. Pruning cannot disturb
-	// this: a candidate is abandoned only once its partial sum strictly
-	// exceeds the block's incumbent, so every candidate whose exact
-	// cost ties or beats the eventual minimum is scored exactly.
-	best := Candidate{Cost: math.Inf(1)}
-	for _, idx := range wins {
-		if idx < 0 {
-			continue
-		}
-		if c := cands[idx]; c.Cost < best.Cost {
-			best = c
-		}
+			return best
+		})
+	} else {
+		best = scanAnalytic(core.NewCostCursor(m, d, tailEps), lo, hi, gridM, b.Workers, b.FullCosts, cands)
 	}
 	if !best.Valid {
 		return SearchResult{Candidates: cands}, errors.New("strategy: no valid brute-force candidate")
@@ -319,27 +354,13 @@ func (r RefinedBruteForce) Search(m core.CostModel, d dist.Distribution) (Search
 	}
 	lo, _ := d.Support()
 	hi := core.BoundFirstReservation(m, d)
-	step := (hi - lo) / float64(coarse.M)
-	a := math.Max(lo, res.Best.T1-step)
-	bb := math.Min(hi, res.Best.T1+step)
-	// One cursor serves every golden-section probe; no budget — the
-	// polish compares probe values against each other, so a pruned
-	// lower bound would mis-order the bracket.
 	_, _, tailEps := coarse.params()
 	cur := core.NewCostCursor(m, d, tailEps)
-	obj := func(t1 float64) float64 {
-		c := evalAnalytic(t1, math.Inf(1), &cur)
-		if !c.Valid {
-			return math.Inf(1)
-		}
-		return c.Cost
-	}
-	t1 := optimize.GoldenSection(obj, a, bb, 1e-10)
-	c := evalAnalytic(t1, math.Inf(1), &cur)
+	c := polish(&cur, res.Best.T1, (hi-lo)/float64(coarse.M), lo, hi)
 	if !c.Valid || c.Cost > res.Best.Cost {
 		return res, nil // keep the coarse winner
 	}
-	seq := core.SequenceFromFirstTail(m, d, t1, tailEps)
+	seq := core.SequenceFromFirstTail(m, d, c.T1, tailEps)
 	return SearchResult{Best: c, Sequence: seq, Candidates: res.Candidates}, nil
 }
 

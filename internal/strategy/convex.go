@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/optimize"
-	"repro/internal/parallel"
 )
 
 // ConvexBruteForce is the brute-force procedure under a general convex
@@ -53,12 +51,7 @@ func (b ConvexBruteForce) Search(d dist.Distribution) (t1, cost float64, seq *co
 	if uf <= 0 {
 		uf = 10
 	}
-	tailEps := b.TailEps
-	if tailEps == 0 {
-		tailEps = core.DefaultTailEps
-	} else if tailEps < 0 {
-		tailEps = 0
-	}
+	tailEps := tailTolerance(b.TailEps)
 	lo, hi := d.Support()
 	upper := lo + uf*d.Mean()
 	if !math.IsInf(hi, 1) {
@@ -68,61 +61,16 @@ func (b ConvexBruteForce) Search(d dist.Distribution) (t1, cost float64, seq *co
 		return 0, 0, nil, fmt.Errorf("strategy: degenerate convex search interval [%g, %g]", lo, upper)
 	}
 
-	// The scan streams each candidate through one fused Eq.-(37)
-	// cursor per worker block (no Sequence materialized), pruning
-	// against the block's running best; block winners are reduced in
-	// worker order so the first-grid-index tie-break of a serial scan
-	// is preserved at any worker count (see core.CostCursor for the
-	// pruning soundness argument, which carries over term for term).
-	workers := b.Workers
-	if workers <= 0 || workers > m {
-		workers = parallel.Workers(m)
-	}
-	type blockBest struct {
-		idx  int
-		cost float64
-	}
-	wins := make([]blockBest, workers)
-	parallel.ForEachBlock(m, workers, func(w, wlo, whi int) {
-		bb := blockBest{idx: -1, cost: math.Inf(1)}
-		cur := core.NewConvexCostCursor(b.G, b.Beta, d, tailEps)
-		for i := wlo; i < whi; i++ {
-			cand := lo + (upper-lo)*float64(i+1)/float64(m)
-			e, pruned, err := cur.CostBudget(cand, bb.cost)
-			if err != nil || pruned || math.IsNaN(e) || math.IsInf(e, 1) {
-				continue
-			}
-			if e < bb.cost {
-				bb = blockBest{idx: i, cost: e}
-			}
-		}
-		wins[w] = bb
-	})
-	bestI := -1
-	best := math.Inf(1)
-	for _, bb := range wins {
-		if bb.idx >= 0 && bb.cost < best {
-			best, bestI = bb.cost, bb.idx
-		}
-	}
-	if bestI < 0 {
+	// The same scan and polish as RefinedBruteForce, through a fused
+	// Eq.-(37) cursor; the polish is taken only when it strictly beats
+	// the grid winner.
+	cur := core.NewConvexCostCursor(b.G, b.Beta, d, tailEps)
+	best := scanAnalytic(cur, lo, upper, m, b.Workers, false, nil)
+	if !best.Valid {
 		return 0, 0, nil, errors.New("strategy: no valid convex candidate")
 	}
-	t1 = lo + (upper-lo)*float64(bestI+1)/float64(m)
-	// Golden-section polish between the grid neighbours, exact (no
-	// budget: the polish orders probe values against each other).
-	step := (upper - lo) / float64(m)
-	cur := core.NewConvexCostCursor(b.G, b.Beta, d, tailEps)
-	obj := func(x float64) float64 {
-		e, err := cur.Cost(x)
-		if err != nil || math.IsNaN(e) {
-			return math.Inf(1)
-		}
-		return e
+	if p := polish(&cur, best.T1, (upper-lo)/float64(m), lo, upper); p.Valid && p.Cost < best.Cost {
+		best = p
 	}
-	refined := optimize.GoldenSection(obj, math.Max(lo, t1-step), math.Min(upper, t1+step), 1e-10)
-	if c := obj(refined); c < best {
-		t1, best = refined, c
-	}
-	return t1, best, core.SequenceFromFirstConvexTail(b.G, b.Beta, d, t1, tailEps), nil
+	return best.T1, best.Cost, core.SequenceFromFirstConvexTail(b.G, b.Beta, d, best.T1, tailEps), nil
 }

@@ -25,8 +25,8 @@
 #      worker pool, the simulators that fan out onto it (including the
 #      cluster simulator's parallel workload generation), the core
 #      package whose shared-cursor scoring runs on worker blocks, the
-#      DP package whose verify/fallback switches are process-wide
-#      atomics exercised from concurrent solves, and the serving tier
+#      DP package whose fallback counter is a process-wide atomic
+#      updated from concurrent solves, and the serving tier
 #      (service backend/frontend, shard ring, tenant limiter, client).
 #   8. serving invariants — TestFleetServingInvariants
 #      (internal/service) drives an in-process four-shard fleet with
