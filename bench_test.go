@@ -620,11 +620,11 @@ func clusterBenchName(n int) string {
 }
 
 // BenchmarkClusterSim measures the fleet simulator end to end — chunked
-// streaming generation, the calendar-queue event core, ledger, EASY
-// backfill, batched trace hashing, and the constant-memory statistics
-// sink — at 10k, 100k, and 1M multi-attempt jobs. Compare against
-// BenchmarkClusterSimHeap, the pre-scaling mechanics, on the same
-// workload.
+// streaming generation, the binary-heap event core, ledger, EASY
+// backfill (selection shadow scan and min-width skip), per-event trace
+// hashing, and the constant-memory statistics sink — at 10k, 100k, and
+// 1M multi-attempt jobs. Compare against BenchmarkClusterSimHeap, the
+// pre-scaling mechanics, on the same workload.
 func BenchmarkClusterSim(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		spec, cfg := clusterBenchWorkload(n)
@@ -640,11 +640,12 @@ func BenchmarkClusterSim(b *testing.B) {
 }
 
 // BenchmarkClusterSimHeap is the reference baseline for the scaling
-// work: binary-heap event queue, fully buffered generation and results,
-// per-event recorder dispatch, and the buffered Summarize — exactly the
-// mechanics BenchmarkClusterSim ran before the calendar/streaming
-// engine. The trace is bit-identical across the two (the engine parity
-// tests pin it); only the speed differs.
+// work: EngineHeap (a sorted pending snapshot for every shadow time, no
+// min-width skip), fully buffered generation and results, and the
+// buffered Summarize — the mechanics BenchmarkClusterSim ran before the
+// streaming engine. Both share the event heap and per-event recorder
+// dispatch. The trace is bit-identical across the two (the engine
+// parity tests pin it); only the speed differs.
 func BenchmarkClusterSimHeap(b *testing.B) {
 	for _, n := range []int{1_000_000} {
 		spec, cfg := clusterBenchWorkload(n)

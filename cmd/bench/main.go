@@ -50,8 +50,8 @@ import (
 // budgeted variant) — plus the plan-service pair contrasting cached
 // and uncached request latency, the in-process cached-hit pair (backend
 // handler alone; frontend → in-process transport → backend) that leaves
-// loopback HTTP out, and the cluster-simulator trio (streaming calendar
-// engine, buffered heap baseline, parallel sweep) whose speedup ratio
+// loopback HTTP out, and the cluster-simulator trio (streaming engine,
+// buffered heap baseline, parallel sweep) whose speedup ratio
 // TestCompareAgainstCommittedBaseline pins. The full suite (-bench .)
 // includes multi-second experiment drivers and is opt-in.
 const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"

@@ -218,17 +218,17 @@ func TestCompareAgainstCommittedBaseline(t *testing.T) {
 		t.Errorf("BENCH.json DP speedup at n=4096 is %.1fx (scan %.0f / fast %.0f ns/op), want >= 5x",
 			scan.NsPerOp/fast.NsPerOp, scan.NsPerOp, fast.NsPerOp)
 	}
-	// The streaming calendar engine must document a ≥4× speedup over
+	// The streaming engine must document a ≥4× speedup over
 	// the buffered heap baseline at 1M jobs, without gaining
 	// allocations — the committed numbers are the scaling contract.
-	cal, heap := byName["BenchmarkClusterSim/1M"], byName["BenchmarkClusterSimHeap/1M"]
-	if !(cal.NsPerOp > 0) || heap.NsPerOp/cal.NsPerOp < 4 {
-		t.Errorf("BENCH.json cluster-sim speedup at 1M jobs is %.1fx (heap %.0f / calendar %.0f ns/op), want >= 4x",
-			heap.NsPerOp/cal.NsPerOp, heap.NsPerOp, cal.NsPerOp)
+	stream, heap := byName["BenchmarkClusterSim/1M"], byName["BenchmarkClusterSimHeap/1M"]
+	if !(stream.NsPerOp > 0) || heap.NsPerOp/stream.NsPerOp < 4 {
+		t.Errorf("BENCH.json cluster-sim speedup at 1M jobs is %.1fx (heap %.0f / streaming %.0f ns/op), want >= 4x",
+			heap.NsPerOp/stream.NsPerOp, heap.NsPerOp, stream.NsPerOp)
 	}
-	if cal.AllocsPerOp > heap.AllocsPerOp {
+	if stream.AllocsPerOp > heap.AllocsPerOp {
 		t.Errorf("streaming engine allocates more than the buffered baseline: %.0f vs %.0f allocs/op",
-			cal.AllocsPerOp, heap.AllocsPerOp)
+			stream.AllocsPerOp, heap.AllocsPerOp)
 	}
 
 	if _, regressed := benchfmt.Compare(baseline, baseline, compareTolerance); regressed {

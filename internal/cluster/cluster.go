@@ -32,16 +32,18 @@
 // Tests run it on every scenario; cmd/clustersim -check runs it over
 // multi-million-job fleets.
 //
-// The package scales to tens of millions of jobs: the default
-// calendar-queue event core schedules completions in O(1) amortized
-// (EngineHeap keeps the reference binary heap, bit-identical by
-// construction), SimulateStream/RunStream push results into a
-// ResultSink instead of buffering them (StatsAccumulator summarizes in
-// O(1) memory per job via quantile sketches), and RunStream generates
-// the workload chunk by chunk through a recycling feed, so memory is
-// bounded by the in-flight window, not the job count. RunSweep fans a
-// (strategy × shape × replicate) matrix across internal/parallel
-// workers with a deterministic merge.
+// The package scales to tens of millions of jobs: pending completions
+// live in one binary heap, bounded by the running attempts, and every
+// event goes straight to the Recorder. The default EngineCalendar
+// computes EASY shadow times by selection and skips passes no arrived
+// job can use; EngineHeap keeps the sort-based reference computation,
+// bit-identical by construction. SimulateStream/RunStream push results
+// into a ResultSink instead of buffering them (StatsAccumulator
+// summarizes in O(1) memory per job via quantile sketches), and
+// RunStream generates the workload chunk by chunk through a recycling
+// feed, so memory is bounded by the in-flight window, not the job
+// count. RunSweep fans a (strategy × shape × replicate) matrix across
+// internal/parallel workers with a deterministic merge.
 package cluster
 
 import (
@@ -83,21 +85,21 @@ func (b BackfillPolicy) String() string {
 	return "unknown"
 }
 
-// Engine selects the pending-completion scheduler.
+// Engine selects how the EASY scheduler computes the queue head's
+// shadow time. Both engines share the binary-heap event core and the
+// per-event recorder dispatch, and produce bit-identical results and
+// traces.
 type Engine uint8
 
 const (
-	// EngineCalendar (the default) schedules completions through a
-	// calendar queue — O(1) amortized push/pop — with batched recorder
-	// dispatch and a selection-scan shadow computation. It produces
-	// bit-identical results and traces to EngineHeap, and falls back
-	// to the heap mid-run when the time distribution degenerates (see
-	// calQueue).
+	// EngineCalendar (the default; the name predates the shared heap)
+	// finds the shadow time by selection over the pending completions
+	// and skips an EASY pass when no arrived job is narrow enough to
+	// start.
 	EngineCalendar Engine = iota
-	// EngineHeap is the reference engine: binary min-heap, per-event
-	// recorder dispatch, sort-based shadow computation. It exists as
-	// the differential baseline the calendar engine is tested (and
-	// benchmarked) against.
+	// EngineHeap is the reference engine: it sorts the pending
+	// completions for every shadow time and never skips a pass. It is
+	// the differential baseline EngineCalendar is tested against.
 	EngineHeap
 )
 
@@ -145,8 +147,9 @@ type Config struct {
 	// BackfillNone or BackfillEASY; conservative backfilling never
 	// needs it (reservations bound every wait) and rejects it.
 	PreemptAfter float64
-	// Engine selects the event core; the zero value is the calendar
-	// queue. Results and traces are bit-identical across engines.
+	// Engine selects the shadow-time computation; the zero value is
+	// EngineCalendar. Results and traces are bit-identical across
+	// engines.
 	Engine Engine
 	// Recorder, when non-nil, receives every event in order.
 	Recorder Recorder
@@ -279,26 +282,20 @@ const (
 	chunkMask  = 1<<chunkShift - 1
 )
 
-// eventBatch is the recorder batch slab size (calendar engine only).
-const eventBatch = 1024
-
 // sim is the event-loop state.
 type sim struct {
-	cfg      *Config
-	nJobs    int
-	jobCh    [][]Job
-	stCh     [][]jobState
-	chLive   []int32 // streaming runs: per-chunk live refcount
-	feed     *jobFeed
-	sink     ResultSink
-	results  []Result
-	rec      Recorder
-	batchRec BatchRecorder
-	batch    []Event
-	batchN   int
-	ledger   *Ledger
-	pool     *nodePool
-	ec       eventCore
+	cfg     *Config
+	nJobs   int
+	jobCh   [][]Job
+	stCh    [][]jobState
+	chLive  []int32 // streaming runs: per-chunk live refcount
+	feed    *jobFeed
+	sink    ResultSink
+	results []Result
+	rec     Recorder
+	ledger  *Ledger
+	pool    *nodePool
+	ec      eventHeap
 
 	now       float64
 	seq       uint64 // trace position
@@ -406,7 +403,7 @@ func newSim(cfg *Config, nJobs int) *sim {
 	if len(tenants) == 0 {
 		tenants = []Tenant{{Name: "default", Budget: math.Inf(1)}}
 	}
-	s := &sim{
+	return &sim{
 		cfg:       cfg,
 		nJobs:     nJobs,
 		rec:       cfg.Recorder,
@@ -415,15 +412,8 @@ func newSim(cfg *Config, nJobs int) *sim {
 		freeTotal: cfg.Capacity(),
 		minWidth:  math.MaxInt,
 		held:      make([][]int32, len(tenants)),
+		ec:        newEventHeap(),
 	}
-	s.ec.init(cfg.Engine)
-	if s.rec != nil && cfg.Engine != EngineHeap {
-		s.batch = make([]Event, eventBatch)
-		if br, ok := s.rec.(BatchRecorder); ok {
-			s.batchRec = br
-		}
-	}
-	return s
 }
 
 // loop is the strict event loop: schedule at the current instant, then
@@ -475,7 +465,6 @@ func (s *sim) loop() error {
 			}
 		}
 	}
-	s.flushBatch()
 	return nil
 }
 
@@ -558,9 +547,7 @@ func validatePolicy(policy []float64, owner string) error {
 	return nil
 }
 
-// emit stamps and records one event. The calendar engine buffers
-// events into a fixed slab and flushes whole batches; the heap engine
-// keeps the reference per-event dispatch.
+// emit stamps one event and hands it to the recorder, if any.
 //
 //repro:hotpath
 func (s *sim) emit(kind EventKind, job int32, node int32, a, b float64, flag bool) {
@@ -568,7 +555,7 @@ func (s *sim) emit(kind EventKind, job int32, node int32, a, b float64, flag boo
 	if s.rec == nil {
 		return
 	}
-	ev := Event{
+	s.rec.Record(Event{
 		Seq:     s.seq,
 		Time:    s.now,
 		Kind:    kind,
@@ -579,33 +566,7 @@ func (s *sim) emit(kind EventKind, job int32, node int32, a, b float64, flag boo
 		A:       a,
 		B:       b,
 		Flag:    flag,
-	}
-	if s.batch != nil {
-		s.batch[s.batchN] = ev
-		s.batchN++
-		if s.batchN == len(s.batch) {
-			s.flushBatch()
-		}
-		return
-	}
-	s.rec.Record(ev)
-}
-
-// flushBatch hands the buffered events to the recorder; cold relative
-// to emit (once per eventBatch events and once at loop exit).
-func (s *sim) flushBatch() {
-	if s.batchN == 0 {
-		return
-	}
-	evs := s.batch[:s.batchN]
-	s.batchN = 0
-	if s.batchRec != nil {
-		s.batchRec.RecordBatch(evs)
-		return
-	}
-	for i := range evs {
-		s.rec.Record(evs[i])
-	}
+	})
 }
 
 // arrive processes one arrival: announce it, then submit attempt 0.
@@ -972,7 +933,7 @@ func (s *sim) preempt(j int32) {
 	job := s.job(j)
 	st := s.state(j)
 	req := job.Policy[st.attempt]
-	s.ec.remove(j, st.end)
+	s.ec.remove(j)
 	elapsed := s.now - st.start
 	st.nodeSecs += elapsed * float64(job.Width)
 	s.freeAllocs(j)

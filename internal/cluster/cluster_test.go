@@ -466,46 +466,6 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-func TestHeapOrderingAndRemove(t *testing.T) {
-	h := newEventHeap()
-	in := []finishEvent{
-		{time: 5, seq: 1, job: 0},
-		{time: 3, seq: 2, job: 1},
-		{time: 5, seq: 0, job: 2},
-		{time: 1, seq: 3, job: 3},
-		{time: 3, seq: 1, job: 4},
-	}
-	for _, e := range in {
-		h.push(e)
-	}
-	h.remove(4)
-	want := []int32{3, 1, 2, 0} // (1,3) (3,2) (5,0) (5,1)
-	for i, w := range want {
-		got := h.pop()
-		if got.job != w {
-			t.Fatalf("pop %d: job %d, want %d", i, got.job, w)
-		}
-	}
-	if h.size() != 0 {
-		t.Fatalf("heap not empty")
-	}
-}
-
-func TestHeapGrowth(t *testing.T) {
-	h := newEventHeap()
-	for i := 0; i < 1000; i++ {
-		h.push(finishEvent{time: float64(1000 - i), seq: uint64(i), job: int32(i)})
-	}
-	prev := math.Inf(-1)
-	for h.size() > 0 {
-		e := h.pop()
-		if e.time < prev {
-			t.Fatalf("heap order violated: %g after %g", e.time, prev)
-		}
-		prev = e.time
-	}
-}
-
 func TestNodePoolSpansNodes(t *testing.T) {
 	p := newNodePool([]int{2, 3})
 	head := p.alloc(4) // node 0 entirely + 2 units of node 1

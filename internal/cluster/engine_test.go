@@ -70,7 +70,7 @@ func compareEngines(t *testing.T, label string, cfg Config, jobs []Job) {
 // TestEngineParityScenarios: 64 seeded workloads × 2 cluster shapes,
 // cycling through every scheduling policy family (FCFS, EASY,
 // EASY+preemption, conservative) with multi-attempt policies, finite
-// budgets and quotas. The calendar engine must be indistinguishable
+// budgets and quotas. EngineCalendar must be indistinguishable
 // from the reference heap: equal trace hash, Float64bits-equal results
 // and summaries.
 func TestEngineParityScenarios(t *testing.T) {
@@ -100,10 +100,9 @@ func TestEngineParityScenarios(t *testing.T) {
 }
 
 // TestEngineAllEqualTimes: every completion lands at the same instant,
-// so the calendar queue has no positive gap to size a bucket width
-// from — it must fall back to the heap mid-run and still produce the
-// heap engine's exact trace, with the (time, start-order) tie-break
-// preserved and the invariant checker clean.
+// so the shadow scan's selection and the reference sort order pure
+// ties — both engines must produce the same trace, with the (time,
+// start-order) tie-break preserved and the invariant checker clean.
 func TestEngineAllEqualTimes(t *testing.T) {
 	jobs := make([]Job, 200)
 	for i := range jobs {
@@ -113,10 +112,8 @@ func TestEngineAllEqualTimes(t *testing.T) {
 	compareEngines(t, "all-equal", cfg, jobs)
 }
 
-// TestEngineWideTimeSpread: completion times spread over 12 decades —
-// no single bucket width covers the span, so the calendar queue must
-// detect the degenerate spread at its first rebuild and fall back
-// without misordering anything.
+// TestEngineWideTimeSpread: completion times spread over 12 decades
+// must not misorder anything in either engine.
 func TestEngineWideTimeSpread(t *testing.T) {
 	jobs := make([]Job, 48)
 	for i := range jobs {

@@ -109,17 +109,6 @@ type Recorder interface {
 	Record(ev Event)
 }
 
-// BatchRecorder is the optional batched extension of Recorder: the
-// calendar-queue engine buffers events in a fixed slab and hands whole
-// batches over, replacing one interface call per event with one per
-// batch. RecordBatch receives events in Seq order and must behave
-// exactly like calling Record on each; the batch slice is only valid
-// for the duration of the call.
-type BatchRecorder interface {
-	Recorder
-	RecordBatch(evs []Event)
-}
-
 // TraceBuffer materializes the whole event stream; intended for tests
 // and small traces (a million-job run emits several million events —
 // use the streaming Invariants or TraceHash recorders there).
@@ -130,9 +119,6 @@ type TraceBuffer struct {
 
 // Record appends the event.
 func (t *TraceBuffer) Record(ev Event) { t.Events = append(t.Events, ev) }
-
-// RecordBatch appends a batch.
-func (t *TraceBuffer) RecordBatch(evs []Event) { t.Events = append(t.Events, evs...) }
 
 // TraceHash folds the event stream into one FNV-1a fingerprint. Two
 // runs are bit-identical iff every field of every event matches, so
@@ -242,19 +228,5 @@ func MultiRecorder(recs ...Recorder) Recorder {
 func (m *multiRecorder) Record(ev Event) {
 	for _, r := range m.recs {
 		r.Record(ev)
-	}
-}
-
-// RecordBatch forwards the batch, batched where the recorder supports
-// it and event by event otherwise.
-func (m *multiRecorder) RecordBatch(evs []Event) {
-	for _, r := range m.recs {
-		if br, ok := r.(BatchRecorder); ok {
-			br.RecordBatch(evs)
-			continue
-		}
-		for i := range evs {
-			r.Record(evs[i])
-		}
 	}
 }

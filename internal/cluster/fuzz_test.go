@@ -217,13 +217,12 @@ func FuzzBackfill(f *testing.F) {
 	})
 }
 
-// FuzzEventCore drives the calendar-queue event core and the reference
-// binary heap with one decoded operation stream — pushes across up to
-// 13 decades of time scales (including zero deltas, so exact ties),
-// pops, and removes — and requires them to agree operation for
-// operation, including after any mid-stream fallback the calendar
-// decides to take. The seed corpus covers the degenerate patterns that
-// trigger the fallback: all-equal times and multi-decade spreads.
+// FuzzEventCore drives the binary-heap event core with one decoded
+// operation stream — pushes across up to 13 decades of time scales
+// (including zero deltas, so exact ties), pops, and removes — and
+// checks every pop against the eventLess-minimum of the pending set.
+// The seed corpus covers the adversarial patterns: all-equal times and
+// multi-decade spreads.
 func FuzzEventCore(f *testing.F) {
 	allEqual := append(bytes.Repeat([]byte{0, 0}, 40), bytes.Repeat([]byte{2, 0}, 40)...)
 	f.Add(allEqual)
@@ -234,20 +233,10 @@ func FuzzEventCore(f *testing.F) {
 	f.Add(append(bytes.Repeat(wide, 4), bytes.Repeat([]byte{2, 0}, 52)...))
 	f.Add([]byte{0, 8, 1, 16, 3, 0, 2, 0, 0, 0, 0, 0, 2, 0, 3, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var c eventCore
-		c.init(EngineCalendar)
 		h := newEventHeap()
 		now := 0.0
 		var live []finishEvent
 		seq := uint64(0)
-		drop := func(job int32) {
-			for k := range live {
-				if live[k].job == job {
-					live = append(live[:k], live[k+1:]...)
-					return
-				}
-			}
-		}
 		for i := 0; i+1 < len(data); i += 2 {
 			switch int(data[i]) % 4 {
 			case 0, 1: // push at now + delta, delta spanning 13 decades
@@ -255,40 +244,41 @@ func FuzzEventCore(f *testing.F) {
 				delta := float64(data[i+1]) * math.Pow(10, float64(exp))
 				e := finishEvent{time: now + delta, seq: seq, job: int32(seq)}
 				seq++
-				c.push(e)
 				h.push(e)
 				live = append(live, e)
 			case 2: // pop
-				if h.size() == 0 {
+				if len(live) == 0 {
 					continue
 				}
-				ce, he := c.pop(), h.pop()
-				if ce != he {
-					t.Fatalf("op %d: calendar popped %+v, heap %+v (fellBack=%v)", i, ce, he, c.fellBack())
+				m := minLive(live)
+				if e := h.pop(); e != live[m] {
+					t.Fatalf("op %d: popped %+v, want %+v", i, e, live[m])
 				}
-				now = he.time
-				drop(he.job)
+				now = live[m].time
+				live = append(live[:m], live[m+1:]...)
 			case 3: // remove an arbitrary live event
 				if len(live) == 0 {
 					continue
 				}
-				e := live[int(data[i+1])%len(live)]
-				c.remove(e.job, e.time)
-				h.remove(e.job)
-				drop(e.job)
+				k := int(data[i+1]) % len(live)
+				if e := h.remove(live[k].job); e != live[k] {
+					t.Fatalf("op %d: removed %+v, want %+v", i, e, live[k])
+				}
+				live = append(live[:k], live[k+1:]...)
 			}
-			if c.size() != h.size() {
-				t.Fatalf("op %d: size %d vs %d", i, c.size(), h.size())
-			}
-		}
-		for h.size() > 0 {
-			ce, he := c.pop(), h.pop()
-			if ce != he {
-				t.Fatalf("drain: calendar popped %+v, heap %+v (fellBack=%v)", ce, he, c.fellBack())
+			if h.size() != len(live) {
+				t.Fatalf("op %d: size %d, want %d", i, h.size(), len(live))
 			}
 		}
-		if c.size() != 0 {
-			t.Fatal("calendar not empty after drain")
+		for len(live) > 0 {
+			m := minLive(live)
+			if e := h.pop(); e != live[m] {
+				t.Fatalf("drain: popped %+v, want %+v", e, live[m])
+			}
+			live = append(live[:m], live[m+1:]...)
+		}
+		if h.size() != 0 {
+			t.Fatal("heap not empty after drain")
 		}
 	})
 }

@@ -11,20 +11,33 @@ type finishEvent struct {
 	job  int32
 }
 
-// eventHeap is a binary min-heap of pending completions — the
-// reference event structure (EngineHeap) and the fallback the calendar
-// queue drains into on degenerate time distributions. All operations
-// are allocation-free after the initial grow: push reslices within
-// capacity and spills into the cold-path grow only when full. remove
-// scans for the job linearly: preemption is rare and the pending set
-// is bounded by the running attempts, so an O(jobs) position index
-// (which would tie heap memory to the workload size) is not worth it.
+// eventLess is the event order: (time, start-order seq), without any
+// float equality test. seq values are unique, so the order is strict.
+//
+//repro:hotpath
+func eventLess(a, b finishEvent) bool {
+	if a.time < b.time {
+		return true
+	}
+	if b.time < a.time {
+		return false
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of pending completions — the event
+// core of both engines. All operations are allocation-free after the
+// initial grow: push reslices within capacity and spills into the
+// cold-path grow only when full. remove scans for the job linearly:
+// preemption is rare and the pending set is bounded by the running
+// attempts, so an O(jobs) position index (which would tie heap memory
+// to the workload size) is not worth it.
 type eventHeap struct {
 	ev []finishEvent
 }
 
-func newEventHeap() *eventHeap {
-	return &eventHeap{ev: make([]finishEvent, 0, 64)}
+func newEventHeap() eventHeap {
+	return eventHeap{ev: make([]finishEvent, 0, 64)}
 }
 
 // size returns the number of pending completions.
@@ -80,6 +93,15 @@ func (h *eventHeap) pop() finishEvent {
 		h.down(0)
 	}
 	return e
+}
+
+// appendPending snapshots every pending completion into buf (in no
+// particular order — callers sort or select as needed).
+//
+//repro:hotpath
+func (h *eventHeap) appendPending(buf []finishEvent) []finishEvent {
+	//lint:ignore hotalloc growth is amortized; callers pass a scratch buffer reused across scheduling passes
+	return append(buf, h.ev...)
 }
 
 // remove deletes the pending completion of the given job (which must

@@ -114,16 +114,6 @@ func (inv *Invariants) fail(ev Event, format string, args ...any) {
 // budgets do not trip on accumulated rounding.
 func tol(x float64) float64 { return 1e-9 * (math.Abs(x) + 1) }
 
-// RecordBatch checks a batch of events in order. The checker is
-// already streaming and allocation-free per event, so batching exists
-// to satisfy the BatchRecorder fast path (one interface call per
-// batch) — the replay itself is identical.
-func (inv *Invariants) RecordBatch(evs []Event) {
-	for i := range evs {
-		inv.Record(evs[i])
-	}
-}
-
 // Record checks one event.
 func (inv *Invariants) Record(ev Event) {
 	if inv.err != nil {

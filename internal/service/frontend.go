@@ -48,8 +48,9 @@ type ShardConfig struct {
 	// (default shard.DefaultReplicas).
 	Replicas int
 	// HealthInterval is the background probe period for ProbeLoop
-	// (default 1s). A backend marked down by a failed request or probe
-	// receives no traffic until a probe sees it healthy again.
+	// and the time limit of each probe (default 1s). A backend marked
+	// down by a failed request or probe receives no traffic until a
+	// probe sees it healthy again.
 	HealthInterval time.Duration
 }
 
@@ -321,12 +322,16 @@ func (f *Frontend) markDown(name string) {
 }
 
 // CheckHealth probes every backend's /healthz once and updates the
-// rotation: healthy backends rejoin, failing ones leave. It returns
-// the names currently down, sorted by ring membership order.
+// rotation: healthy backends rejoin, failing ones leave. Each probe is
+// bounded by the health interval, so a peer that accepts and never
+// answers is marked down instead of stalling the sweep. It returns the
+// names currently down, sorted by ring membership order.
 func (f *Frontend) CheckHealth(ctx context.Context) []string {
 	var down []string
 	for _, name := range f.ring.Nodes() {
-		err := f.clients[name].Healthz(ctx)
+		pctx, cancel := context.WithTimeout(ctx, f.cfg.Shard.HealthInterval)
+		err := f.clients[name].Healthz(pctx)
+		cancel()
 		f.mu.Lock()
 		f.down[name] = err != nil
 		f.mu.Unlock()

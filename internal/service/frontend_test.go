@@ -156,6 +156,40 @@ func TestFrontendFailoverInProcess(t *testing.T) {
 	}
 }
 
+// TestCheckHealthHangingShard: a URL backend that accepts /healthz and
+// never answers is marked down once its probe outlives the health
+// interval; the sweep returns and the healthy shard stays up.
+func TestCheckHealthHangingShard(t *testing.T) {
+	up := httptest.NewServer(New(Config{}))
+	t.Cleanup(up.Close)
+	release := make(chan struct{})
+	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	t.Cleanup(hang.Close)
+	t.Cleanup(func() { close(release) }) // runs before hang.Close
+	fe, err := NewFrontend(FrontendConfig{
+		Backends: []BackendRef{{Name: "up", URL: up.URL}, {Name: "hang", URL: hang.URL}},
+		Shard:    ShardConfig{HealthInterval: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []string, 1)
+	go func() { done <- fe.CheckHealth(context.Background()) }()
+	select {
+	case down := <-done:
+		if len(down) != 1 || down[0] != "hang" {
+			t.Errorf("CheckHealth down = %v, want [hang]", down)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("CheckHealth still blocked after 2s on a hanging /healthz")
+	}
+	if !fe.isDown("hang") || fe.isDown("up") {
+		t.Errorf("rotation: hang down=%v, up down=%v; want true, false", fe.isDown("hang"), fe.isDown("up"))
+	}
+}
+
 // TestFrontendFailoverDeadTransport: a backend whose transport errors
 // outright (process killed mid-load) is marked down on first contact;
 // subsequent requests skip it without retrying it, and CheckHealth

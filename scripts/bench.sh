@@ -8,7 +8,7 @@
 # the retained O(n²) reference scan at n = 256/4096/16384, plus the
 # K-budgeted variant), the plan-service pairs (cached vs uncached over
 # loopback HTTP; cached hit on the backend alone vs through the
-# in-process frontend) and the cluster-simulator trio (calendar engine,
+# in-process frontend) and the cluster-simulator trio (streaming engine,
 # heap baseline, parallel sweep), parsed into a deterministic JSON
 # report. Every entry is a `go test -bench` result in ns/op; end-to-end
 # serving and fleet numbers come from perfbench/run.sh instead.
