@@ -116,15 +116,26 @@ func BenchmarkExp1(b *testing.B) {
 // scoring against the deterministic Eq.-(4) scoring — the central
 // protocol choice of §4.1/§5.1 — at the paper's full scale (M=5000 grid
 // points, N=1000 samples), single-worker so the per-candidate cost is
-// what is measured.
+// what is measured. The plain entries run Search, which records every
+// candidate; the sequence-* entries run Sequence, the winner-only scan
+// a plan request takes (no candidate slab, budget-pruned scoring, early
+// block stop).
 func BenchmarkBruteForceScoring(b *testing.B) {
 	d := dist.MustLogNormal(3, 0.5)
 	for _, mode := range []strategy.EvalMode{strategy.EvalMonteCarlo, strategy.EvalAnalytic} {
+		bf := strategy.BruteForce{M: 5000, N: 1000, Mode: mode, Seed: 1, Workers: 1}
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			bf := strategy.BruteForce{M: 5000, N: 1000, Mode: mode, Seed: 1, Workers: 1}
 			for i := 0; i < b.N; i++ {
 				if _, err := bf.Search(core.ReservationOnly, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("sequence-"+mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bf.Sequence(core.ReservationOnly, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +226,7 @@ func BenchmarkWorkloadScoring(b *testing.B) {
 			for g := 0; g < gridM; g++ {
 				t1 := lo + (hi-lo)*float64(g+1)/float64(gridM)
 				cur.Reset(t1)
-				_, _ = wl.Cost(m, &cur)
+				_, _, _ = wl.Cost(m, &cur, math.Inf(1))
 			}
 		}
 	})
@@ -266,14 +277,14 @@ func TestHotPathAllocsZero(t *testing.T) {
 		var cur core.Cursor = &rc
 		for _, t1 := range t1s {
 			rc.Reset(t1)
-			if _, err := wl.Cost(m, cur); err != nil {
+			if _, _, err := wl.Cost(m, cur, math.Inf(1)); err != nil {
 				t.Fatalf("t1=%g: %v", t1, err)
 			}
 		}
 		if n := testing.AllocsPerRun(100, func() {
 			for _, t1 := range t1s {
 				rc.Reset(t1)
-				_, _ = wl.Cost(m, cur)
+				_, _, _ = wl.Cost(m, cur, math.Inf(1))
 			}
 		}); n != 0 {
 			t.Errorf("Workload.Cost allocates %.1f per scan of %d candidates, want 0", n, len(t1s))

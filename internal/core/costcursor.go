@@ -69,6 +69,24 @@ func (c *CostCursor) Cost(t1 float64) (float64, error) {
 	return cost, err
 }
 
+// PrunesFrom reports whether CostBudget prunes, at its first term,
+// every candidate t1' >= t1 against any budget <= budget. For an affine
+// cursor the first partial sum β·E[X] + (α·t_1 + γ)·S(0) is
+// FP-nondecreasing in t1 (t_1 is t1 clamped to b, α > 0, S(0) > 0), so
+// once it strictly exceeds budget every later point of an ascending
+// grid is pruned too, and a scan whose incumbent only falls may stop
+// there. It never holds for a convex cursor, whose G need not be
+// monotone, nor when S(0) is small enough for CostBudget's truncation
+// rule to end a candidate at its first term.
+func (c *CostCursor) PrunesFrom(t1, budget float64) bool {
+	w := &c.w
+	if w.g != nil || !(c.sf0 >= 1e-9) {
+		return false
+	}
+	ti, err := w.first(t1)
+	return err == nil && c.betaMean+w.affineTerm(ti, 0, c.sf0) > budget
+}
+
 // CostBudget is Cost with an admissible early abort: every Eq.-(4)
 // term is nonnegative (α > 0, β, γ >= 0, t_i > 0, survival >= 0), so
 // the running partial sum is a lower bound on the final cost. As soon
@@ -106,7 +124,7 @@ func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, 
 	for i := 1; ; i++ {
 		var term float64
 		if w.g == nil {
-			term = (w.alpha*ti + w.beta*tPrev + w.gamma) * sf
+			term = w.affineTerm(ti, tPrev, sf)
 		} else {
 			term = (w.g.At(ti) + w.beta*tPrev) * sf
 		}

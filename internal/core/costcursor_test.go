@@ -157,6 +157,46 @@ func TestCostCursorBudgetAbortResume(t *testing.T) {
 	}
 }
 
+// TestCostCursorPrunesFrom: once PrunesFrom holds at a grid point,
+// CostBudget prunes every later point of the ascending grid against
+// that budget and any lower one; a convex cursor never allows a stop.
+func TestCostCursorPrunesFrom(t *testing.T) {
+	const grid = 80
+	fired := 0
+	for _, m := range costCursorModels {
+		for _, d := range parityLaws() {
+			lo, _ := d.Support()
+			hi := BoundFirstReservation(m, d)
+			cur := NewCostCursor(m, d, DefaultTailEps)
+			for _, budget := range []float64{m.Beta*d.Mean() + m.Alpha*(lo+hi)/2 + m.Gamma, m.Beta*d.Mean() + m.Alpha*hi + m.Gamma} {
+				for i := 0; i < grid; i++ {
+					t1 := lo + (hi-lo)*float64(i+1)/grid
+					if !cur.PrunesFrom(t1, budget) {
+						continue
+					}
+					fired++
+					for j := i; j < grid; j++ {
+						for _, b := range []float64{budget, budget / 2} {
+							if _, pruned, err := cur.CostBudget(lo+(hi-lo)*float64(j+1)/grid, b); !pruned || err != nil {
+								t.Fatalf("%s %v: PrunesFrom(%g, %g) but point %d not pruned at budget %g (%v)",
+									d.Name(), m, t1, budget, j, b, err)
+							}
+						}
+					}
+					break
+				}
+			}
+			convex := NewConvexCostCursor(AffineCost{Alpha: m.Alpha, Gamma: m.Gamma}, m.Beta, d, DefaultTailEps)
+			if convex.PrunesFrom(hi, 0) {
+				t.Errorf("%s: convex cursor allowed an early stop", d.Name())
+			}
+		}
+	}
+	if fired == 0 {
+		t.Error("PrunesFrom never held")
+	}
+}
+
 // TestCostCursorInvalidCandidates: candidates whose recurrence breaks
 // down must fail identically on both paths (ErrNonIncreasing), and the
 // cursor must remain usable after the failure.

@@ -88,6 +88,11 @@ func (c *RecurrenceCursor) Reset(t1 float64) {
 	c.err = nil
 }
 
+// First returns the first reservation Next will yield: t1 clamped to
+// the support's bound, or ErrNonIncreasing when it is not positive. It
+// does not advance the cursor.
+func (c *RecurrenceCursor) First() (float64, error) { return c.w.first(c.t1) }
+
 // Next implements Cursor.
 func (c *RecurrenceCursor) Next() (float64, error) {
 	if c.err != nil {

@@ -41,6 +41,12 @@ func (r *rule) succ(t, f, sf, sfPrev float64) float64 {
 	return r.g.Inverse(r.g.Deriv(t)*sfPrev/f + r.beta*(sf/f-t))
 }
 
+// affineTerm is the Eq.-(4) summand (α·t + β·tPrev + γ)·sf of
+// reservation t after tPrev, with sf the survival at tPrev.
+func (r *rule) affineTerm(t, tPrev, sf float64) float64 {
+	return (r.alpha*t + r.beta*tPrev + r.gamma) * sf
+}
+
 // walk is the whole Proposition-1 expansion rule — the successor of
 // rule plus the stopping and validity rules — shared by the lazy
 // Sequence, RecurrenceCursor and CostCursor (whose loop writes next

@@ -114,20 +114,32 @@ func (w *Workload) covering(t float64, lo int) int {
 // by cur. It fails with core.ErrUncovered if the sequence ends below
 // the largest sample, and propagates any cursor error (invalid
 // sequence) — exactly the failure modes of CostOnSamples.
-func (w *Workload) Cost(m core.CostModel, cur core.Cursor) (float64, error) {
+//
+// budget is the admissible early abort of core.CostCursor.CostBudget
+// over the empirical law: every summand of the attempt loop is
+// nonnegative (α > 0, β, γ >= 0, t_i > 0, samples >= 0) and IEEE
+// division by N is monotone, so total/N after any attempt is a lower
+// bound on the final mean. Once it strictly exceeds budget the
+// candidate is abandoned and (total/N, true, nil) is returned. A
+// candidate whose exact cost is <= budget is never abandoned, so a scan
+// pruning against its incumbent keeps the exact winner, ties included.
+// A +Inf budget disables pruning and returns the unbudgeted mean bit
+// for bit.
+func (w *Workload) Cost(m core.CostModel, cur core.Cursor, budget float64) (cost float64, pruned bool, err error) {
 	n := len(w.sorted)
 	if n == 0 {
-		return math.NaN(), errNoSamples
+		return math.NaN(), false, errNoSamples
 	}
+	nf := float64(n)
 	covered := 0 // c_{i-1}: samples finished before the current attempt
 	total := 0.0
 	for covered < n {
 		ti, err := cur.Next()
 		if err != nil {
 			if errors.Is(err, core.ErrEnd) {
-				return math.Inf(1), &UncoveredError{Max: w.sorted[n-1]}
+				return math.Inf(1), false, &UncoveredError{Max: w.sorted[n-1]}
 			}
-			return math.NaN(), err
+			return math.NaN(), false, err
 		}
 		cnt := w.covering(ti, covered)
 		total += (m.Alpha*ti + m.Gamma) * float64(n-covered)
@@ -135,16 +147,33 @@ func (w *Workload) Cost(m core.CostModel, cur core.Cursor) (float64, error) {
 			total += m.Beta * (ti*float64(n-cnt) + w.prefix[cnt] - w.prefix[covered])
 		}
 		covered = cnt
+		if total/nf > budget {
+			return total / nf, true, nil
+		}
 	}
-	return total / float64(n), nil
+	return total / nf, false, nil
 }
 
-// CostSequence is Cost over the sequence's own cursor. Scoring
-// materializes s, so s must not be in use by another goroutine; unlike
-// CostOnSamples no defensive Clone is taken.
+// PrunesFrom reports whether Cost prunes, at its first attempt, every
+// sequence whose first reservation is t1 or later against any budget
+// <= budget. The test is the first attempt's fixed cost
+// (α·t1 + γ)·N / N: the first attempt adds exactly that product and
+// then a nonnegative β term, so it bounds the first partial mean from
+// below whatever β is, and it is FP-nondecreasing in t1. A scan over an
+// ascending grid whose incumbent only falls may therefore stop at the
+// first point for which PrunesFrom holds.
+func (w *Workload) PrunesFrom(m core.CostModel, t1, budget float64) bool {
+	n := len(w.sorted)
+	return n > 0 && (m.Alpha*t1+m.Gamma)*float64(n)/float64(n) > budget
+}
+
+// CostSequence is Cost over the sequence's own cursor, without a
+// budget. Scoring materializes s, so s must not be in use by another
+// goroutine; unlike CostOnSamples no defensive Clone is taken.
 func (w *Workload) CostSequence(m core.CostModel, s *core.Sequence) (float64, error) {
 	cur := s.Cursor()
-	return w.Cost(m, &cur)
+	cost, _, err := w.Cost(m, &cur, math.Inf(1))
+	return cost, err
 }
 
 // Estimate returns the full Estimate that CostOnSamples would produce

@@ -64,8 +64,8 @@ func TestWorkloadMatchesCostOnSamples(t *testing.T) {
 					// The recurrence cursor runs the same attempt loop, so
 					// its total is bitwise identical to the sequence path.
 					cur := core.NewRecurrenceCursor(m, d, t1, core.DefaultTailEps)
-					viaCur, err := wl.Cost(m, &cur)
-					if err != nil || viaCur != got {
+					viaCur, pruned, err := wl.Cost(m, &cur, math.Inf(1))
+					if err != nil || pruned || viaCur != got {
 						t.Errorf("%s seed=%d t1=%g: cursor path (%.17g, %v) != sequence path %.17g",
 							d.Name(), seed, t1, viaCur, err, got)
 					}
@@ -183,5 +183,126 @@ func TestWorkloadEmpty(t *testing.T) {
 	sc := s.Cursor()
 	if _, err := wl.Estimate(core.ReservationOnly, &sc); err == nil {
 		t.Error("Estimate on empty workload: want error")
+	}
+}
+
+// TestWorkloadCostBudget pins the budget of Workload.Cost: a +Inf
+// budget reproduces the unbudgeted value bit for bit (the Eq.-(13)
+// mean that Estimate accumulates with the same operations); a
+// candidate whose exact cost is <= budget is never pruned and keeps its
+// exact value; and a pruned partial mean lies strictly above the
+// budget and at or below the exact cost.
+func TestWorkloadCostBudget(t *testing.T) {
+	models := append(workloadModels, core.CostModel{Alpha: 1, Beta: 0.5, Gamma: 0.1})
+	pruned := 0
+	for _, m := range models {
+		for _, d := range dist.Table1() {
+			wl := NewWorkload(Samples(d, 300, 5))
+			lo, _ := d.Support()
+			hi := core.BoundFirstReservation(m, d)
+			cur := core.NewRecurrenceCursor(m, d, 0, core.DefaultTailEps)
+			for _, frac := range []float64{0.01, 0.1, 0.3, 0.6, 0.95, 1} {
+				t1 := lo + (hi-lo)*frac
+				cur.Reset(t1)
+				exact, p, errExact := wl.Cost(m, &cur, math.Inf(1))
+				if p {
+					t.Fatalf("%s t1=%g: +Inf budget pruned", d.Name(), t1)
+				}
+				if errExact == nil {
+					sc := core.NewRecurrenceCursor(m, d, t1, core.DefaultTailEps)
+					est, err := wl.Estimate(m, &sc)
+					if err != nil || math.Float64bits(est.Mean) != math.Float64bits(exact) {
+						t.Fatalf("%s t1=%g: +Inf budget %.17g, Estimate mean %.17g (%v)", d.Name(), t1, exact, est.Mean, err)
+					}
+				}
+				for _, scale := range []float64{0, 0.5, 0.9, 0.999, 1, 1.001, 2} {
+					budget := exact * scale
+					if errExact != nil {
+						budget = scale * (m.Alpha*hi + m.Gamma)
+					}
+					cur.Reset(t1)
+					got, p, err := wl.Cost(m, &cur, budget)
+					switch {
+					case p:
+						pruned++
+						if err != nil || !(got > budget) || (errExact == nil && !(got <= exact)) {
+							t.Errorf("%s %v t1=%g budget=%g: pruned partial %.17g (%v), exact %.17g",
+								d.Name(), m, t1, budget, got, err, exact)
+						}
+						if errExact == nil && exact <= budget {
+							t.Errorf("%s %v t1=%g: exact %.17g <= budget %.17g but pruned", d.Name(), m, t1, exact, budget)
+						}
+					case errExact != nil:
+						if err == nil || err.Error() != errExact.Error() {
+							t.Errorf("%s t1=%g budget=%g: err %v, want %v", d.Name(), t1, budget, err, errExact)
+						}
+					case err != nil || math.Float64bits(got) != math.Float64bits(exact):
+						t.Errorf("%s %v t1=%g budget=%g: unpruned %.17g (%v), exact %.17g",
+							d.Name(), m, t1, budget, got, err, exact)
+					}
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Error("no candidate was pruned")
+	}
+}
+
+// TestWorkloadPrunesFrom: once PrunesFrom holds at t1, Cost prunes
+// every later first reservation against that budget and any lower one.
+func TestWorkloadPrunesFrom(t *testing.T) {
+	fired := 0
+	for _, m := range workloadModels {
+		for _, d := range dist.Table1() {
+			wl := NewWorkload(Samples(d, 200, 3))
+			lo, _ := d.Support()
+			hi := core.BoundFirstReservation(m, d)
+			cur := core.NewRecurrenceCursor(m, d, 0, core.DefaultTailEps)
+			const grid = 60
+			for _, budget := range []float64{0.5 * (m.Alpha*lo + m.Gamma), m.Alpha*(lo+hi)/2 + m.Gamma, m.Alpha*hi + m.Gamma} {
+				for i := 0; i < grid; i++ {
+					t1 := lo + (hi-lo)*float64(i+1)/grid
+					if !wl.PrunesFrom(m, t1, budget) {
+						continue
+					}
+					fired++
+					for j := i; j < grid; j++ {
+						for _, b := range []float64{budget, budget / 2} {
+							cur.Reset(lo + (hi-lo)*float64(j+1)/grid)
+							if _, p, err := wl.Cost(m, &cur, b); !p || err != nil {
+								t.Fatalf("%s %v: PrunesFrom(%g, %g) but point %d not pruned at budget %g (%v)",
+									d.Name(), m, t1, budget, j, b, err)
+							}
+						}
+					}
+					break
+				}
+			}
+		}
+	}
+	if fired == 0 {
+		t.Error("PrunesFrom never held")
+	}
+}
+
+// TestWorkloadCostBudgetAllocs: the budgeted call, pruning or not,
+// allocates nothing.
+func TestWorkloadCostBudgetAllocs(t *testing.T) {
+	d := dist.MustLogNormal(3, 0.5)
+	m := core.ReservationOnly
+	wl := NewWorkload(Samples(d, 1000, 1))
+	lo, _ := d.Support()
+	hi := core.BoundFirstReservation(m, d)
+	rc := core.NewRecurrenceCursor(m, d, 0, core.DefaultTailEps)
+	var cur core.Cursor = &rc
+	budget := m.Alpha * (lo + hi) / 2
+	if n := testing.AllocsPerRun(100, func() {
+		for k := 4; k < 12; k++ {
+			rc.Reset(lo + (hi-lo)*float64(k)/16)
+			_, _, _ = wl.Cost(m, cur, budget)
+		}
+	}); n != 0 {
+		t.Errorf("budgeted Workload.Cost allocates %.1f per scan, want 0", n)
 	}
 }

@@ -56,14 +56,15 @@ type BruteForce struct {
 	TailEps float64
 	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// FullCosts disables the analytic budget prune so every grid
-	// point's exact cost is recorded in Candidates — required by
+	// FullCosts disables the analytic budget prune in Search so every
+	// grid point's exact cost is recorded in Candidates — required by
 	// Fig.-3-style analyses that plot the whole cost curve. The default
 	// (false) abandons a candidate as soon as its Eq.-(4) partial sum
 	// exceeds the worker block's best cost, which never changes the
 	// winner (see core.CostCursor.CostBudget) but leaves pruned
-	// Candidates entries holding only a lower bound. Ignored under
-	// Monte-Carlo scoring.
+	// Candidates entries holding only a lower bound. Search records
+	// every Monte-Carlo candidate exactly whatever FullCosts says.
+	// Sequence records nothing and always prunes, in both modes.
 	FullCosts bool
 }
 
@@ -79,14 +80,15 @@ type Candidate struct {
 	// Valid reports whether the Eq.-(11) expansion stayed strictly
 	// increasing (within the tail tolerance).
 	Valid bool
-	// Pruned marks a candidate abandoned by the analytic early abort:
-	// Cost then holds only the partial Eq.-(4) sum accumulated before
-	// the abort — an admissible lower bound on the true cost, already
-	// above the block's best — and Valid is false because the unscanned
-	// tail of the recurrence was never checked. Which candidates get
-	// pruned (and their partial values) depends on scan order and
-	// worker count; only the winner is canonical. Set FullCosts to
-	// record every exact cost instead.
+	// Pruned marks a candidate abandoned by a budgeted score
+	// (core.CostCursor.CostBudget or simulate.Workload.Cost): Cost
+	// then holds only the partial Eq.-(4) sum, or Eq.-(13) mean,
+	// accumulated before the abort — an admissible lower bound on the
+	// true cost, already above the block's best — and Valid is false
+	// because the unscanned tail of the recurrence was never checked.
+	// Which candidates get pruned (and their partial values) depends on
+	// scan order and worker count; only the winner is canonical. Search
+	// prunes analytic candidates only, unless FullCosts is set.
 	Pruned bool
 }
 
@@ -153,7 +155,7 @@ func (b BruteForce) EvaluateT1On(m core.CostModel, d dist.Distribution, t1 float
 		return c, core.SequenceFromFirstTail(m, d, t1, tailEps)
 	}
 	cur := core.NewRecurrenceCursor(m, d, t1, tailEps)
-	c := evalWorkload(m, t1, wl, &cur)
+	c := evalWorkload(m, t1, math.Inf(1), wl, &cur)
 	if !c.Valid {
 		return c, nil
 	}
@@ -161,15 +163,19 @@ func (b BruteForce) EvaluateT1On(m core.CostModel, d dist.Distribution, t1 float
 }
 
 // evalWorkload scores one candidate through the allocation-free
-// recurrence cursor: no Sequence is built, no clone taken. The caller
-// owns the cursor (already positioned at t1) and may reuse it across
-// candidates via Reset.
+// recurrence cursor, abandoning it once its partial mean exceeds
+// budget: no Sequence is built, no clone taken. The caller owns the
+// cursor (already positioned at t1) and may reuse it across candidates
+// via Reset.
 //
 //repro:hotpath
-func evalWorkload(m core.CostModel, t1 float64, wl *simulate.Workload, cur *core.RecurrenceCursor) Candidate {
-	cost, err := wl.Cost(m, cur)
+func evalWorkload(m core.CostModel, t1, budget float64, wl *simulate.Workload, cur *core.RecurrenceCursor) Candidate {
+	cost, pruned, err := wl.Cost(m, cur, budget)
 	if err != nil || math.IsNaN(cost) || math.IsInf(cost, 1) {
 		return Candidate{T1: t1, Cost: math.NaN()}
+	}
+	if pruned {
+		return Candidate{T1: t1, Cost: cost, Pruned: true}
 	}
 	return Candidate{T1: t1, Cost: cost, Valid: true}
 }
@@ -216,7 +222,11 @@ func scanGrid(m, workers int, block func(lo, hi int) Candidate) Candidate {
 // a candidate is abandoned only once its partial sum strictly exceeds
 // the block's incumbent, so every candidate whose exact cost ties or
 // beats the eventual minimum is scored exactly and the winner is the
-// unpruned one. A non-nil cands records every candidate.
+// unpruned one. A non-nil cands records every candidate; a nil cands
+// asks for the winner only, and a block then stops at the first point
+// from which the cursor reports every later point pruned
+// (CostCursor.PrunesFrom): the grid is FP-nondecreasing in k and the
+// block's best only falls.
 func scanAnalytic(cur core.CostCursor, lo, hi float64, m, workers int, full bool, cands []Candidate) Candidate {
 	return scanGrid(m, workers, func(wlo, whi int) Candidate {
 		cur := cur
@@ -227,7 +237,43 @@ func scanAnalytic(cur core.CostCursor, lo, hi float64, m, workers int, full bool
 			if full {
 				budget = math.Inf(1)
 			}
+			if cands == nil && cur.PrunesFrom(t1, budget) {
+				break
+			}
 			c := evalAnalytic(t1, budget, &cur)
+			if cands != nil {
+				cands[i] = c
+			}
+			if c.Valid && c.Cost < best.Cost {
+				best = c
+			}
+		}
+		return best
+	})
+}
+
+// scanWorkload is the Monte-Carlo twin of scanAnalytic over the same
+// grid, scoring each candidate against the shared workload through a
+// per-block recurrence cursor. A non-nil cands records every candidate
+// scored exactly (no budget); a nil cands asks for the winner only, so
+// each candidate is pruned against its block's best and a block stops
+// at the first point the workload reports every later point pruned
+// (Workload.PrunesFrom).
+func scanWorkload(m core.CostModel, d dist.Distribution, wl *simulate.Workload, lo, hi float64, gridM, workers int, tailEps float64, cands []Candidate) Candidate {
+	return scanGrid(gridM, workers, func(wlo, whi int) Candidate {
+		cur := core.NewRecurrenceCursor(m, d, 0, tailEps)
+		best := Candidate{Cost: math.Inf(1)}
+		budget := math.Inf(1)
+		for i := wlo; i < whi; i++ {
+			t1 := lo + (hi-lo)*float64(i+1)/float64(gridM)
+			cur.Reset(t1)
+			if cands == nil {
+				budget = best.Cost
+				if first, err := cur.First(); err == nil && wl.PrunesFrom(m, first, budget) {
+					break
+				}
+			}
+			c := evalWorkload(m, t1, budget, wl, &cur)
 			if cands != nil {
 				cands[i] = c
 			}
@@ -268,6 +314,15 @@ func (b BruteForce) Search(m core.CostModel, d dist.Distribution) (SearchResult,
 // A nil wl in Monte-Carlo mode draws the configured (N, Seed) workload;
 // in analytic mode wl is ignored.
 func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate.Workload) (SearchResult, error) {
+	return b.search(m, d, wl, true)
+}
+
+// search is the §4.1 scan. With record it fills Candidates (Search);
+// without, it is the winner-only scan behind Sequence: no candidate
+// slab, every candidate pruned against its block's incumbent in both
+// modes, and early block stops. Both return the same winner bit for
+// bit.
+func (b BruteForce) search(m core.CostModel, d dist.Distribution, wl *simulate.Workload, record bool) (SearchResult, error) {
 	if err := m.Validate(); err != nil {
 		return SearchResult{}, err
 	}
@@ -277,36 +332,22 @@ func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate
 	if !(hi > lo) {
 		return SearchResult{}, fmt.Errorf("strategy: degenerate search interval [%g, %g]", lo, hi)
 	}
-	if b.Mode == EvalMonteCarlo {
-		if wl == nil {
-			wl = simulate.NewWorkloadFrom(d, n, b.Seed)
-		}
-	} else {
-		wl = nil
+	var cands []Candidate
+	if record {
+		cands = make([]Candidate, gridM)
 	}
-
 	// Both modes stream each candidate through one reused per-block
 	// cursor: the Monte-Carlo path through the Eq.-(11)
 	// RecurrenceCursor against the shared Workload, the analytic path
 	// through the fused Eq.-(4)/Eq.-(11) CostCursor.
-	cands := make([]Candidate, gridM)
 	var best Candidate
-	if wl != nil {
-		best = scanGrid(gridM, b.Workers, func(wlo, whi int) Candidate {
-			cur := core.NewRecurrenceCursor(m, d, 0, tailEps)
-			best := Candidate{Cost: math.Inf(1)}
-			for i := wlo; i < whi; i++ {
-				t1 := lo + (hi-lo)*float64(i+1)/float64(gridM)
-				cur.Reset(t1)
-				cands[i] = evalWorkload(m, t1, wl, &cur)
-				if cands[i].Valid && cands[i].Cost < best.Cost {
-					best = cands[i]
-				}
-			}
-			return best
-		})
+	if b.Mode == EvalMonteCarlo {
+		if wl == nil {
+			wl = simulate.NewWorkloadFrom(d, n, b.Seed)
+		}
+		best = scanWorkload(m, d, wl, lo, hi, gridM, b.Workers, tailEps, cands)
 	} else {
-		best = scanAnalytic(core.NewCostCursor(m, d, tailEps), lo, hi, gridM, b.Workers, b.FullCosts, cands)
+		best = scanAnalytic(core.NewCostCursor(m, d, tailEps), lo, hi, gridM, b.Workers, b.FullCosts && record, cands)
 	}
 	if !best.Valid {
 		return SearchResult{Candidates: cands}, errors.New("strategy: no valid brute-force candidate")
@@ -317,13 +358,15 @@ func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate
 	return SearchResult{Best: best, Sequence: bestSeq, Candidates: cands}, nil
 }
 
-// Sequence implements Strategy.
+// Sequence implements Strategy with the winner-only scan a plan
+// request takes: no candidate slab, every candidate pruned against its
+// worker block's incumbent in both scoring modes, and each block
+// stopped at the first grid point from which every later point is
+// pruned. It returns Search's winning sequence bit for bit at any
+// worker count.
 func (b BruteForce) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequence, error) {
-	res, err := b.Search(m, d)
-	if err != nil {
-		return nil, err
-	}
-	return res.Sequence, nil
+	res, err := b.search(m, d, nil, false)
+	return res.Sequence, err
 }
 
 // RefinedBruteForce first scans a coarse grid, then polishes the best
@@ -343,12 +386,18 @@ func (RefinedBruteForce) Name() string { return "Refined-BF" }
 // Search runs the coarse scan and the golden-section polish, returning
 // the refined t1 and cost.
 func (r RefinedBruteForce) Search(m core.CostModel, d dist.Distribution) (SearchResult, error) {
+	return r.search(m, d, true)
+}
+
+// search is the coarse scan (recording candidates or winner-only, as
+// in BruteForce.search) followed by the polish.
+func (r RefinedBruteForce) search(m core.CostModel, d dist.Distribution, record bool) (SearchResult, error) {
 	coarse := r.Coarse
 	coarse.Mode = EvalAnalytic
 	if coarse.M == 0 {
 		coarse.M = 500
 	}
-	res, err := coarse.Search(m, d)
+	res, err := coarse.search(m, d, nil, record)
 	if err != nil {
 		return res, err
 	}
@@ -364,11 +413,9 @@ func (r RefinedBruteForce) Search(m core.CostModel, d dist.Distribution) (Search
 	return SearchResult{Best: c, Sequence: seq, Candidates: res.Candidates}, nil
 }
 
-// Sequence implements Strategy.
+// Sequence implements Strategy: the winner-only coarse scan (see
+// BruteForce.Sequence) and the polish, returning Search's sequence.
 func (r RefinedBruteForce) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequence, error) {
-	res, err := r.Search(m, d)
-	if err != nil {
-		return nil, err
-	}
-	return res.Sequence, nil
+	res, err := r.search(m, d, false)
+	return res.Sequence, err
 }

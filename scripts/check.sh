@@ -42,9 +42,10 @@
 #      quantile sketch must agree with exact sorted-sample quantiles
 #      within its documented error bound.
 #  10. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
-#      core fuzz targets on top of their committed corpora
-#      (testdata/fuzz), so a freshly broken invariant is found here, not
-#      in a nightly.
+#      core fuzz targets and the brute-force winner-only scan target
+#      (Sequence vs Search, bit for bit) on top of their committed
+#      corpora (testdata/fuzz), so a freshly broken invariant is found
+#      here, not in a nightly.
 #
 # Usage: scripts/check.sh [--bench] [--compare]
 #
@@ -93,10 +94,11 @@ go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
 
-echo "== fuzz smoke (cluster ledger + backfill + event core)"
+echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan)"
 go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzBackfill$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzEventCore$' -fuzztime 3s ./internal/cluster/
+go test -run '^$' -fuzz '^FuzzWinnerOnlyScan$' -fuzztime 3s ./internal/strategy/
 
 echo "check.sh: all gates passed"
 
