@@ -336,10 +336,11 @@ func dpBenchLaw(b *testing.B, n int) *dist.Discrete {
 }
 
 // BenchmarkDPSolve measures the Theorem-5 dynamic program on its
-// default gated sub-quadratic path (SMAWK above the auto threshold)
-// across sample counts chosen to expose the asymptotic gap to the
-// reference scan: n=256 sits just above the threshold, n=4096 is the
-// headline comparison point, n=16384 shows the O(n log n) scaling.
+// default gated sub-quadratic path (the candidate-queue pass above the
+// auto threshold) across sample counts chosen to expose the asymptotic
+// gap to the reference scan: n=256 is a small solve above the
+// threshold, n=4096 is the headline comparison point, n=16384 shows
+// the O(n log n) scaling.
 func BenchmarkDPSolve(b *testing.B) {
 	for _, n := range []int{256, 4096, 16384} {
 		dd := dpBenchLaw(b, n)
@@ -389,6 +390,40 @@ func BenchmarkDPSolveBudget(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := dp.SolveMaxAttemptsWith(dd, core.ReservationOnly, k, cfg.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlannerKernels measures the three plan-cold kernels at the
+// Planner layer: Planner.PlanSpec with Workers 1 under the
+// reservation-only model, on lognormal(3, σ) for eight fixed σ in
+// [0.75, 1.25), one σ per op in turn. bruteforce and dp (the
+// equal-probability discretization, n = 1000) use the default options;
+// montecarlo is brute force under Eq.-(13) scoring.
+func BenchmarkPlannerKernels(b *testing.B) {
+	specs := make([]string, 8)
+	for k := range specs {
+		specs[k] = fmt.Sprintf("lognormal(3,%g)", 0.75+0.5*(float64(k)+0.5)/float64(len(specs)))
+	}
+	for _, kc := range []struct {
+		name, strategy string
+		monteCarlo     bool
+	}{
+		{"bruteforce", StrategyBruteForce, false},
+		{"dp", StrategyEqualProb, false},
+		{"montecarlo", StrategyBruteForce, true},
+	} {
+		pl, err := NewPlanner(CostModel{Alpha: 1}, Options{Workers: 1, MonteCarlo: kc.monteCarlo})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(kc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.PlanSpec(specs[i%len(specs)], kc.strategy); err != nil {
 					b.Fatal(err)
 				}
 			}

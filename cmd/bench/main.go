@@ -47,14 +47,15 @@ import (
 // defaultBench is the scoring-path subset — the candidate-evaluation
 // benchmarks the empirical-cost fast path is accountable to, the DP
 // solver benchmarks (sub-quadratic fast path, O(n²) reference scan,
-// budgeted variant) — plus the plan-service pair contrasting cached
-// and uncached request latency, the in-process cached-hit pair (backend
-// handler alone; frontend → in-process transport → backend) that leaves
-// loopback HTTP out, and the cluster-simulator trio (streaming engine,
+// budgeted variant), the Planner-level plan-cold kernels — plus the
+// plan-service pair contrasting cached and uncached request latency,
+// the in-process cached-hit pair (backend handler alone; frontend →
+// in-process transport → backend) that leaves loopback HTTP out, and
+// the cluster-simulator trio (streaming engine,
 // buffered heap baseline, parallel sweep) whose speedup ratio
 // TestCompareAgainstCommittedBaseline pins. The full suite (-bench .)
 // includes multi-second experiment drivers and is opt-in.
-const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
+const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkPlannerKernels|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
 
 // compareTolerance is the -compare regression threshold: a benchmark
 // fails the gate when its current ns/op exceeds the baseline by more

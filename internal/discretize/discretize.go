@@ -72,7 +72,8 @@ func Discretize(d dist.Distribution, n int, eps float64, scheme Scheme) (*dist.D
 		return nil, fmt.Errorf("discretize: truncated support [%g, %g] is degenerate", a, b)
 	}
 
-	var vals, probs []float64
+	vals := make([]float64, 0, n)
+	probs := make([]float64, 0, n)
 	switch scheme {
 	case EqualProbability:
 		// v_i = Q(i·F(b)/n), f_i = F(b)/n.

@@ -1,8 +1,9 @@
 // Package dp implements the optimal dynamic programming algorithm for
 // discrete execution-time distributions (Theorem 5 of the paper). For
 // X ~ (v_i, f_i)_{i=1..n} it computes — in O(n log n) on the default
-// gated fast path (see monotone.go), O(n²) under the reference scan —
-// the reservation sequence minimizing the expected cost
+// gated candidate-queue pass (see monotone.go), O(n²) under the
+// reference scan — the reservation sequence minimizing the expected
+// cost
 //
 //	E*_i = min_{i<=j<=n} ( α·v_j + γ + Σ_{k=i..j} f'_k·β·v_k
 //	                       + (Σ_{k>j} f'_k)·(β·v_j + E*_{j+1}) )
@@ -45,9 +46,9 @@ func Solve(d *dist.Discrete, m core.CostModel) (Result, error) {
 
 // SolveWith is Solve with an explicit argmin engine selection (see
 // Config). Every Algorithm returns bit-identical results — the fast
-// engines reproduce the scan's smallest-j tie-break and entry
-// arithmetic exactly, and fall back to the scan whenever the
-// monotonicity gate trips.
+// engine reproduces the scan's smallest-j tie-break and entry
+// arithmetic exactly, and falls back to the scan whenever its gate
+// trips.
 func SolveWith(d *dist.Discrete, m core.CostModel, cfg Config) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
@@ -93,25 +94,12 @@ func SolveWith(d *dist.Discrete, m core.CostModel, cfg Config) (Result, error) {
 	if cfg.engine(n) == AlgoScan {
 		scan()
 	} else {
-		mx := newMonotoneSolver(n)
-		for i := 0; i < n; i++ {
-			if S[i] > 0 {
-				mx.rows = append(mx.rows, i)
-				mx.act[i] = true
-			}
-		}
+		mx := newMonotoneSolver(S)
 		mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
 		mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
-		mx.reset()
 		if !mx.run(cfg.Verify) {
-			// Gate violation: discard the fast state and rerun the
-			// reference scan from scratch.
-			for i := range E {
-				E[i] = 0
-			}
-			for i := range choice {
-				choice[i] = -1
-			}
+			// Gate violation: rerun the reference scan, which rewrites
+			// every row the pass committed.
 			scan()
 		}
 	}
@@ -281,13 +269,7 @@ func SolveMaxAttemptsWith(d *dist.Discrete, m core.CostModel, maxAttempts int, c
 	// continuation a k >= 2 sweep reads is in fact finite.
 	var mx *monotoneSolver
 	if cfg.engine(n) != AlgoScan && maxAttempts >= 2 {
-		mx = newMonotoneSolver(n)
-		for i := 0; i < n; i++ {
-			if S[i] > 0 {
-				mx.rows = append(mx.rows, i)
-				mx.act[i] = true
-			}
-		}
+		mx = newMonotoneSolver(S)
 	}
 	for k := 2; k <= maxAttempts; k++ {
 		prev, cur, curChoice := E[k-1], E[k], choice[k]
@@ -305,7 +287,6 @@ func SolveMaxAttemptsWith(d *dist.Discrete, m core.CostModel, maxAttempts int, c
 		}
 		mx.at = func(i, j int) float64 { return entryCostBudget(m, vals, S, W, prev, i, j) }
 		mx.commit = func(i int) { cur[i], curChoice[i] = mx.best[i], mx.bestJ[i] }
-		mx.reset()
 		if !mx.run(cfg.Verify) {
 			// Gate violation on this sweep: recompute it with the
 			// reference scan (the sweep only reads prev, so the partial

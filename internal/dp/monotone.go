@@ -17,29 +17,34 @@
 //
 //	j < j', i < i':  M[i][j'] < M[i][j]  ⇒  M[i'][j'] < M[i'][j],
 //
-// i.e. total monotonicity of the lower-triangular choice matrix. Its
-// standard consequence: the smallest-j argmin of row i is nondecreasing
-// in i, which is exactly what the SMAWK row optimizer below exploits. The same structure holds for the budgeted
-// recursion of SolveMaxAttempts (E replaced by the previous budget row,
-// which is finite wherever it is read — the k=0 infeasibility row is
-// consumed only by the closed-form k=1 sweep).
+// i.e. a smaller column wins-or-ties a larger one on a prefix of rows.
+// The same structure holds for the budgeted recursion of
+// SolveMaxAttempts (E replaced by the previous budget row, which is
+// finite wherever it is read — the k=0 infeasibility row is consumed
+// only by the closed-form k=1 sweep).
+//
+// The engine is the candidate-queue pass for least-weight-subsequence
+// DPs (Hirschberg & Larmore, 1987): rows are visited for i = n-1 … 0,
+// column j = i joins at row i (its entries need E[i+1], committed one
+// step earlier), and a queue of columns records which column each
+// remaining row currently prefers. By persistence each column owns a
+// contiguous range of rows, smaller columns owning lower rows, so a new
+// column only ever displaces entries at the low end, and each row reads
+// its winner from the high end. O(n log n) entry evaluations per solve.
 //
 // Floating point can violate the exact-arithmetic argument (the slopes
 // are computed, not assigned), so the fast path never trusts it
-// blindly: after a fast solve, an O(n) spot-check gate re-derives a
-// sample of cross-row optimality and quadrangle inequalities with the
-// exact entry expression and falls back to the O(n²) reference scan on
-// the first violation. A debug mode (Config.Verify) re-scans every row
-// instead.
+// blindly: after a fast solve, an O(n) gate re-derives a set of
+// optimality conditions with the exact entry expression and falls back
+// to the O(n²) reference scan on the first violation. A debug mode
+// (Config.Verify) re-scans every row instead.
 //
-// Tie-break contract: all engines reproduce bestChoice/bestChoiceBudget
+// Tie-break contract: the engine reproduces bestChoice/bestChoiceBudget
 // bit for bit — the smallest j among minimizers, with every evaluated
 // entry computed by the identical IEEE-754 expression (entryCost /
-// entryCostBudget, shared with the scan). Within one batch of columns
-// the engines scan with a strict <, keeping the leftmost winner; across
-// batches the divide-and-conquer driver visits column ranges in
-// decreasing order, so combining with <= (a later, smaller-j batch wins
-// ties) restores the global smallest-j winner.
+// entryCostBudget, shared with the scan). The queue compares a new
+// (smaller) column against an incumbent with <=, so ties go to the
+// smaller j; persistence makes that the scan's smallest-j argmin.
 package dp
 
 import (
@@ -52,17 +57,17 @@ import (
 type Algorithm int
 
 const (
-	// AlgoAuto uses the SMAWK fast path (with the monotonicity gate)
-	// above autoThreshold support points and the plain scan below it,
-	// where the quadratic constant is already negligible.
+	// AlgoAuto uses the candidate-queue fast path (with its gate) above
+	// autoThreshold support points and the plain scan below it, where
+	// the quadratic constant is already negligible.
 	AlgoAuto Algorithm = iota
 	// AlgoScan is the reference O(n²) row scan of the seed
 	// implementation (bestChoice / bestChoiceBudget). It is retained
 	// verbatim as the fallback target and the benchmark baseline.
 	AlgoScan
-	// AlgoSMAWK is the SMAWK totally-monotone matrix searcher applied to
-	// the driver's rectangular merges: O(n log n) per solve.
-	AlgoSMAWK
+	// AlgoQueue is the gated candidate-queue pass: O(n log n) per
+	// solve.
+	AlgoQueue
 )
 
 // String implements fmt.Stringer (test and benchmark labels).
@@ -70,8 +75,8 @@ func (a Algorithm) String() string {
 	switch a {
 	case AlgoScan:
 		return "scan"
-	case AlgoSMAWK:
-		return "smawk"
+	case AlgoQueue:
+		return "queue"
 	default:
 		return "auto"
 	}
@@ -80,7 +85,7 @@ func (a Algorithm) String() string {
 // Config tunes SolveWith and SolveMaxAttemptsWith. The zero value —
 // AlgoAuto without per-row verification — is what Solve and
 // SolveMaxAttempts use and is always safe: fast-path answers are gated
-// and fall back to the exact scan on any monotonicity violation.
+// and fall back to the exact scan on any detected violation.
 type Config struct {
 	// Algo selects the argmin engine.
 	Algo Algorithm
@@ -91,9 +96,12 @@ type Config struct {
 }
 
 // autoThreshold is the support size below which AlgoAuto keeps the
-// plain scan: the fast path's recursion and gate overhead only pay for
-// themselves once the O(n²) scan dominates.
-const autoThreshold = 128
+// plain scan. On the benchmark law (LogNormal(3, 0.5),
+// EqualProbability; BenchmarkEngineCrossover in this package, median
+// of 5 on a 2-vCPU Xeon) the gated queue pass overtakes the scan
+// between n = 32 (4.7 vs 3.4 µs) and n = 64 (9.8 vs 10.8 µs), and is
+// 1.8× faster at n = 128.
+const autoThreshold = 64
 
 // engine resolves the configured algorithm for a support of size n.
 func (c Config) engine(n int) Algorithm {
@@ -101,7 +109,7 @@ func (c Config) engine(n int) Algorithm {
 		if n < autoThreshold {
 			return AlgoScan
 		}
-		return AlgoSMAWK
+		return AlgoQueue
 	}
 	return c.Algo
 }
@@ -121,71 +129,64 @@ func Fallbacks() uint64 { return fallbackCount.Load() }
 // struct fields (not an interface) so tests can inject synthetic
 // matrices — real instances empirically never violate total
 // monotonicity, so the gate's fallback is only reachable through a
-// synthetic seam — while the engines stay monomorphic and
+// synthetic seam — while the engine stays monomorphic and
 // allocation-free.
 //
-// All scratch is preallocated by newMonotoneSolver; run, the engines
-// and the gate allocate nothing.
+// All scratch is preallocated by newMonotoneSolver; run, the pass and
+// the gate allocate nothing.
 //
 //repro:hotpath
 type monotoneSolver struct {
 	// at evaluates one matrix entry with the exact scan expression.
 	at func(i, j int) float64
-	// commit finalizes row i once every column batch has been folded:
-	// for Solve it publishes E[i] (read back through at by merges of
-	// earlier rows) and choice[i].
+	// commit finalizes row i once its winner is known: for Solve it
+	// publishes E[i] (read back through at when column i-1 joins) and
+	// choice[i].
 	commit func(i int)
 
 	n    int
-	rows []int  // rows with positive conditional mass, ascending
-	act  []bool // act[i] reports whether i is in rows
+	rows []int // rows with positive conditional mass, ascending
 
-	// Running per-row combine across column batches (+Inf / -1 until
-	// the first batch lands). After run returns, best/bestJ hold the
-	// final row minima — the gate reads them directly.
+	// Per-row winners. After run returns, best/bestJ hold the final row
+	// minima of every active row — the gate reads them directly.
 	best  []float64
 	bestJ []int
 
-	// SMAWK scratch: batchVal/batchCol hold each row's current-batch
-	// minimum (indexed by position in rows); arena backs the materialized
-	// column list and the per-level reduced column stacks.
-	batchVal []float64
-	batchCol []int
-	arena    []int
+	// The candidate queue, live in [head, top): qCol[k] is a column and
+	// qHi[k] the highest row position (index into rows) it owns; entry
+	// k owns positions (qHi[k+1], qHi[k]], and the top entry — the
+	// smallest column — owns every position from 0 up.
+	qCol []int
+	qHi  []int
 }
 
-// newMonotoneSolver allocates a solver for an n-point support. The
-// caller fills rows/act and sets at/commit (per budget sweep, for the
-// budgeted DP) and calls reset before each run.
-func newMonotoneSolver(n int) *monotoneSolver {
-	return &monotoneSolver{
-		n:        n,
-		rows:     make([]int, 0, n),
-		act:      make([]bool, n),
-		best:     make([]float64, n),
-		bestJ:    make([]int, n),
-		batchVal: make([]float64, n),
-		batchCol: make([]int, n),
-		// One column materialization (≤ n) plus the geometric stack of
-		// reduced column lists (≤ 2n) for the deepest SMAWK call.
-		arena: make([]int, 3*n+8),
+// newMonotoneSolver allocates a solver over the n = len(S)-1 columns
+// of a support whose suffix masses are S; the active rows are those
+// with S[i] > 0. The caller sets at/commit (per budget sweep, for the
+// budgeted DP) before each run.
+func newMonotoneSolver(S []float64) *monotoneSolver {
+	n := len(S) - 1
+	s := &monotoneSolver{
+		n:     n,
+		rows:  make([]int, 0, n),
+		best:  make([]float64, n),
+		bestJ: make([]int, n),
+		qCol:  make([]int, n),
+		qHi:   make([]int, n),
 	}
-}
-
-// reset clears the per-run combine state.
-func (s *monotoneSolver) reset() {
-	for i := 0; i < s.n; i++ {
-		s.best[i] = math.Inf(1)
-		s.bestJ[i] = -1
+	for i := 0; i < n; i++ {
+		if S[i] > 0 {
+			s.rows = append(s.rows, i)
+		}
 	}
+	return s
 }
 
 // run executes the fast path, gates the result, and reports whether it
 // stands. On false the caller must recompute with the reference scan;
-// best/bestJ (and anything commit published) hold unusable partial
-// state.
+// best/bestJ (and anything commit published) hold unusable state.
 func (s *monotoneSolver) run(verify bool) bool {
-	s.cdq(0, s.n)
+	s.pass()
 	if !s.gate() || (verify && !s.verifyAll()) {
 		fallbackCount.Add(1)
 		return false
@@ -193,159 +194,98 @@ func (s *monotoneSolver) run(verify bool) bool {
 	return true
 }
 
-// cdq is the offline divide-and-conquer driver. Invariant: every row
-// >= hi is already committed, so at(i, j) is evaluable for any j in
-// [mid, hi) once cdq(mid, hi) returns. The recursion first finishes the
-// right half, then folds the rectangular batch rows [lo, mid) × cols
-// [mid, hi) with SMAWK, then descends into the left half;
-// a leaf folds its own diagonal column and commits. Each row therefore
-// receives its column batches in decreasing column order, ending with
-// j = i — the order the <= combine in foldRow relies on for the
-// smallest-j tie-break.
-func (s *monotoneSolver) cdq(lo, hi int) {
-	if hi-lo == 1 {
-		if s.act[lo] {
-			s.foldRow(lo, s.at(lo, lo), lo)
-			s.commit(lo)
+// pass is the candidate-queue engine. At step i column i joins the
+// queue and, if row i is active, row i reads its winner from the
+// bottom entry and commits. A joining column j is smaller than every
+// queued column, so by persistence it wins-or-ties each of them on a
+// prefix of rows: it pops every top entry it wins-or-ties at that
+// entry's highest owned row, then binary-searches its boundary inside
+// the next entry, and is pushed only if it owns at least one row. Both
+// comparisons use <=, handing ties to the smaller column. Every column
+// is pushed at most once, so the pops total O(n) and each join costs
+// one O(log n) search.
+func (s *monotoneSolver) pass() {
+	head, top := 0, 0
+	pos := len(s.rows) - 1 // highest remaining row position
+	for i := s.n - 1; i >= 0; i-- {
+		for pos >= 0 && s.rows[pos] > i {
+			pos--
 		}
-		return
-	}
-	mid := (lo + hi) / 2
-	s.cdq(mid, hi)
-	rlo := lowerBound(s.rows, lo)
-	rhi := lowerBound(s.rows, mid)
-	if rlo < rhi {
-		s.smawkBatch(rlo, rhi, mid, hi)
-	}
-	s.cdq(lo, mid)
-}
-
-// foldRow merges one batch minimum (v at column j) into row i's running
-// winner. Batches arrive in decreasing column ranges, so <= lets the
-// later — smaller-j — batch take ties, reproducing the scan's leftmost
-// winner; the value itself is bit-identical either way (both sides of a
-// tie are the same float).
-func (s *monotoneSolver) foldRow(i int, v float64, j int) {
-	if v <= s.best[i] {
-		s.best[i] = v
-		s.bestJ[i] = j
-	}
-}
-
-// smawkBatch computes the batch row minima of active rows [rlo, rhi)
-// (positions in s.rows) over columns [clo, chi) with the SMAWK
-// algorithm: O(R + C) entry evaluations per batch. The column range is
-// materialized into the arena; smawkRec then owns the rest of the
-// arena for its per-level reduced column lists.
-func (s *monotoneSolver) smawkBatch(rlo, rhi, clo, chi int) {
-	w := 0
-	for c := clo; c < chi; c++ {
-		s.arena[w] = c
-		w++
-	}
-	s.smawkRec(rlo, 1, rhi-rlo, s.arena[:w], s.arena[w:])
-	for p := rlo; p < rhi; p++ {
-		s.foldRow(s.rows[p], s.batchVal[p], s.batchCol[p])
-	}
-}
-
-// smawkRec solves the row-minima problem for the rcount rows at
-// positions rbase, rbase+rstride, ... of s.rows against the given
-// column list, writing each row's leftmost batch minimum into
-// batchVal/batchCol. arena provides scratch for the reduced column
-// list; deeper levels use what remains beyond it.
-//
-// REDUCE keeps at most rcount columns: a new column pops the stack top
-// only when it strictly beats it on the top's diagonal row (ties keep
-// the earlier, smaller column), and is dropped when the stack is full
-// and it cannot beat the bottom row's entry — by strict-beat
-// persistence it then loses (or ties, which the leftmost rule resolves
-// to the incumbent) on every stacked row. INTERPOLATE solves the odd
-// positions recursively and scans each even row between its neighbours'
-// argmin columns with a strict <, which yields the leftmost winner
-// because leftmost argmin columns are nondecreasing across rows.
-func (s *monotoneSolver) smawkRec(rbase, rstride, rcount int, cols, arena []int) {
-	if rcount <= 0 {
-		return
-	}
-	// REDUCE.
-	rlen := 0
-	for ci := 0; ci < len(cols); ci++ {
-		c := cols[ci]
-		for rlen > 0 {
-			p := rlen - 1
-			i := s.rows[rbase+p*rstride]
-			if s.at(i, arena[p]) > s.at(i, c) {
-				rlen--
-			} else {
-				break
+		if pos < 0 {
+			return // no active row at or below i: no column is read again
+		}
+		// Retire bottom entries whose rows are all done; the new bottom
+		// owns every remaining row up to pos.
+		for head+1 < top && s.qHi[head+1] >= pos {
+			head++
+		}
+		if head < top {
+			s.qHi[head] = pos
+		}
+		// Column i joins; into an empty queue it owns every row.
+		own := -1 // highest row position column i owns
+		if top == head {
+			own = pos
+		}
+		for top > head {
+			c, h := s.qCol[top-1], s.qHi[top-1]
+			if r := s.rows[h]; s.at(r, i) <= s.at(r, c) {
+				own = h
+				top--
+				continue
 			}
-		}
-		if rlen < rcount {
-			arena[rlen] = c
-			rlen++
-		}
-	}
-	red := arena[:rlen]
-	if rcount == 1 {
-		i := s.rows[rbase]
-		bv := math.Inf(1)
-		bc := -1
-		for ci := 0; ci < rlen; ci++ {
-			if v := s.at(i, red[ci]); v < bv {
-				bv, bc = v, red[ci]
+			lo, hi := own+1, h // first position in [lo, h) where c beats i
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if r := s.rows[mid]; s.at(r, i) <= s.at(r, c) {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
 			}
+			own = lo - 1
+			break
 		}
-		s.batchVal[rbase] = bv
-		s.batchCol[rbase] = bc
-		return
-	}
-	s.smawkRec(rbase+rstride, 2*rstride, rcount/2, red, arena[rlen:])
-	// INTERPOLATE even positions. ci walks the reduced columns once:
-	// row p scans from its predecessor's argmin column (where ci was
-	// left) through its successor's, inclusive.
-	ci := 0
-	for p := 0; p < rcount; p += 2 {
-		pos := rbase + p*rstride
-		i := s.rows[pos]
-		hiCol := red[rlen-1]
-		if p+1 < rcount {
-			hiCol = s.batchCol[rbase+(p+1)*rstride]
+		if own >= 0 {
+			s.qCol[top], s.qHi[top] = i, own
+			top++
 		}
-		bv := math.Inf(1)
-		bc := -1
-		for {
-			c := red[ci]
-			if v := s.at(i, c); v < bv {
-				bv, bc = v, c
-			}
-			if c >= hiCol || ci+1 >= rlen {
-				break
-			}
-			ci++
+		if s.rows[pos] == i {
+			j := s.qCol[head]
+			s.best[i], s.bestJ[i] = s.at(i, j), j
+			s.commit(i)
 		}
-		s.batchVal[pos] = bv
-		s.batchCol[pos] = bc
 	}
 }
 
 // gate spot-checks the fast-path answer with O(n) extra entry
 // evaluations and reports whether it is consistent with the reference
 // scan's contract. Every check is sound: a failure proves the fast
-// result differs from the scan (wrong value, wrong index, or a
-// tie broken away from the smallest j), so a fallback is forced; a
-// pass is strong evidence, not proof — Config.Verify upgrades it to a
-// full per-row comparison.
+// result differs from the scan (wrong value, wrong index, or a tie
+// broken away from the smallest j), so a fallback is forced; a pass is
+// strong evidence, not proof — Config.Verify upgrades it to a full
+// per-row comparison.
 //
-// Checked, for geometrically strided pairs of active rows i < i2 with
-// winners (j, j2):
-//   - argmin monotonicity: j <= j2 (total monotonicity's consequence);
-//   - cross-row optimality, the 2×2 quadrangle of the claimed winners:
-//     column j2 must not beat (or, left of it, tie) row i's winner, and
-//     column j — when feasible for row i2 — must not beat or tie row
-//     i2's winner (a tie there means the scan's smallest-j rule would
-//     have picked j over j2).
+// Checked, for every active row i with winner j: column j+1 must not
+// beat it, and column j-1 (when feasible, j-1 >= i) must not beat or
+// tie it. Then, for geometrically strided pairs of active rows i < i2
+// with winners (j, j2): j <= j2 (which the queue guarantees by
+// construction), and the 2×2 quadrangle of the claimed winners —
+// column j2 must not beat row i's winner, and column j, when feasible
+// for row i2, must not beat or tie row i2's winner (a tie there means
+// the scan's smallest-j rule would have picked j over j2). The
+// neighbour check catches what the pair check cannot: wrong winners
+// shared by a whole block of rows.
 func (s *monotoneSolver) gate() bool {
+	for _, i := range s.rows {
+		j, b := s.bestJ[i], s.best[i]
+		if j+1 < s.n && s.at(i, j+1) < b {
+			return false
+		}
+		if j-1 >= i && s.at(i, j-1) <= b {
+			return false
+		}
+	}
 	nr := len(s.rows)
 	for st := 1; st < nr; st *= 2 {
 		for p := 0; p+st < nr; p += st {
@@ -394,18 +334,4 @@ func (s *monotoneSolver) verifyAll() bool {
 		}
 	}
 	return true
-}
-
-// lowerBound returns the first index k with a[k] >= x, or len(a).
-func lowerBound(a []int, x int) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -13,7 +13,7 @@ import (
 
 // engineAlgos are the fast engines under test; AlgoScan is the
 // reference they must match bit for bit.
-var engineAlgos = []Algorithm{AlgoSMAWK}
+var engineAlgos = []Algorithm{AlgoQueue}
 
 // testModels spans the three cost-model families the experiments use.
 var testModels = []core.CostModel{
@@ -196,17 +196,42 @@ func TestBudgetedEnginesMatchScan(t *testing.T) {
 // arrays — the injection seam for matrices real instances cannot
 // produce.
 func syntheticSolver(n int, at func(i, j int) float64) (*monotoneSolver, []float64, []int) {
-	mx := newMonotoneSolver(n)
+	S := make([]float64, n+1)
 	for i := 0; i < n; i++ {
-		mx.rows = append(mx.rows, i)
-		mx.act[i] = true
+		S[i] = 1
 	}
+	mx := newMonotoneSolver(S)
 	E := make([]float64, n)
 	J := make([]int, n)
 	mx.at = at
 	mx.commit = func(i int) { E[i], J[i] = mx.best[i], mx.bestJ[i] }
-	mx.reset()
 	return mx, E, J
+}
+
+// lawSolver builds the solver SolveWith runs for d under m (white box),
+// with E and choice published by commit, so tests can drive the pass
+// and the gate directly and tamper with their state.
+func lawSolver(d *dist.Discrete, m core.CostModel) *monotoneSolver {
+	n := d.Len()
+	vals := d.Values()
+	raw := d.Probs()
+	total := d.Total()
+	probs := make([]float64, n)
+	for i := range raw {
+		probs[i] = raw[i] / total
+	}
+	S := make([]float64, n+1)
+	W := make([]float64, n+1)
+	for i := n - 1; i >= 0; i-- {
+		S[i] = S[i+1] + probs[i]
+		W[i] = W[i+1] + probs[i]*vals[i]
+	}
+	E := make([]float64, n+1)
+	choice := make([]int, n+1)
+	mx := newMonotoneSolver(S)
+	mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
+	mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
+	return mx
 }
 
 // scanRows is the reference row scan over an explicit entry function:
@@ -314,35 +339,7 @@ func TestGateTripsAndFallbackIsExact(t *testing.T) {
 // reject a fast result whose stored winner was tampered with, even when
 // the cheap gate cannot see the difference.
 func TestVerifyAllCatchesCorruptedRow(t *testing.T) {
-	d := randomLaw(t, rng.New(5), 200)
-	m := testModels[1]
-	// Rebuild the solver state by hand (white box) to tamper with it.
-	n := d.Len()
-	vals := d.Values()
-	raw := d.Probs()
-	total := d.Total()
-	probs := make([]float64, n)
-	for i := range raw {
-		probs[i] = raw[i] / total
-	}
-	S := make([]float64, n+1)
-	W := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		S[i] = S[i+1] + probs[i]
-		W[i] = W[i+1] + probs[i]*vals[i]
-	}
-	E := make([]float64, n+1)
-	choice := make([]int, n+1)
-	mx := newMonotoneSolver(n)
-	for i := 0; i < n; i++ {
-		if S[i] > 0 {
-			mx.rows = append(mx.rows, i)
-			mx.act[i] = true
-		}
-	}
-	mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
-	mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
-	mx.reset()
+	mx := lawSolver(randomLaw(t, rng.New(5), 200), testModels[1])
 	if !mx.run(true) {
 		t.Fatal("fast path rejected a real instance")
 	}
@@ -356,41 +353,14 @@ func TestVerifyAllCatchesCorruptedRow(t *testing.T) {
 
 // TestDPRowKernelAllocsZero pins the fast-path row kernels to zero
 // allocations per solve pass: scratch is preallocated by
-// newMonotoneSolver, and the engines, gate and verifier reuse it.
+// newMonotoneSolver, and the pass, gate and verifier reuse it.
 func TestDPRowKernelAllocsZero(t *testing.T) {
-	d := randomLaw(t, rng.New(21), 512)
-	m := testModels[1]
-	n := d.Len()
-	vals := d.Values()
-	raw := d.Probs()
-	total := d.Total()
-	probs := make([]float64, n)
-	for i := range raw {
-		probs[i] = raw[i] / total
-	}
-	S := make([]float64, n+1)
-	W := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		S[i] = S[i+1] + probs[i]
-		W[i] = W[i+1] + probs[i]*vals[i]
-	}
-	E := make([]float64, n+1)
-	choice := make([]int, n+1)
-	mx := newMonotoneSolver(n)
-	for i := 0; i < n; i++ {
-		if S[i] > 0 {
-			mx.rows = append(mx.rows, i)
-			mx.act[i] = true
-		}
-	}
-	mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
-	mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
+	mx := lawSolver(randomLaw(t, rng.New(21), 512), testModels[1])
 	for _, algo := range engineAlgos {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			run := func() {
-				mx.reset()
-				mx.cdq(0, n)
+				mx.pass()
 				if !mx.gate() {
 					t.Fatal("gate tripped on a real instance")
 				}
@@ -402,8 +372,7 @@ func TestDPRowKernelAllocsZero(t *testing.T) {
 		})
 	}
 	t.Run("verify", func(t *testing.T) {
-		mx.reset()
-		mx.cdq(0, n)
+		mx.pass()
 		if allocs := testing.AllocsPerRun(10, func() {
 			if !mx.verifyAll() {
 				t.Fatal("verifyAll rejected a consistent solve")
@@ -412,4 +381,154 @@ func TestDPRowKernelAllocsZero(t *testing.T) {
 			t.Errorf("verifyAll: %v allocs/run, want 0", allocs)
 		}
 	})
+}
+
+// TestGateRejectsShiftedWinner pins the gate's neighbour check: a
+// result whose winners stay nondecreasing but are wrong must be
+// refused. On a real n = 1000 discretized lognormal, one mid row's
+// winner is moved by one column (to a column its neighbours' winners
+// still bracket) and its value set to that column's entry; on the
+// non-monotone |j − (n−1−i)| matrix, the block of rows ≤ 31 is given
+// the constant wrong winner 32 — the answer a queue pass that trusted
+// persistence returns there, which the strided pair check cannot see
+// because every strided pair crossing the block boundary lands on
+// row 32.
+func TestGateRejectsShiftedWinner(t *testing.T) {
+	dd, err := discretize.Discretize(dist.MustLogNormal(3, 1), 1000, 1e-7, discretize.EqualProbability)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shift := range []int{+1, -1} {
+		mx := lawSolver(dd, testModels[1])
+		if !mx.run(false) {
+			t.Fatal("gate tripped on a real instance")
+		}
+		// The first row past the middle whose winner can move by shift
+		// while the winners stay nondecreasing and feasible.
+		row := -1
+		for p := len(mx.rows) / 2; p+1 < len(mx.rows) && row < 0; p++ {
+			i, j := mx.rows[p], mx.bestJ[mx.rows[p]]
+			prevJ, nextJ := mx.bestJ[mx.rows[p-1]], mx.bestJ[mx.rows[p+1]]
+			if (shift > 0 && j+1 <= nextJ && j+1 < mx.n) || (shift < 0 && j-1 >= prevJ && j-1 >= i) {
+				row = i
+			}
+		}
+		if row < 0 {
+			t.Fatalf("shift %+d: no row admits a monotone shift", shift)
+		}
+		j := mx.bestJ[row] + shift
+		mx.bestJ[row], mx.best[row] = j, mx.at(row, j)
+		if mx.gate() {
+			t.Errorf("shift %+d: gate accepted row %d moved to column %d", shift, row, j)
+		}
+	}
+
+	const n = 64
+	at := func(i, j int) float64 { return math.Abs(float64(j - (n - 1 - i))) }
+	mx, _, _ := syntheticSolver(n, at)
+	_, wantJ := scanRows(n, at)
+	for i := 0; i < n; i++ {
+		j := wantJ[i]
+		if i <= 31 {
+			j = 32
+		}
+		mx.best[i], mx.bestJ[i] = at(i, j), j
+	}
+	if mx.gate() {
+		t.Error("gate accepted the constant wrong winner 32 on rows 0..31")
+	}
+}
+
+// TestQueueSweepNoFallback runs the default engine over the workloads
+// the plan path discretizes — the Table-1 laws and lognormal(3, σ) for
+// 400 σ in [0.1, 1.5), both schemes at n = 1000, every test cost
+// model — and requires the scan's answer bit for bit with no gate
+// fallback: a fast path that quietly degrades to O(n²) fails here
+// instead of only running slower. -short and the race detector (the
+// sweep is single-goroutine) keep the plan-cold band σ ∈ [0.75, 1.25).
+func TestQueueSweepNoFallback(t *testing.T) {
+	lo, hi, count := 0.1, 1.5, 400
+	if testing.Short() || raceEnabled {
+		lo, hi, count = 0.75, 1.25, 40
+	}
+	laws := dist.Table1()
+	for k := 0; k < count; k++ {
+		laws = append(laws, dist.MustLogNormal(3, lo+(hi-lo)*(float64(k)+0.5)/float64(count)))
+	}
+	before := Fallbacks()
+	for _, law := range laws {
+		for _, sch := range []discretize.Scheme{discretize.EqualProbability, discretize.EqualTime} {
+			dd, err := discretize.Discretize(law, 1000, 1e-7, sch)
+			if err != nil {
+				t.Fatalf("%s %v: %v", law.Name(), sch, err)
+			}
+			for mi, m := range testModels {
+				want := mustSolveWith(t, dd, m, Config{Algo: AlgoScan})
+				got := mustSolveWith(t, dd, m, Config{})
+				assertBitIdentical(t, fmt.Sprintf("%s %v model %d", law.Name(), sch, mi), got, want)
+			}
+		}
+	}
+	if d := Fallbacks() - before; d != 0 {
+		t.Errorf("%d gate fallbacks over the sweep, want 0", d)
+	}
+}
+
+// FuzzDPMatchesScan checks SolveWith and SolveMaxAttemptsWith against
+// the reference scan, bit for bit, on fuzzed laws in the style of
+// randomLaw (n ∈ [1, 400], zero-mass interior and trailing points,
+// truncated mass), one of the test cost models or a fuzzed valid one,
+// and a fuzzed attempt budget. The default engine, the queue alone and
+// the queue under Verify must all return the scan's answer.
+func FuzzDPMatchesScan(f *testing.F) {
+	f.Add(uint64(1), uint16(999), uint8(0), 0.0, 0.0, 0.0, uint8(3))
+	f.Add(uint64(7), uint16(299), uint8(1), 0.0, 0.0, 0.0, uint8(7))
+	f.Add(uint64(42), uint16(63), uint8(2), 0.0, 0.0, 0.0, uint8(1))
+	f.Add(uint64(3), uint16(150), uint8(3), 0.5, 2.0, 0.25, uint8(11))
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, model uint8, alpha, beta, gamma float64, budget uint8) {
+		m := testModels[int(model)%len(testModels)]
+		if model%4 == 3 {
+			m = core.CostModel{Alpha: math.Abs(alpha), Beta: math.Abs(beta), Gamma: math.Abs(gamma)}
+			if m.Validate() != nil || m.Alpha > 1e6 || m.Beta > 1e6 || m.Gamma > 1e6 {
+				return
+			}
+		}
+		d := randomLaw(t, rng.New(seed), 1+int(size)%400)
+		k := 1 + int(budget)%12
+		want := mustSolveWith(t, d, m, Config{Algo: AlgoScan})
+		wantK, err := SolveMaxAttemptsWith(d, m, k, Config{Algo: AlgoScan})
+		if err != nil {
+			t.Fatalf("scan K=%d: %v", k, err)
+		}
+		for _, cfg := range []Config{{}, {Algo: AlgoQueue}, {Algo: AlgoQueue, Verify: true}} {
+			label := fmt.Sprintf("n=%d %v %+v", d.Len(), m, cfg)
+			assertBitIdentical(t, label, mustSolveWith(t, d, m, cfg), want)
+			gotK, err := SolveMaxAttemptsWith(d, m, k, cfg)
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", label, k, err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("%s K=%d", label, k), gotK, wantK)
+		}
+	})
+}
+
+// BenchmarkEngineCrossover times the scan and the gated queue pass on
+// the benchmark law (LogNormal(3, 0.5), EqualProbability) at the small
+// sizes where autoThreshold picks between them.
+func BenchmarkEngineCrossover(b *testing.B) {
+	for _, n := range []int{16, 32, 64, 128, 256} {
+		dd, err := discretize.Discretize(dist.MustLogNormal(3, 0.5), n, 1e-7, discretize.EqualProbability)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, algo := range []Algorithm{AlgoScan, AlgoQueue} {
+			b.Run(fmt.Sprintf("%v/n=%d", algo, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := SolveWith(dd, core.ReservationOnly, Config{Algo: algo}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -6,7 +6,8 @@
 # analytic CostCursor vs per-candidate ExpectedCost, Eq.-(4) and
 # Eq.-(13) evaluation), the DP solver set (sub-quadratic fast path vs
 # the retained O(n²) reference scan at n = 256/4096/16384, plus the
-# K-budgeted variant), the plan-service pairs (cached vs uncached over
+# K-budgeted variant), the Planner-level plan-cold kernels (brute
+# force, DP, Monte-Carlo), the plan-service pairs (cached vs uncached over
 # loopback HTTP; cached hit on the backend alone vs through the
 # in-process frontend) and the cluster-simulator trio (streaming engine,
 # heap baseline, parallel sweep), parsed into a deterministic JSON

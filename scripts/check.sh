@@ -42,10 +42,11 @@
 #      quantile sketch must agree with exact sorted-sample quantiles
 #      within its documented error bound.
 #  10. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
-#      core fuzz targets and the brute-force winner-only scan target
-#      (Sequence vs Search, bit for bit) on top of their committed
-#      corpora (testdata/fuzz), so a freshly broken invariant is found
-#      here, not in a nightly.
+#      core fuzz targets, the brute-force winner-only scan target
+#      (Sequence vs Search, bit for bit) and the DP engine target (the
+#      candidate-queue pass vs the O(n²) scan, bit for bit) on top of
+#      their committed corpora (testdata/fuzz), so a freshly broken
+#      invariant is found here, not in a nightly.
 #
 # Usage: scripts/check.sh [--bench] [--compare]
 #
@@ -94,11 +95,12 @@ go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
 
-echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan)"
+echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan + DP engine)"
 go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzBackfill$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzEventCore$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzWinnerOnlyScan$' -fuzztime 3s ./internal/strategy/
+go test -run '^$' -fuzz '^FuzzDPMatchesScan$' -fuzztime 3s ./internal/dp/
 
 echo "check.sh: all gates passed"
 
