@@ -578,9 +578,12 @@ func BenchmarkPlatformReplay(b *testing.B) {
 // BenchmarkMixtureQuantile measures the bisection-based mixture
 // quantile (the only non-closed-form quantile in the library).
 func BenchmarkMixtureQuantile(b *testing.B) {
-	m := dist.MustMixture(
+	m, err := dist.NewMixture(
 		[]dist.Distribution{dist.MustLogNormal(0, 0.3), dist.MustLogNormal(2, 0.3)},
 		[]float64{0.6, 0.4})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		p := float64(i%997+1) / 998
 		_ = m.Quantile(p)

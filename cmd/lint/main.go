@@ -14,7 +14,9 @@
 // "//lint:file-ignore <rule> <reason>". Either form without a reason
 // suppresses nothing and is itself reported. -tests adds in-package
 // _test.go files to the run. -rules restricts the suite to a
-// comma-separated subset.
+// comma-separated subset. unusedexport judges against references from
+// the whole module whatever the patterns, so linting one package gives
+// it the verdicts ./... gives it.
 //
 // -escapes switches to the compiler escape-analysis gate: it builds
 // the matched packages with -gcflags=-m, collects every heap-escape

@@ -77,6 +77,45 @@ func TestRunRuleSubset(t *testing.T) {
 	}
 }
 
+// TestRunUnusedExportRule: -rules knows unusedexport, and the rule
+// leaves a testdata fixture alone — the module walk never reaches it,
+// so there is no reference set to judge its exports against.
+func TestRunUnusedExportRule(t *testing.T) {
+	if code, out, errb := lintRun(t, "-rules", "unusedexport", fixtureDir); code != 0 {
+		t.Fatalf("exit code = %d, want 0; output:\n%s%s", code, out, errb)
+	}
+}
+
+// TestUnusedExportVerdictsIndependentOfPatterns: the unusedexport
+// reference set is always the whole module, so linting one package,
+// with or without -tests, gives it the verdicts ./... gives it — not a
+// report of every export that only other packages use.
+func TestUnusedExportVerdictsIndependentOfPatterns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module three times; skipped in -short")
+	}
+	verdicts := func(args ...string) string {
+		t.Helper()
+		code, out, errb := lintRun(t, append([]string{"-rules", "unusedexport"}, args...)...)
+		if code == 2 {
+			t.Fatalf("lint %v: load error:\n%s", args, errb)
+		}
+		var lines []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "/internal/dist/") {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	want := verdicts("../../...")
+	for _, args := range [][]string{{"../../internal/dist"}, {"-tests", "../../internal/dist"}} {
+		if got := verdicts(args...); got != want {
+			t.Errorf("lint %v verdicts for internal/dist differ from ./...:\n got: %s\nwant: %s", args, got, want)
+		}
+	}
+}
+
 func TestRunUnknownRule(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-rules", "nosuchrule", fixtureDir}, &out, &errb); code != 2 {
@@ -93,7 +132,7 @@ func TestRunListRules(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	for _, rule := range []string{"floatcmp", "rngdiscipline", "maporder", "errcheck-lite", "synccheck",
-		"hotalloc", "ifaceescape", "mutexcopy", "valuerecv"} {
+		"hotalloc", "ifaceescape", "mutexcopy", "valuerecv", "unusedexport"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing rule %s:\n%s", rule, out.String())
 		}

@@ -9,7 +9,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/platform"
 	"repro/internal/simulate"
@@ -89,8 +88,10 @@ func TestEndToEndNeuroHPCPipeline(t *testing.T) {
 }
 
 // TestStrategyCoherenceAcrossEvaluators: for every Table-1 distribution
-// and every strategy, the three cost evaluators (Eq. 4 summation,
-// Eq. 3 integral, Eq. 13 Monte Carlo) agree.
+// and every strategy, the plan's Eq.-(4) cost agrees with the Eq.-(13)
+// Monte-Carlo evaluation of its sequence. (Eq. 4 against the Eq.-(3)
+// integral is internal/core's TestTheorem1Equivalence, over the same
+// distributions and these strategies' sequence shapes.)
 func TestStrategyCoherenceAcrossEvaluators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -102,14 +103,7 @@ func TestStrategyCoherenceAcrossEvaluators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", d.Name(), name, err)
 			}
-			integral, err := core.ExpectedCostIntegral(ReservationOnly, d, p.Sequence().Clone())
-			if err != nil {
-				t.Fatalf("%s/%s integral: %v", d.Name(), name, err)
-			}
-			if math.Abs(integral-p.ExpectedCost) > 2e-4*math.Max(1, p.ExpectedCost) {
-				t.Errorf("%s/%s: integral %g vs summation %g", d.Name(), name, integral, p.ExpectedCost)
-			}
-			est, err := simulate.EstimateCost(ReservationOnly, d, p.Sequence().Clone(), 40000, 77, 0)
+			est, err := simulate.CostOnSamples(ReservationOnly, p.Sequence().Clone(), simulate.Samples(d, 40000, 77), 0)
 			if err != nil {
 				t.Fatalf("%s/%s MC: %v", d.Name(), name, err)
 			}

@@ -4,8 +4,9 @@
 // the module is built offline) and runs a suite of repo-specific
 // analyzers that guard the invariants the paper reproduction depends
 // on: bit-for-bit numerical determinism, seeded RNG discipline,
-// deterministic output ordering, checked errors on output paths, and
-// concurrency hygiene in the parallel Monte-Carlo substrate.
+// deterministic output ordering, checked errors on output paths,
+// concurrency hygiene in the parallel Monte-Carlo substrate, and no
+// exported code that only tests use.
 //
 // Diagnostics are reported as "file:line:col: [rule] message". A
 // finding can be suppressed by placing a
@@ -92,6 +93,7 @@ func All() []*Analyzer {
 		IfaceEscape,
 		MutexCopy,
 		ValueRecv,
+		UnusedExport,
 	}
 }
 

@@ -9,10 +9,13 @@ import (
 
 // TestAnalyzerGolden runs every analyzer against its fixture package
 // under testdata/src/<rule>/ and checks the produced diagnostics
-// against the fixtures' "// want `regexp`" comments: every want must be
-// matched by exactly one diagnostic on its line, and every diagnostic
-// must be claimed by a want. Unannotated fixture lines double as
-// false-positive guards — any stray finding fails the test.
+// against the fixtures' "// want `regexp`" comments (or "/* want
+// `regexp` */", for a line whose line comment is itself under test):
+// every want must be matched by exactly one diagnostic on its line, and
+// every diagnostic must be claimed by a want. Unannotated fixture lines
+// double as false-positive guards — any stray finding fails the test.
+// Fixture _test.go files are loaded, so a fixture can pin what test
+// code does and does not count for.
 func TestAnalyzerGolden(t *testing.T) {
 	for _, a := range All() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -29,7 +32,7 @@ type expectation struct {
 	matched bool
 }
 
-var wantRE = regexp.MustCompile("// want [`\"](.+)[`\"]$")
+var wantRE = regexp.MustCompile("^(?://|/\\*) want [`\"](.+)[`\"](?: \\*/)?$")
 
 func runGolden(t *testing.T, a *Analyzer) {
 	dir := filepath.Join("testdata", "src", a.Name)
@@ -37,6 +40,7 @@ func runGolden(t *testing.T, a *Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loader.IncludeTests = true
 	pkg, err := loader.Load(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
@@ -73,7 +77,7 @@ func runGolden(t *testing.T, a *Analyzer) {
 		if !claimed {
 			t.Errorf("unexpected diagnostic (false positive or duplicate):\n  %s", d)
 		}
-		if d.Rule != a.Name {
+		if d.Rule != a.Name && d.Rule != LintIgnoreRule {
 			t.Errorf("diagnostic carries rule %q, want %q", d.Rule, a.Name)
 		}
 	}

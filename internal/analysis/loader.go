@@ -72,6 +72,7 @@ type Loader struct {
 	std  types.ImporterFrom
 	pkgs map[string]*Package
 	busy map[string]bool
+	refs *moduleRefs // built on first use by unusedexport
 }
 
 var moduleLineRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)

@@ -32,8 +32,8 @@ func appendsDuringRange(m map[string]int) []string {
 }
 
 func feedsTableDuringRange(m map[string]float64, t *tablefmt.Table) {
-	for k, v := range m {
-		t.AddRowf(k, v) // want `tablefmt call inside range over map`
+	for k := range m {
+		t.AddRow(k) // want `tablefmt call inside range over map`
 	}
 }
 

@@ -290,78 +290,3 @@ func (pol Policy) Simulate(m core.CostModel, p Params, d dist.Distribution, n in
 	}
 	return sum / float64(n), nil
 }
-
-// TotalReserved returns the total reserved time if every step is paid
-// (the worst case), a capacity-planning helper.
-func (pol Policy) TotalReserved() float64 {
-	var s float64
-	for _, st := range pol.Steps {
-		s += st.Length
-	}
-	return s
-}
-
-// PolicyStats are the closed-form operating statistics of a checkpoint
-// policy over a discrete law.
-type PolicyStats struct {
-	// ExpectedCost re-derives the expectation via the per-job cost (it
-	// must match the solver's claimed optimum).
-	ExpectedCost float64
-	// ExpectedAttempts is the mean number of reservations paid.
-	ExpectedAttempts float64
-	// ExpectedReserved is the mean total reserved time.
-	ExpectedReserved float64
-	// SnapshotProb is the probability at least one snapshot is actually
-	// written — a checkpointing step writes one only when it runs to
-	// its end, i.e. when the job outlives its milestone.
-	SnapshotProb float64
-}
-
-// Stats evaluates the policy's exact operating statistics over a
-// discrete law.
-func (pol Policy) Stats(m core.CostModel, p Params, d *dist.Discrete) (PolicyStats, error) {
-	if err := m.Validate(); err != nil {
-		return PolicyStats{}, err
-	}
-	if err := p.Validate(); err != nil {
-		return PolicyStats{}, err
-	}
-	if d == nil || d.Len() == 0 {
-		return PolicyStats{}, errors.New("checkpoint: empty distribution")
-	}
-	vals := d.Values()
-	raw := d.Probs()
-	total := d.Total()
-	survivalPast := func(milestone float64) float64 {
-		var f float64
-		for i, v := range vals {
-			if v > milestone {
-				f += raw[i] / total
-			}
-		}
-		return f
-	}
-
-	var st PolicyStats
-	reachProb := 1.0 // P(the job is still unfinished when this step starts)
-	for _, step := range pol.Steps {
-		st.ExpectedAttempts += reachProb
-		st.ExpectedReserved += reachProb * step.Length
-		failProb := survivalPast(step.Milestone)
-		if step.Checkpoint && st.SnapshotProb == 0 {
-			st.SnapshotProb = failProb
-		}
-		reachProb = failProb
-	}
-	if reachProb > 1e-12 {
-		return PolicyStats{}, core.ErrUncovered
-	}
-	for i, v := range vals {
-		c, err := pol.Cost(m, p, v)
-		if err != nil {
-			return PolicyStats{}, err
-		}
-		st.ExpectedCost += raw[i] / total * c
-	}
-	return st, nil
-}

@@ -248,8 +248,8 @@ func TestSinglePointPolicy(t *testing.T) {
 	if math.Abs(pol.ExpectedCost-18) > 1e-12 {
 		t.Errorf("cost = %g, want 18", pol.ExpectedCost)
 	}
-	if pol.TotalReserved() != 5 {
-		t.Errorf("total reserved = %g", pol.TotalReserved())
+	if pol.Steps[0].Length != 5 {
+		t.Errorf("reserved = %g, want 5", pol.Steps[0].Length)
 	}
 }
 

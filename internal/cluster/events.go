@@ -6,8 +6,8 @@ import "math"
 // simulator. Every mutation of cluster state is announced as exactly
 // one event, in processing order, so a Recorder sees a serializable,
 // replayable history: the Invariants checker replays it against the
-// entity model, TraceHash fingerprints it for the determinism suites,
-// and TraceBuffer materializes it for tests.
+// entity model and TraceHash fingerprints it for the determinism
+// suites.
 type EventKind uint8
 
 const (
@@ -108,17 +108,6 @@ type Event struct {
 type Recorder interface {
 	Record(ev Event)
 }
-
-// TraceBuffer materializes the whole event stream; intended for tests
-// and small traces (a million-job run emits several million events —
-// use the streaming Invariants or TraceHash recorders there).
-type TraceBuffer struct {
-	// Events is the recorded stream in Seq order.
-	Events []Event
-}
-
-// Record appends the event.
-func (t *TraceBuffer) Record(ev Event) { t.Events = append(t.Events, ev) }
 
 // TraceHash folds the event stream into one FNV-1a fingerprint. Two
 // runs are bit-identical iff every field of every event matches, so

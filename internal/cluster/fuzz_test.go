@@ -79,8 +79,8 @@ func FuzzLedger(f *testing.F) {
 				}
 				if ok {
 					committed[tn] += width
-					if q > 0 && l.Committed(tn) > q {
-						t.Fatalf("op %d: committed %d exceeds quota %d", i, l.Committed(tn), q)
+					if q > 0 && l.committed[tn] > q {
+						t.Fatalf("op %d: committed %d exceeds quota %d", i, l.committed[tn], q)
 					}
 				}
 			case 3: // Release (≤ committed, as the simulator guarantees)
@@ -95,10 +95,10 @@ func FuzzLedger(f *testing.F) {
 				if !sameFloat(l.Balance(k), balance[k]) {
 					t.Fatalf("op %d: tenant %d balance %g, reference %g", i, k, l.Balance(k), balance[k])
 				}
-				if l.Committed(k) != committed[k] {
-					t.Fatalf("op %d: tenant %d committed %d, reference %d", i, k, l.Committed(k), committed[k])
+				if l.committed[k] != committed[k] {
+					t.Fatalf("op %d: tenant %d committed %d, reference %d", i, k, l.committed[k], committed[k])
 				}
-				if l.Committed(k) < 0 {
+				if l.committed[k] < 0 {
 					t.Fatalf("op %d: tenant %d committed negative", i, k)
 				}
 			}

@@ -62,7 +62,6 @@ type Invariants struct {
 	jobs     []invJob
 	lastSeq  uint64
 	lastTime float64
-	events   uint64
 	err      error
 }
 
@@ -95,12 +94,6 @@ func NewInvariants(cfg Config) *Invariants {
 	return inv
 }
 
-// Err returns the first violation found, or nil.
-func (inv *Invariants) Err() error { return inv.err }
-
-// Events returns how many events were checked before latching.
-func (inv *Invariants) Events() uint64 { return inv.events }
-
 // fail latches the first violation.
 func (inv *Invariants) fail(ev Event, format string, args ...any) {
 	if inv.err == nil {
@@ -119,7 +112,6 @@ func (inv *Invariants) Record(ev Event) {
 	if inv.err != nil {
 		return
 	}
-	inv.events++
 	if ev.Seq <= inv.lastSeq {
 		inv.fail(ev, "seq not strictly increasing (previous %d)", inv.lastSeq)
 		return
@@ -395,14 +387,4 @@ func (inv *Invariants) Finish() error {
 		}
 	}
 	return nil
-}
-
-// CheckTrace replays a materialized trace against cfg and returns the
-// first violation, or nil.
-func CheckTrace(cfg Config, events []Event) error {
-	inv := NewInvariants(cfg)
-	for _, ev := range events {
-		inv.Record(ev)
-	}
-	return inv.Finish()
 }

@@ -171,15 +171,15 @@ func TestInvariantsLatchFirstError(t *testing.T) {
 	bad := events[0]
 	bad.Kind = EvStart // start before arrive
 	inv.Record(bad)
-	first := inv.Err()
+	first := inv.err
 	if first == nil {
 		t.Fatal("violation not detected")
 	}
 	for _, ev := range events {
 		inv.Record(ev)
 	}
-	if inv.Err() != first {
-		t.Fatalf("error was overwritten: %v", inv.Err())
+	if inv.err != first {
+		t.Fatalf("error was overwritten: %v", inv.err)
 	}
 	if inv.Finish() != first {
 		t.Fatalf("Finish must return the latched error")
@@ -235,3 +235,24 @@ func TestInvariantsMillionJobTrace(t *testing.T) {
 		t.Fatalf("utilization %g out of range", out.Stats.Utilization)
 	}
 }
+
+// CheckTrace replays a materialized trace against cfg and returns the
+// first violation, or nil.
+func CheckTrace(cfg Config, events []Event) error {
+	inv := NewInvariants(cfg)
+	for _, ev := range events {
+		inv.Record(ev)
+	}
+	return inv.Finish()
+}
+
+// TraceBuffer materializes the whole event stream; intended for tests
+// and small traces (a million-job run emits several million events —
+// use the streaming Invariants or TraceHash recorders there).
+type TraceBuffer struct {
+	// Events is the recorded stream in Seq order.
+	Events []Event
+}
+
+// Record appends the event.
+func (t *TraceBuffer) Record(ev Event) { t.Events = append(t.Events, ev) }

@@ -85,14 +85,5 @@ func (l *Ledger) Release(tenant, width int) {
 // Balance returns the tenant's remaining budget.
 func (l *Ledger) Balance(tenant int) float64 { return l.balance[tenant] }
 
-// Committed returns the tenant's committed capacity.
-func (l *Ledger) Committed(tenant int) int { return l.committed[tenant] }
-
 // Quota returns the tenant's quota (0 = unlimited).
 func (l *Ledger) Quota(tenant int) int { return l.quota[tenant] }
-
-// AttemptCost returns the worst-case debit an attempt with reservation
-// req incurs (what Reserve would charge).
-func (l *Ledger) AttemptCost(req float64) float64 {
-	return l.alpha*req + l.beta*req + l.gamma
-}

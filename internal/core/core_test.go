@@ -221,7 +221,7 @@ func TestTheorem4UniformSingleReservation(t *testing.T) {
 // normalized cost b/E[X] = 20/15 = 4/3 for the optimal strategy.
 func TestUniformNormalizedCost(t *testing.T) {
 	d := dist.MustUniform(10, 20)
-	r, err := NormalizedExpectedCost(ReservationOnly, d, explicit(t, 20))
+	r, err := normalizedExpectedCost(ReservationOnly, d, explicit(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestNormalizedAtLeastOne(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r, err := NormalizedExpectedCost(ReservationOnly, d, s)
+		r, err := normalizedExpectedCost(ReservationOnly, d, s)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
@@ -559,4 +559,14 @@ func TestSequenceString(t *testing.T) {
 	if got := bad.String(); got == "" {
 		t.Error("empty String() for invalid sequence")
 	}
+}
+
+// normalizedExpectedCost is ExpectedCost over the omniscient cost
+// (§5.1).
+func normalizedExpectedCost(m CostModel, d dist.Distribution, s *Sequence) (float64, error) {
+	e, err := ExpectedCost(m, d, s)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return e / m.OmniscientCost(d), nil
 }

@@ -60,15 +60,6 @@ func NewConvexCostCursor(g ConvexCost, beta float64, d dist.Distribution, tailEp
 	return CostCursor{w: newWalk(rule{beta: beta, g: g}, d, tailEps), betaMean: beta * d.Mean(), sf0: d.Survival(0)}
 }
 
-// Cost returns the exact expected cost of the candidate with first
-// reservation t1 — for an affine cursor the same value (bitwise) as
-// ExpectedCost(m, d, SequenceFromFirstTail(m, d, t1, tailEps)), with
-// +Inf for an uncovered sequence and the same sequence errors.
-func (c *CostCursor) Cost(t1 float64) (float64, error) {
-	cost, _, err := c.CostBudget(t1, math.Inf(1))
-	return cost, err
-}
-
 // PrunesFrom reports whether CostBudget prunes, at its first term,
 // every candidate t1' >= t1 against any budget <= budget. For an affine
 // cursor the first partial sum β·E[X] + (α·t_1 + γ)·S(0) is

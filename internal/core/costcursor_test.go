@@ -344,3 +344,12 @@ func TestCostCursorConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// Cost returns the exact expected cost of the candidate with first
+// reservation t1 — for an affine cursor the same value (bitwise) as
+// ExpectedCost(m, d, SequenceFromFirstTail(m, d, t1, tailEps)), with
+// +Inf for an uncovered sequence and the same sequence errors.
+func (c *CostCursor) Cost(t1 float64) (float64, error) {
+	cost, _, err := c.CostBudget(t1, math.Inf(1))
+	return cost, err
+}

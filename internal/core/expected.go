@@ -58,17 +58,6 @@ func ExpectedCost(m CostModel, d dist.Distribution, s *Sequence) (float64, error
 	}
 }
 
-// NormalizedExpectedCost returns ExpectedCost divided by the omniscient
-// cost (§5.1); values are >= 1 with 1 meaning "as good as knowing the
-// execution time in advance".
-func NormalizedExpectedCost(m CostModel, d dist.Distribution, s *Sequence) (float64, error) {
-	e, err := ExpectedCost(m, d, s)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return e / m.OmniscientCost(d), nil
-}
-
 // BoundFirstReservation returns A1, the Theorem-2 upper bound (Eq. 6)
 // on the first reservation t_1 of an optimal sequence for a
 // distribution with infinite support:

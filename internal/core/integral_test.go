@@ -1,16 +1,20 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/quad"
 )
 
 // testSequences builds representative sequences for a distribution:
-// doubling and arithmetic for unbounded supports, midpoint+bound and
-// bound-only for bounded ones.
+// the brute-force shape, plus doubling, arithmetic and the
+// equal-probability shape (quantile points, then doubling) for
+// unbounded supports, midpoint+bound and bound-only for bounded ones.
 func testSequences(d dist.Distribution) []*Sequence {
+	recurrence := bruteForceShape(d)
 	lo, hi := d.Support()
 	if math.IsInf(hi, 1) {
 		mean := d.Mean()
@@ -20,7 +24,13 @@ func testSequences(d dist.Distribution) []*Sequence {
 		arithmetic := NewSequence(func(i int, _ []float64) (float64, bool) {
 			return mean * float64(i+1), true
 		})
-		return []*Sequence{doubling, arithmetic}
+		quantiles := NewSequence(func(i int, prefix []float64) (float64, bool) {
+			if i < 8 {
+				return d.Quantile(float64(i+1) / 9), true
+			}
+			return 2 * prefix[i-1], true
+		})
+		return []*Sequence{recurrence, doubling, arithmetic, quantiles}
 	}
 	mid := (lo + hi) / 2
 	if mid <= 0 {
@@ -34,7 +44,24 @@ func testSequences(d dist.Distribution) []*Sequence {
 	if err != nil {
 		panic(err)
 	}
-	return []*Sequence{two, one}
+	return []*Sequence{recurrence, two, one}
+}
+
+// bruteForceShape returns the cheapest RESERVATIONONLY Proposition-1
+// recurrence over 40 first reservations evenly spaced in (a, A1]: the
+// shape of every brute-force plan.
+func bruteForceShape(d dist.Distribution) *Sequence {
+	lo, _ := d.Support()
+	a1 := BoundFirstReservation(ReservationOnly, d)
+	var best *Sequence
+	bestCost := math.Inf(1)
+	for k := 1; k <= 40; k++ {
+		s := SequenceFromFirstTail(ReservationOnly, d, lo+(a1-lo)*float64(k)/40, DefaultTailEps)
+		if c, err := ExpectedCost(ReservationOnly, d, s); err == nil && c < bestCost {
+			best, bestCost = s, c
+		}
+	}
+	return best
 }
 
 // TestTheorem1Equivalence: the closed summation form of Eq. (4) must
@@ -95,5 +122,46 @@ func TestIntegralRejectsInvalidModel(t *testing.T) {
 	s, _ := NewExplicitSequence(1, 2, 4)
 	if _, err := ExpectedCostIntegral(CostModel{}, d, s); err == nil {
 		t.Error("invalid model accepted")
+	}
+}
+
+// ExpectedCostIntegral evaluates the expected cost directly from the
+// definition (Eq. 3):
+//
+//	E(S) = Σ_{k>=1} ∫_{t_{k-1}}^{t_k} C(k, t) f(t) dt
+//
+// by numerical quadrature over each segment. It is O(segments ×
+// quadrature) and is the test oracle for Theorem 1: ExpectedCost (the
+// closed summation form, Eq. 4) must agree with this integral for every
+// distribution and sequence.
+func ExpectedCostIntegral(m CostModel, d dist.Distribution, s *Sequence) (float64, error) {
+	if err := m.Validate(); err != nil {
+		return math.NaN(), err
+	}
+	sum := 0.0
+	prefixCost := 0.0 // Σ_{i<k} (α t_i + β t_i + γ)
+	tPrev := 0.0
+	for k := 0; ; k++ {
+		sf := d.Survival(tPrev)
+		if sf <= survivalCutoff {
+			return sum, nil
+		}
+		tk, err := s.At(k)
+		if err != nil {
+			if errors.Is(err, ErrEnd) {
+				return math.Inf(1), nil
+			}
+			return math.NaN(), err
+		}
+		// ∫_{tPrev}^{tk} (prefixCost + α tk + β t + γ) f(t) dt
+		seg, qerr := quad.Integrate(func(t float64) float64 {
+			return (prefixCost + m.Alpha*tk + m.Beta*t + m.Gamma) * d.PDF(t)
+		}, tPrev, tk, 1e-12)
+		if qerr != nil && seg == 0 {
+			return math.NaN(), qerr
+		}
+		sum += seg
+		prefixCost += m.Alpha*tk + m.Beta*tk + m.Gamma
+		tPrev = tk
 	}
 }

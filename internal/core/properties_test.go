@@ -56,7 +56,10 @@ func TestTimeScalingCovariance(t *testing.T) {
 	m := CostModel{Alpha: 1, Beta: 0.7}
 	f := func(cRaw uint8) bool {
 		c := 0.25 + float64(cRaw)/32
-		scaled := dist.MustScaled(base, c)
+		scaled, err := dist.NewScaled(base, c)
+		if err != nil {
+			return false
+		}
 		mkBase := NewSequence(func(i int, _ []float64) (float64, bool) {
 			return float64(i+1) * 0.8, true
 		})

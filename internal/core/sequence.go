@@ -115,9 +115,6 @@ func (s *Sequence) At(i int) (float64, error) {
 	return s.vals[i], nil
 }
 
-// First returns t_1, the first reservation length.
-func (s *Sequence) First() (float64, error) { return s.At(0) }
-
 // Materialized returns a copy of the values computed so far.
 func (s *Sequence) Materialized() []float64 {
 	return append([]float64(nil), s.vals...)

@@ -124,32 +124,6 @@ func CondMeanNumeric(d Distribution, tau float64) float64 {
 	return num / sf
 }
 
-// MeanNumeric computes E[X] by quadrature (test cross-check helper).
-func MeanNumeric(d Distribution) float64 {
-	lo, hi := d.Support()
-	var v float64
-	if math.IsInf(hi, 1) {
-		v, _ = quad.Moment(d.PDF, 1, lo, math.Inf(1), 1e-12)
-	} else {
-		v, _ = quad.Moment(d.PDF, 1, lo, hi, 1e-12)
-	}
-	return v
-}
-
-// VarianceNumeric computes Var[X] by quadrature (test cross-check
-// helper).
-func VarianceNumeric(d Distribution) float64 {
-	lo, hi := d.Support()
-	var m2 float64
-	if math.IsInf(hi, 1) {
-		m2, _ = quad.Moment(d.PDF, 2, lo, math.Inf(1), 1e-12)
-	} else {
-		m2, _ = quad.Moment(d.PDF, 2, lo, hi, 1e-12)
-	}
-	m := MeanNumeric(d)
-	return m2 - m*m
-}
-
 // clampP limits a probability argument to [0, 1]; NaN is propagated.
 func clampP(p float64) float64 {
 	if p < 0 {

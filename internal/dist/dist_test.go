@@ -378,3 +378,26 @@ func TestNegativeInputsAreOutsideSupport(t *testing.T) {
 		}
 	}
 }
+
+// numericMoment computes E[X^p] by quadrature, the cross-check for
+// the closed-form moments.
+func numericMoment(d Distribution, p float64) float64 {
+	lo, hi := d.Support()
+	g := func(x float64) float64 { return math.Pow(x, p) * d.PDF(x) }
+	var v float64
+	if math.IsInf(hi, 1) {
+		v, _ = quad.IntegrateToInf(g, lo, 1e-12)
+	} else {
+		v, _ = quad.Integrate(g, lo, hi, 1e-12)
+	}
+	return v
+}
+
+// MeanNumeric is E[X] by quadrature.
+func MeanNumeric(d Distribution) float64 { return numericMoment(d, 1) }
+
+// VarianceNumeric is Var[X] by quadrature.
+func VarianceNumeric(d Distribution) float64 {
+	m := MeanNumeric(d)
+	return numericMoment(d, 2) - m*m
+}

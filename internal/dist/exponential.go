@@ -29,9 +29,6 @@ func MustExponential(lambda float64) Exponential {
 	return d
 }
 
-// Rate returns λ.
-func (d Exponential) Rate() float64 { return d.lambda }
-
 // Name implements Distribution.
 func (d Exponential) Name() string {
 	return fmt.Sprintf("Exponential(λ=%g)", d.lambda)

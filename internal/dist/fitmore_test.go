@@ -14,8 +14,8 @@ func TestFitExponentialRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Rate()-2.5) > 0.05 {
-		t.Errorf("fitted λ = %g, want 2.5", got.Rate())
+	if math.Abs(got.lambda-2.5) > 0.05 {
+		t.Errorf("fitted λ = %g, want 2.5", got.lambda)
 	}
 	if _, err := FitExponential([]float64{1}); err == nil {
 		t.Error("single sample accepted")

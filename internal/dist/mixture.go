@@ -50,15 +50,6 @@ func NewMixture(components []Distribution, weights []float64) (*Mixture, error) 
 	return m, nil
 }
 
-// MustMixture is NewMixture that panics on invalid parameters.
-func MustMixture(components []Distribution, weights []float64) *Mixture {
-	m, err := NewMixture(components, weights)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Name implements Distribution.
 func (m *Mixture) Name() string {
 	s := "Mixture("

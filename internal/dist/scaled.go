@@ -29,15 +29,6 @@ func NewScaled(base Distribution, factor float64) (Scaled, error) {
 	return Scaled{base: base, factor: factor}, nil
 }
 
-// MustScaled is NewScaled that panics on invalid parameters.
-func MustScaled(base Distribution, factor float64) Scaled {
-	s, err := NewScaled(base, factor)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Name implements Distribution.
 func (s Scaled) Name() string {
 	return fmt.Sprintf("%g·%s", s.factor, s.base.Name())

@@ -84,3 +84,12 @@ func TestScaledSecondsToHours(t *testing.T) {
 		}
 	}
 }
+
+// MustScaled is NewScaled that panics on invalid parameters.
+func MustScaled(base Distribution, factor float64) Scaled {
+	s, err := NewScaled(base, factor)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

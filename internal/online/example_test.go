@@ -19,7 +19,7 @@ func Example() {
 		_ = l.Observe(took)
 	}
 	seq, _ := l.NextSequence()
-	first, _ := seq.First()
+	first, _ := seq.At(0)
 	// The optimal plan covers all observed durations in one slot of 2.1
 	// hours — no more 100-hour reservations.
 	fmt.Printf("first reservation after learning: %.1f h\n", first)

@@ -107,9 +107,6 @@ func NewLearner(m core.CostModel, prior dist.Distribution, cfg Config) (*Learner
 	}, nil
 }
 
-// Observations returns how many jobs the learner has seen.
-func (l *Learner) Observations() int { return len(l.obs) }
-
 // Estimate returns the learner's current distribution estimate.
 func (l *Learner) Estimate() (dist.Distribution, error) {
 	if len(l.obs) < l.minObs {

@@ -83,8 +83,8 @@ func TestNextSequencePlanCaching(t *testing.T) {
 	if err := l.Observe(1); err != nil {
 		t.Fatal(err)
 	}
-	if l.Observations() != 1 {
-		t.Errorf("observations = %d", l.Observations())
+	if len(l.obs) != 1 {
+		t.Errorf("observations = %d", len(l.obs))
 	}
 }
 
@@ -234,8 +234,8 @@ func TestWindowBoundsObservations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Observations() != 10 {
-		t.Errorf("observations = %d, want 10", l.Observations())
+	if len(l.obs) != 10 {
+		t.Errorf("observations = %d, want 10", len(l.obs))
 	}
 	// The retained estimate reflects the recent values (16..25).
 	est, err := l.Estimate()

@@ -54,6 +54,8 @@ func PeakWorkers() int { return int(peakWorkers.Load()) }
 
 // ResetPeakWorkers rebases the high-water mark to the current live
 // count, so a test can bracket one driver call.
+//
+//lint:ignore unusedexport test hook: the oversubscription tests in internal/experiments and internal/service bracket a driver call with it, and the gauge is process-wide, so nothing else can rebase it
 func ResetPeakWorkers() { peakWorkers.Store(activeWorkers.Load()) }
 
 // Workers returns the default worker count: GOMAXPROCS capped at n (no
@@ -163,14 +165,4 @@ func ForEachBlock(n, workers int, fn func(worker, lo, hi int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-}
-
-// Map computes out[i] = fn(i) for i in [0, n) in parallel and returns
-// the slice.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, workers, func(i int) {
-		out[i] = fn(i)
-	})
-	return out
 }

@@ -69,15 +69,6 @@ func TestForEachBlockPartition(t *testing.T) {
 	}
 }
 
-func TestMapOrderPreserved(t *testing.T) {
-	out := Map(50, 4, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestSumBlocksMatchesSerial(t *testing.T) {
 	f := func(nRaw uint16, workersRaw uint8) bool {
 		n := int(nRaw%2000) + 1

@@ -28,10 +28,6 @@ import (
 // NeuroHPC scenario's hours.
 const SecondsPerHour = 3600.0
 
-// ReservationOnly returns the AWS Reserved-Instance cost model
-// (α=1, β=γ=0).
-func ReservationOnly() core.CostModel { return core.ReservationOnly }
-
 // NeuroHPC returns the §5.3 cost model in hours: the turnaround time
 // α·request + β·execution + γ with the published Intrepid fit
 // (α=0.95, γ=1.05 h) and β=1.
@@ -56,10 +52,6 @@ type PriceRatio struct {
 	// OnDemand is the per-hour On-Demand price.
 	OnDemand float64
 }
-
-// AWSFactor4 is the paper's Amazon AWS example, where the two services
-// differ by a factor of 4.
-var AWSFactor4 = PriceRatio{Reserved: 1, OnDemand: 4}
 
 // Threshold returns c_OD / c_RI, the normalized-cost level below which
 // reserving beats running on demand.

@@ -40,15 +40,18 @@ func TestNeuroHPCFromFittedModel(t *testing.T) {
 }
 
 func TestPriceRatio(t *testing.T) {
-	th, err := AWSFactor4.Threshold()
+	// The paper's Amazon AWS example: the two services differ by a
+	// factor of 4.
+	aws := PriceRatio{Reserved: 1, OnDemand: 4}
+	th, err := aws.Threshold()
 	if err != nil || th != 4 {
 		t.Fatalf("threshold = %g, %v", th, err)
 	}
-	ok, err := AWSFactor4.ReservationWorthwhile(2.13)
+	ok, err := aws.ReservationWorthwhile(2.13)
 	if err != nil || !ok {
 		t.Errorf("normalized 2.13 should be worthwhile under factor 4")
 	}
-	ok, err = AWSFactor4.ReservationWorthwhile(5)
+	ok, err = aws.ReservationWorthwhile(5)
 	if err != nil || ok {
 		t.Errorf("normalized 5 should not be worthwhile under factor 4")
 	}
@@ -165,10 +168,11 @@ func TestNeuroHPCScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eMD, err := core.NormalizedExpectedCost(m, d, md)
+	eMD, err := core.ExpectedCost(m, d, md)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eMD /= m.OmniscientCost(d)
 	bf, err := strategy.BruteForce{M: 800, Mode: strategy.EvalAnalytic}.Search(m, d)
 	if err != nil {
 		t.Fatal(err)

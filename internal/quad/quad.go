@@ -116,15 +116,3 @@ func IntegrateToInf(f Func, a, tol float64) (float64, error) {
 	}
 	return Integrate(g, 0, 1, tol)
 }
-
-// Moment computes the p-th partial moment ∫_a^b x^p f(x) dx where b may
-// be math.Inf(1).
-func Moment(f Func, p int, a, b, tol float64) (float64, error) {
-	g := func(x float64) float64 {
-		return math.Pow(x, float64(p)) * f(x)
-	}
-	if math.IsInf(b, 1) {
-		return IntegrateToInf(g, a, tol)
-	}
-	return Integrate(g, a, b, tol)
-}

@@ -96,29 +96,6 @@ func TestIntegrateToInf(t *testing.T) {
 	almost(t, "gaussian", v, math.Sqrt(math.Pi/2), 1e-9)
 }
 
-func TestMoment(t *testing.T) {
-	// Exponential(1): E[X] = 1, E[X²] = 2.
-	pdf := func(x float64) float64 { return math.Exp(-x) }
-	m1, err := Moment(pdf, 1, 0, math.Inf(1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "E[X]", m1, 1, 1e-8)
-	m2, err := Moment(pdf, 2, 0, math.Inf(1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "E[X²]", m2, 2, 1e-8)
-
-	// Uniform(10, 20): E[X] = 15 over finite interval.
-	u := func(x float64) float64 { return 0.1 }
-	m1, err = Moment(u, 1, 10, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "uniform mean", m1, 15, 1e-10)
-}
-
 func TestLinearityProperty(t *testing.T) {
 	// ∫(c·f) = c·∫f for random scale factors and bounds.
 	f := func(c, hi float64) bool {

@@ -183,9 +183,6 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mux.ServeHTTP(w, r)
 }
 
-// Ring exposes the routing ring, e.g. for diagnostics and tests.
-func (f *Frontend) Ring() *shard.Ring { return f.ring }
-
 // routeSpec is the one field the frontend needs from a request body
 // to route it; everything else passes through opaquely.
 type routeSpec struct {

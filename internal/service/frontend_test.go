@@ -96,7 +96,7 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fe.Ring().Lookup(canonical); shardName != want {
+		if want := fe.ring.Sequence(canonical)[0]; shardName != want {
 			t.Errorf("%s: served by %q, ring home is %q", spec, shardName, want)
 		}
 		var resp api.PlanResponse
@@ -113,7 +113,7 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 	if status != http.StatusOK || cache != "hit" {
 		t.Errorf("alternate spelling: status %d, X-Cache %q, want 200 hit\n%s", status, cache, body)
 	}
-	if want := fe.Ring().Lookup("exponential(1)"); shardName != want {
+	if want := fe.ring.Sequence("exponential(1)")[0]; shardName != want {
 		t.Errorf("alternate spelling routed to %q, want %q", shardName, want)
 	}
 }
@@ -125,8 +125,8 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 func TestFrontendFailoverInProcess(t *testing.T) {
 	fe, backends := newFleet(t, 4, nil)
 	spec := "lognormal(3,0.5)"
-	home := fe.Ring().Lookup(spec)
-	seq := fe.Ring().Sequence(spec)
+	seq := fe.ring.Sequence(spec)
+	home := seq[0]
 	var homeIdx int
 	fmt.Sscanf(home, "shard-%d", &homeIdx)
 
@@ -217,7 +217,7 @@ func TestFrontendFailoverDeadTransport(t *testing.T) {
 		"gamma(2,2)", "weibull(1,0.5)", "lognormal(3,0.5)", "pareto(1.5,3)",
 		"beta(2,2)", "uniform(1,2)", "exponential(5)", "gamma(3,1)",
 	} {
-		if fe.Ring().Lookup(cand) == "shard-dead" {
+		if fe.ring.Sequence(cand)[0] == "shard-dead" {
 			spec = cand
 			break
 		}
@@ -521,7 +521,7 @@ func TestFrontendSimulateRoutes(t *testing.T) {
 	if status != http.StatusOK || cache != "miss" {
 		t.Fatalf("status %d, X-Cache %q\n%s", status, cache, respBody)
 	}
-	if want := fe.Ring().Lookup("gamma(2,2)"); shardName != want {
+	if want := fe.ring.Sequence("gamma(2,2)")[0]; shardName != want {
 		t.Errorf("simulate served by %q, want %q", shardName, want)
 	}
 	if status, cache, _, _ := postFE(t, fe, api.PathSimulate, body, ""); status != 200 || cache != "hit" {

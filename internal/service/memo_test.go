@@ -201,10 +201,10 @@ func TestFrontendRouteMemo(t *testing.T) {
 func TestFrontendRouteMemoCollision(t *testing.T) {
 	fe, _ := newFleet(t, 4, nil)
 	body := planBodyFor("exponential(1)")
-	home := fe.Ring().Lookup("exponential(1)")
+	home := fe.ring.Sequence("exponential(1)")[0]
 	var wrong string
 	for _, spec := range []string{"uniform(10,20)", "lognormal(3,0.5)", "gamma(2,2)", "weibull(1,0.5)", "exponential(2)"} {
-		if fe.Ring().Lookup(spec) != home {
+		if fe.ring.Sequence(spec)[0] != home {
 			wrong = spec
 			break
 		}
@@ -217,7 +217,7 @@ func TestFrontendRouteMemoCollision(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d\n%s", status, got)
 	}
-	if want := fe.Ring().Lookup(wrong); shardName != want {
+	if want := fe.ring.Sequence(wrong)[0]; shardName != want {
 		t.Errorf("served by %q, want the collided route's shard %q", shardName, want)
 	}
 	_, _, _, want := postFE(t, New(Config{}), api.PathPlan, body, "")

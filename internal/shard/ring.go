@@ -119,9 +119,6 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
-// Replicas returns the virtual-node count per member.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // start returns the index of the first virtual node at or clockwise
 // after key's hash.
 func (r *Ring) start(key string) int {
@@ -131,12 +128,6 @@ func (r *Ring) start(key string) int {
 		i = 0
 	}
 	return i
-}
-
-// Lookup returns the home member for key: the owner of the first
-// virtual node clockwise from the key's hash.
-func (r *Ring) Lookup(key string) string {
-	return r.nodes[r.points[r.start(key)].node]
 }
 
 // Sequence returns all members in failover order for key: the home

@@ -31,8 +31,8 @@ func TestNewValidates(t *testing.T) {
 		}
 	}
 	r := mustRing(t, []string{"a"}, 0)
-	if r.Replicas() != DefaultReplicas {
-		t.Errorf("default replicas = %d", r.Replicas())
+	if r.replicas != DefaultReplicas {
+		t.Errorf("default replicas = %d", r.replicas)
 	}
 }
 
@@ -186,4 +186,10 @@ func TestNodesReturnsCopy(t *testing.T) {
 	if r.Nodes()[0] != "a" {
 		t.Error("Nodes() exposed internal state")
 	}
+}
+
+// Lookup returns the home member for key: the owner of the first
+// virtual node clockwise from the key's hash.
+func (r *Ring) Lookup(key string) string {
+	return r.nodes[r.points[r.start(key)].node]
 }

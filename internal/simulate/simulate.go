@@ -101,15 +101,6 @@ func CostOnSamples(m core.CostModel, s *core.Sequence, samples []float64, worker
 	}, nil
 }
 
-// EstimateCost draws n fresh samples from d (deterministically from
-// seed) and evaluates the sequence on them.
-func EstimateCost(m core.CostModel, d dist.Distribution, s *core.Sequence, n int, seed uint64, workers int) (Estimate, error) {
-	if n <= 0 {
-		n = DefaultSamples
-	}
-	return CostOnSamples(m, s, Samples(d, n, seed), workers)
-}
-
 // NormalizedCostOnSamples is CostOnSamples divided by the omniscient
 // expected cost (§5.1): the returned estimate's Mean and StdErr are
 // both scaled.

@@ -50,7 +50,7 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateCost(c.m, c.d, s, 200000, 7, 0)
+		est, err := estimateCost(c.m, c.d, s, 200000, 7, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.d.Name(), err)
 		}
@@ -86,7 +86,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestInvalidSequencePropagates(t *testing.T) {
 	d := dist.MustUniform(10, 20)
 	s := core.SequenceFromFirstTail(core.ReservationOnly, d, 15, 0) // invalid candidate
-	if _, err := EstimateCost(core.ReservationOnly, d, s, 1000, 1, 0); err == nil {
+	if _, err := estimateCost(core.ReservationOnly, d, s, 1000, 1, 0); err == nil {
 		t.Error("invalid sequence evaluated without error")
 	}
 	if _, err := CostOnSamples(core.ReservationOnly, s, nil, 0); err == nil {
@@ -120,7 +120,7 @@ func TestUniformSingleReservationExactCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateCost(core.ReservationOnly, d, s, 5000, 3, 0)
+	est, err := estimateCost(core.ReservationOnly, d, s, 5000, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,4 +130,13 @@ func TestUniformSingleReservationExactCost(t *testing.T) {
 	if est.MaxAttempts != 1 {
 		t.Errorf("max attempts = %d, want 1", est.MaxAttempts)
 	}
+}
+
+// estimateCost draws n fresh samples from d (deterministically from
+// seed) and evaluates the sequence on them.
+func estimateCost(m core.CostModel, d dist.Distribution, s *core.Sequence, n int, seed uint64, workers int) (Estimate, error) {
+	if n <= 0 {
+		n = DefaultSamples
+	}
+	return CostOnSamples(m, s, Samples(d, n, seed), workers)
 }

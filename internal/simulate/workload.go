@@ -12,7 +12,7 @@ import (
 
 // Workload is a precomputed empirical scorer over a fixed Monte-Carlo
 // sample set. Building it once per (samples, seed) sorts the samples
-// and keeps prefix sums of their values (and squares), after which the
+// and keeps prefix sums of their values, after which the
 // exact Eq.-(13) average of any reservation sequence costs
 // O(L·log N) instead of the O(N·L) per-candidate sweep of
 // CostOnSamples: for each reservation t_i a binary search yields the
@@ -39,9 +39,8 @@ import (
 //
 //repro:hotpath
 type Workload struct {
-	sorted  []float64 // ascending copy of the samples
-	prefix  []float64 // prefix[r] = Σ_{j<r} sorted[j]
-	prefix2 []float64 // prefix2[r] = Σ_{j<r} sorted[j]²
+	sorted []float64 // ascending copy of the samples
+	prefix []float64 // prefix[r] = Σ_{j<r} sorted[j]
 }
 
 // NewWorkload builds the scorer from a sample set (in any order). The
@@ -50,12 +49,10 @@ func NewWorkload(samples []float64) *Workload {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	prefix := make([]float64, len(sorted)+1)
-	prefix2 := make([]float64, len(sorted)+1)
 	for i, x := range sorted {
 		prefix[i+1] = prefix[i] + x
-		prefix2[i+1] = prefix2[i] + x*x
 	}
-	return &Workload{sorted: sorted, prefix: prefix, prefix2: prefix2}
+	return &Workload{sorted: sorted, prefix: prefix}
 }
 
 // NewWorkloadFrom draws the deterministic (seed, n) sample set from d —
@@ -67,9 +64,6 @@ func NewWorkloadFrom(d dist.Distribution, n int, seed uint64) *Workload {
 	}
 	return NewWorkload(Samples(d, n, seed))
 }
-
-// N returns the number of samples.
-func (w *Workload) N() int { return len(w.sorted) }
 
 // errNoSamples is hoisted so the empty-workload check costs nothing on
 // the per-candidate path.
@@ -174,56 +168,4 @@ func (w *Workload) CostSequence(m core.CostModel, s *core.Sequence) (float64, er
 	cur := s.Cursor()
 	cost, _, err := w.Cost(m, &cur, math.Inf(1))
 	return cost, err
-}
-
-// Estimate returns the full Estimate that CostOnSamples would produce
-// on this workload — mean, standard error and the largest attempt
-// count — still in O(L·log N). The variance uses the per-bin closed
-// form: every sample finishing inside attempt i costs b_i + β·X_j with
-// b_i the accumulated fixed cost, so Σ c_j² expands over the prefix
-// sums of X and X².
-func (w *Workload) Estimate(m core.CostModel, cur core.Cursor) (Estimate, error) {
-	n := len(w.sorted)
-	if n == 0 {
-		return Estimate{}, errNoSamples
-	}
-	covered := 0
-	sum, sum2 := 0.0, 0.0
-	fixed := 0.0 // Σ_{l<i} (α+β)·t_l + γ: cost of all fully used attempts
-	attempts := 0
-	for covered < n {
-		ti, err := cur.Next()
-		if err != nil {
-			if errors.Is(err, core.ErrEnd) {
-				return Estimate{}, &UncoveredError{Max: w.sorted[n-1]}
-			}
-			return Estimate{}, err
-		}
-		attempts++
-		cnt := w.covering(ti, covered)
-		sum += (m.Alpha*ti + m.Gamma) * float64(n-covered)
-		if m.Beta != 0 {
-			sum += m.Beta * (ti*float64(n-cnt) + w.prefix[cnt] - w.prefix[covered])
-		}
-		if cnt > covered {
-			// The cnt-covered samples finishing here cost b + β·X_j.
-			b := fixed + m.Alpha*ti + m.Gamma
-			binSum := w.prefix[cnt] - w.prefix[covered]
-			binSum2 := w.prefix2[cnt] - w.prefix2[covered]
-			sum2 += float64(cnt-covered)*b*b + 2*m.Beta*b*binSum + m.Beta*m.Beta*binSum2
-		}
-		fixed += (m.Alpha+m.Beta)*ti + m.Gamma
-		covered = cnt
-	}
-	mean := sum / float64(n)
-	varc := sum2/float64(n) - mean*mean
-	if varc < 0 {
-		varc = 0
-	}
-	return Estimate{
-		Mean:        mean,
-		StdErr:      math.Sqrt(varc / float64(n)),
-		N:           n,
-		MaxAttempts: attempts,
-	}, nil
 }

@@ -40,9 +40,6 @@ func TestWorkloadMatchesCostOnSamples(t *testing.T) {
 			for _, seed := range []uint64{1, 7, 42} {
 				samples := Samples(d, n, seed)
 				wl := NewWorkload(samples)
-				if wl.N() != n {
-					t.Fatalf("%s: N = %d, want %d", d.Name(), wl.N(), n)
-				}
 				for _, frac := range []float64{0.05, 0.3, 0.6, 0.95} {
 					t1 := lo + (hi-lo)*frac
 					s := core.SequenceFromFirstTail(m, d, t1, core.DefaultTailEps)
@@ -69,31 +66,6 @@ func TestWorkloadMatchesCostOnSamples(t *testing.T) {
 						t.Errorf("%s seed=%d t1=%g: cursor path (%.17g, %v) != sequence path %.17g",
 							d.Name(), seed, t1, viaCur, err, got)
 					}
-
-					sc := s.Cursor()
-					est, err := wl.Estimate(m, &sc)
-					if err != nil {
-						t.Fatalf("%s seed=%d t1=%g: Estimate: %v", d.Name(), seed, t1, err)
-					}
-					if rd := relDiff(ref.Mean, est.Mean); rd > 1e-12 {
-						t.Errorf("%s seed=%d t1=%g: Estimate mean rel diff %.3g", d.Name(), seed, t1, rd)
-					}
-					// The variance expands (b + β·X)² instead of summing
-					// per-sample squares, and both sides cancel sum2/n
-					// against mean² — so compare on the mean's scale, where
-					// the cancellation noise lives. (In degenerate
-					// zero-variance cases the closed form is exactly 0
-					// while the per-sample sum keeps ~1e-14·mean of noise.)
-					// The √ in StdErr turns ~1e-14 variance cancellation
-					// into ~1e-7·mean of slack near zero variance.
-					if diff := math.Abs(ref.StdErr - est.StdErr); diff > 1e-7*math.Max(1, math.Abs(ref.Mean)) {
-						t.Errorf("%s %v seed=%d t1=%g: StdErr %.17g vs %.17g (diff %.3g)",
-							d.Name(), m, seed, t1, ref.StdErr, est.StdErr, diff)
-					}
-					if est.N != ref.N || est.MaxAttempts != ref.MaxAttempts {
-						t.Errorf("%s seed=%d t1=%g: (N, MaxAttempts) = (%d, %d), want (%d, %d)",
-							d.Name(), seed, t1, est.N, est.MaxAttempts, ref.N, ref.MaxAttempts)
-					}
 				}
 			}
 		}
@@ -119,10 +91,6 @@ func TestWorkloadUncovered(t *testing.T) {
 	}
 	if _, err := wl.CostSequence(m, s); !errors.Is(err, core.ErrUncovered) {
 		t.Errorf("Workload.CostSequence err = %v, want ErrUncovered", err)
-	}
-	sc := s.Cursor()
-	if _, err := wl.Estimate(m, &sc); !errors.Is(err, core.ErrUncovered) {
-		t.Errorf("Workload.Estimate err = %v, want ErrUncovered", err)
 	}
 }
 
@@ -152,14 +120,6 @@ func TestWorkloadSingleAttempt(t *testing.T) {
 	if rd := relDiff(want, got); rd > 1e-12 {
 		t.Errorf("mean = %.17g, want %.17g (rel %.3g)", got, want, rd)
 	}
-	sc := s.Cursor()
-	est, err := wl.Estimate(m, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.MaxAttempts != 1 {
-		t.Errorf("MaxAttempts = %d, want 1", est.MaxAttempts)
-	}
 	ref, err := CostOnSamples(m, s, samples, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -180,15 +140,11 @@ func TestWorkloadEmpty(t *testing.T) {
 	if _, err := wl.CostSequence(core.ReservationOnly, s); err == nil {
 		t.Error("CostSequence on empty workload: want error")
 	}
-	sc := s.Cursor()
-	if _, err := wl.Estimate(core.ReservationOnly, &sc); err == nil {
-		t.Error("Estimate on empty workload: want error")
-	}
 }
 
 // TestWorkloadCostBudget pins the budget of Workload.Cost: a +Inf
-// budget reproduces the unbudgeted value bit for bit (the Eq.-(13)
-// mean that Estimate accumulates with the same operations); a
+// budget reproduces the unbudgeted value of the sequence path bit for
+// bit; a
 // candidate whose exact cost is <= budget is never pruned and keeps its
 // exact value; and a pruned partial mean lies strictly above the
 // budget and at or below the exact cost.
@@ -209,10 +165,9 @@ func TestWorkloadCostBudget(t *testing.T) {
 					t.Fatalf("%s t1=%g: +Inf budget pruned", d.Name(), t1)
 				}
 				if errExact == nil {
-					sc := core.NewRecurrenceCursor(m, d, t1, core.DefaultTailEps)
-					est, err := wl.Estimate(m, &sc)
-					if err != nil || math.Float64bits(est.Mean) != math.Float64bits(exact) {
-						t.Fatalf("%s t1=%g: +Inf budget %.17g, Estimate mean %.17g (%v)", d.Name(), t1, exact, est.Mean, err)
+					seq, err := wl.CostSequence(m, core.SequenceFromFirstTail(m, d, t1, core.DefaultTailEps))
+					if err != nil || math.Float64bits(seq) != math.Float64bits(exact) {
+						t.Fatalf("%s t1=%g: +Inf budget %.17g, sequence path %.17g (%v)", d.Name(), t1, exact, seq, err)
 					}
 				}
 				for _, scale := range []float64{0, 0.5, 0.9, 0.999, 1, 1.001, 2} {

@@ -11,10 +11,7 @@
 // guarded bisection fallback so they converge for every valid input.
 package specfun
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 const (
 	// eps is the relative accuracy target for series and continued
@@ -26,10 +23,6 @@ const (
 	// maxIter bounds all iterative loops.
 	maxIter = 500
 )
-
-// ErrNoConverge is returned (wrapped) when an iteration fails to reach
-// the target accuracy within the iteration budget.
-var ErrNoConverge = errors.New("specfun: iteration did not converge")
 
 // GammaP returns the regularized lower incomplete gamma function
 // P(a, x) = γ(a, x) / Γ(a) for a > 0, x >= 0.

@@ -383,12 +383,6 @@ type RefinedBruteForce struct {
 // Name implements Strategy.
 func (RefinedBruteForce) Name() string { return "Refined-BF" }
 
-// Search runs the coarse scan and the golden-section polish, returning
-// the refined t1 and cost.
-func (r RefinedBruteForce) Search(m core.CostModel, d dist.Distribution) (SearchResult, error) {
-	return r.search(m, d, true)
-}
-
 // search is the coarse scan (recording candidates or winner-only, as
 // in BruteForce.search) followed by the polish.
 func (r RefinedBruteForce) search(m core.CostModel, d dist.Distribution, record bool) (SearchResult, error) {

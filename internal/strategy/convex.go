@@ -30,10 +30,6 @@ type ConvexBruteForce struct {
 	Workers int
 }
 
-// Name implements Strategy. Note the cost model argument of Sequence is
-// ignored: the convex cost G replaces it.
-func (ConvexBruteForce) Name() string { return "Convex-BF" }
-
 // Search scans the grid and returns the best first reservation, its
 // expected cost, and the winning sequence.
 func (b ConvexBruteForce) Search(d dist.Distribution) (t1, cost float64, seq *core.Sequence, err error) {

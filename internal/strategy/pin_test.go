@@ -105,7 +105,7 @@ func pinSearches() string {
 							p.search(bf.Search(m, d))
 							if mode == EvalAnalytic {
 								r := RefinedBruteForce{Coarse: BruteForce{M: 150, TailEps: tail, Workers: workers, FullCosts: full}}
-								p.search(r.Search(m, d))
+								p.search(r.search(m, d, true))
 							}
 						}
 					}

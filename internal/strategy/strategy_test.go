@@ -251,7 +251,7 @@ func TestRefinedBruteForceAtLeastAsGood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RefinedBruteForce{Coarse: BruteForce{M: 200}}.Search(core.ReservationOnly, d)
+	rr, err := RefinedBruteForce{Coarse: BruteForce{M: 200}}.search(core.ReservationOnly, d, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +269,11 @@ func TestDiscretizedStrategyUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := core.NormalizedExpectedCost(core.ReservationOnly, d, s)
+		e, err := core.ExpectedCost(core.ReservationOnly, d, s)
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := e / core.ReservationOnly.OmniscientCost(d)
 		if math.Abs(r-4.0/3.0) > 0.01 {
 			t.Errorf("%s: normalized cost %g, want 1.333", sch.Name(), r)
 		}
@@ -405,7 +406,7 @@ func TestStrategyInterfaceSequenceMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.First(); math.Abs(v-0.74) > 0.1 {
+	if v, _ := s.At(0); math.Abs(v-0.74) > 0.1 {
 		t.Errorf("BF first = %g", v)
 	}
 	rb := RefinedBruteForce{Coarse: BruteForce{M: 200}}
@@ -413,14 +414,11 @@ func TestStrategyInterfaceSequenceMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.First(); math.Abs(v-0.742) > 0.05 {
+	if v, _ := s.At(0); math.Abs(v-0.742) > 0.05 {
 		t.Errorf("refined first = %g", v)
 	}
 	if EvalMonteCarlo.String() != "monte-carlo" || EvalAnalytic.String() != "analytic" {
 		t.Error("EvalMode strings")
-	}
-	if (ConvexBruteForce{}).Name() != "Convex-BF" {
-		t.Error("convex name")
 	}
 }
 
@@ -444,7 +442,7 @@ func TestDiscretizedDPResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := seq.First(); err != nil || v != 20 {
+	if v, err := seq.At(0); err != nil || v != 20 {
 		t.Errorf("lifted first reservation %g (%v), want 20", v, err)
 	}
 	if _, err := (Discretized{N: -1, Epsilon: 2}).Sequence(core.ReservationOnly, d); err == nil {

@@ -61,7 +61,7 @@ func checkWinnerOnly(t *testing.T, what string, b BruteForce, m core.CostModel, 
 	checkSameWinner(t, what, got, errGot, seq, errSeq, want, errWant)
 
 	r := RefinedBruteForce{Coarse: b}
-	want, errWant = r.Search(m, d)
+	want, errWant = r.search(m, d, true)
 	got, errGot = r.search(m, d, false)
 	seq, errSeq = r.Sequence(m, d)
 	checkSameWinner(t, what+" refined", got, errGot, seq, errSeq, want, errWant)
@@ -150,7 +150,7 @@ func TestConvexWinnerMatchesExhaustiveScan(t *testing.T) {
 				want := Candidate{Cost: math.Inf(1)}
 				for i := 0; i < m; i++ {
 					t1 := lo + (upper-lo)*float64(i+1)/float64(m)
-					cost, err := cur.Cost(t1)
+					cost, _, err := cur.CostBudget(t1, math.Inf(1))
 					if err == nil && !math.IsNaN(cost) && !math.IsInf(cost, 1) && cost < want.Cost {
 						want = Candidate{T1: t1, Cost: cost, Valid: true}
 					}

@@ -36,23 +36,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values: strings pass through,
-// float64 format as %.2f, everything else as %v.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, Num(v))
-		default:
-			row = append(row, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Num formats a float in the paper's table style (two decimals), with
 // "-" for NaN (invalid entries, as in Table 3).
 func Num(v float64) string {
@@ -61,9 +44,6 @@ func Num(v float64) string {
 	}
 	return fmt.Sprintf("%.2f", v)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // Render writes the aligned text table.
 func (t *Table) Render(w io.Writer) error {

@@ -30,21 +30,12 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	tb := New("", "A", "B")
 	tb.AddRow("x")
 	tb.AddRow("1", "2", "3")
-	if tb.Rows() != 2 {
-		t.Fatalf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	out := tb.String()
 	if strings.Contains(out, "3") {
 		t.Error("overlong row not truncated")
-	}
-}
-
-func TestAddRowfFormats(t *testing.T) {
-	tb := New("", "S", "F", "I")
-	tb.AddRowf("s", 1.2345, 42)
-	out := tb.String()
-	if !strings.Contains(out, "1.23") || !strings.Contains(out, "42") {
-		t.Errorf("unexpected formatting:\n%s", out)
 	}
 }
 

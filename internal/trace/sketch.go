@@ -26,9 +26,9 @@ const (
 // logarithmic buckets with ratio γ = (1+α)/(1-α) guarantee every
 // quantile estimate is within relative error α of the exact
 // nearest-rank quantile of the inserted values, at O(log spread)
-// memory — independent of how many values are inserted. Min, max, sum,
-// and count are tracked exactly, and estimates are clamped to
-// [Min, Max], so Quantile(0) and Quantile(1) are exact.
+// memory — independent of how many values are inserted. Min, max and
+// count are tracked exactly, and estimates are clamped to [min, max],
+// so Quantile(0) and Quantile(1) are exact.
 //
 // The zero value is not usable; construct with NewQuantileSketch or
 // NewDefaultSketch. Inserted values must not be NaN or ±Inf.
@@ -42,7 +42,6 @@ type QuantileSketch struct {
 	neg  sketchSide // mirrored: index i holds values in -(γ^(i-1), γ^i]
 	zero uint64
 	n    uint64
-	sum  float64
 	min  float64
 	max  float64
 }
@@ -84,35 +83,9 @@ func NewDefaultSketch() *QuantileSketch {
 	return s
 }
 
-// Alpha returns the relative-error bound.
-func (s *QuantileSketch) Alpha() float64 { return s.alpha }
-
-// Count returns how many values were inserted.
-func (s *QuantileSketch) Count() uint64 { return s.n }
-
-// Sum returns the exact running sum of inserted values.
-func (s *QuantileSketch) Sum() float64 { return s.sum }
-
-// Min returns the exact minimum inserted value (0 when empty).
-func (s *QuantileSketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the exact maximum inserted value (0 when empty).
-func (s *QuantileSketch) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
 // Add inserts one value.
 func (s *QuantileSketch) Add(v float64) {
 	s.n++
-	s.sum += v
 	s.min = math.Min(s.min, v)
 	s.max = math.Max(s.max, v)
 	switch {
@@ -139,46 +112,24 @@ func (s *QuantileSketch) mid(i int) float64 {
 
 // Merge folds o into s. Panics if the two sketches were built with
 // different alphas (their buckets would not line up). The result is
-// bitwise independent of merge order: counts add as integers, sum as a
-// single commutative float add, min/max via math.Min/Max, and the
-// grid-aligned windows depend only on the union of indices seen.
+// bitwise independent of merge order: counts add as integers, min/max
+// via math.Min/Max, and the grid-aligned windows depend only on the
+// union of indices seen.
 func (s *QuantileSketch) Merge(o *QuantileSketch) {
 	if math.Float64bits(s.alpha) != math.Float64bits(o.alpha) {
 		panic("trace: merging sketches with different alpha")
 	}
 	s.n += o.n
 	s.zero += o.zero
-	s.sum += o.sum
 	s.min = math.Min(s.min, o.min)
 	s.max = math.Max(s.max, o.max)
 	s.pos.merge(&o.pos)
 	s.neg.merge(&o.neg)
 }
 
-// Clone returns an independent copy.
-func (s *QuantileSketch) Clone() *QuantileSketch {
-	c := *s
-	c.pos = s.pos.clone()
-	c.neg = s.neg.clone()
-	return &c
-}
-
-// Equal reports bitwise equality of the two sketches' contents —
-// counts, windows, and the exact aggregates compared by Float64bits.
-func (s *QuantileSketch) Equal(o *QuantileSketch) bool {
-	if math.Float64bits(s.alpha) != math.Float64bits(o.alpha) ||
-		s.n != o.n || s.zero != o.zero ||
-		math.Float64bits(s.sum) != math.Float64bits(o.sum) ||
-		math.Float64bits(s.min) != math.Float64bits(o.min) ||
-		math.Float64bits(s.max) != math.Float64bits(o.max) {
-		return false
-	}
-	return s.pos.equal(&o.pos) && s.neg.equal(&o.neg)
-}
-
 // Quantile returns the nearest-rank p-quantile estimate: the bucket
 // midpoint covering the ceil(p·n)-th smallest inserted value, clamped
-// to [Min, Max]. The estimate is within relative error Alpha of the
+// to [min, max]. The estimate is within relative error α of the
 // exact nearest-rank quantile. An empty sketch returns 0; p is clamped
 // to [0, 1].
 func (s *QuantileSketch) Quantile(p float64) float64 {
@@ -242,57 +193,6 @@ func (s *QuantileSketch) clamp(v float64) float64 {
 	return v
 }
 
-// Histogram converts the sketch into the fixed-width Histogram type
-// used by cmd/tracefit: equal-width bins over [Min, Max], each log
-// bucket's count assigned to the bin containing its (clamped) midpoint
-// estimate.
-func (s *QuantileSketch) Histogram(bins int) (*Histogram, error) {
-	if s.n == 0 {
-		return nil, fmt.Errorf("trace: histogram needs samples")
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("trace: histogram needs at least 1 bin, got %d", bins)
-	}
-	lo, hi := s.Min(), s.Max()
-	if hi <= lo {
-		hi = lo + 1 // degenerate sketch: one wide bin
-	}
-	h := &Histogram{
-		Edges:  make([]float64, bins+1),
-		Counts: make([]int, bins),
-		N:      int(s.n),
-	}
-	for i := range h.Edges {
-		h.Edges[i] = lo + (hi-lo)*float64(i)/float64(bins)
-	}
-	w := (hi - lo) / float64(bins)
-	put := func(v float64, c uint64) {
-		if c == 0 {
-			return
-		}
-		i := int((s.clamp(v) - lo) / w)
-		if i >= bins {
-			i = bins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i] += int(c)
-	}
-	if s.neg.counts != nil {
-		for i := s.neg.hi; i >= s.neg.lo; i-- {
-			put(-s.mid(i), s.neg.counts[i-s.neg.base])
-		}
-	}
-	put(0, s.zero)
-	if s.pos.counts != nil {
-		for i := s.pos.lo; i <= s.pos.hi; i++ {
-			put(s.mid(i), s.pos.counts[i-s.pos.base])
-		}
-	}
-	return h, nil
-}
-
 func (d *sketchSide) add(i int) {
 	d.n++
 	if d.counts == nil {
@@ -346,33 +246,6 @@ func (d *sketchSide) merge(o *sketchSide) {
 		d.counts[o.base+i-d.base] += c
 	}
 	d.n += o.n
-}
-
-func (d *sketchSide) clone() sketchSide {
-	c := *d
-	if d.counts != nil {
-		c.counts = make([]uint64, len(d.counts))
-		copy(c.counts, d.counts)
-	}
-	return c
-}
-
-func (d *sketchSide) equal(o *sketchSide) bool {
-	if d.n != o.n || len(d.counts) != len(o.counts) {
-		return false
-	}
-	if d.counts == nil {
-		return true
-	}
-	if d.base != o.base || d.lo != o.lo || d.hi != o.hi {
-		return false
-	}
-	for i, c := range d.counts {
-		if c != o.counts[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sketchFloor rounds toward -Inf to a multiple of sketchGrid.

@@ -49,7 +49,7 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 				got := sk.Quantile(p)
 				// The documented bound plus a few ulps of slack for the
 				// log/ceil bucket mapping at bucket boundaries.
-				bound := sk.Alpha()*math.Abs(exact) + 1e-9*math.Abs(exact) + 1e-9
+				bound := sk.alpha*math.Abs(exact) + 1e-9*math.Abs(exact) + 1e-9
 				if math.Abs(got-exact) > bound {
 					t.Errorf("law %d seed %d p=%g: sketch %g vs exact %g (err %g > bound %g)",
 						li, seed, p, got, exact, math.Abs(got-exact), bound)
@@ -88,8 +88,8 @@ func TestSketchMergeOrderIndependence(t *testing.T) {
 		if !ab.Equal(ba) {
 			t.Errorf("law %d: merge(a,b) != merge(b,a) bitwise", li)
 		}
-		if ab.Count() != full.Count() {
-			t.Fatalf("law %d: merged count %d, want %d", li, ab.Count(), full.Count())
+		if ab.n != full.n {
+			t.Fatalf("law %d: merged count %d, want %d", li, ab.n, full.n)
 		}
 		// Quantiles depend only on counts, min, and max — all of which
 		// are order-independent — so merged vs single-pass must agree
@@ -118,8 +118,8 @@ func TestSketchMergeAcrossWindows(t *testing.T) {
 	if !ab.Equal(ba) {
 		t.Fatal("wide-window merge not commutative")
 	}
-	if ab.Count() != 200 {
-		t.Fatalf("count %d, want 200", ab.Count())
+	if ab.n != 200 {
+		t.Fatalf("count %d, want 200", ab.n)
 	}
 	if got := ab.Quantile(1); got != 1e8 {
 		t.Fatalf("q1 = %g, want exact max 1e8", got)
@@ -132,8 +132,8 @@ func TestSketchSignsAndZero(t *testing.T) {
 	for _, v := range vals {
 		sk.Add(v)
 	}
-	if sk.Count() != 7 {
-		t.Fatalf("count %d", sk.Count())
+	if sk.n != 7 {
+		t.Fatalf("count %d", sk.n)
 	}
 	if sk.Quantile(0) != -100 || sk.Quantile(1) != 1000 {
 		t.Fatalf("extremes: q0=%g q1=%g", sk.Quantile(0), sk.Quantile(1))
@@ -144,14 +144,14 @@ func TestSketchSignsAndZero(t *testing.T) {
 		t.Fatalf("median %g, want 0", got)
 	}
 	// rank 2 is -1.5: the negative mirror must answer within bound.
-	if got := sk.Quantile(2.0 / 7.0); math.Abs(got-(-1.5)) > sk.Alpha()*1.5+1e-9 {
+	if got := sk.Quantile(2.0 / 7.0); math.Abs(got-(-1.5)) > sk.alpha*1.5+1e-9 {
 		t.Fatalf("negative quantile %g, want ≈ -1.5", got)
 	}
 }
 
 func TestSketchEmptyAndErrors(t *testing.T) {
 	sk := NewDefaultSketch()
-	if sk.Quantile(0.5) != 0 || sk.Min() != 0 || sk.Max() != 0 || sk.Count() != 0 {
+	if sk.Quantile(0.5) != 0 || sk.n != 0 {
 		t.Fatal("empty sketch must report zeros")
 	}
 	for _, bad := range []float64{0, 1, -0.1, math.NaN()} {
@@ -159,28 +159,51 @@ func TestSketchEmptyAndErrors(t *testing.T) {
 			t.Errorf("alpha %g accepted", bad)
 		}
 	}
-	if _, err := sk.Histogram(4); err == nil {
-		t.Error("empty histogram accepted")
-	}
 }
 
-func TestSketchHistogram(t *testing.T) {
-	sk := NewDefaultSketch()
-	for i := 0; i < 1000; i++ {
-		sk.Add(float64(i % 10))
+// Clone returns an independent copy.
+func (s *QuantileSketch) Clone() *QuantileSketch {
+	c := *s
+	c.pos = s.pos.clone()
+	c.neg = s.neg.clone()
+	return &c
+}
+
+// Equal reports bitwise equality of the two sketches' contents —
+// counts, windows, and the exact extremes compared by Float64bits.
+func (s *QuantileSketch) Equal(o *QuantileSketch) bool {
+	if math.Float64bits(s.alpha) != math.Float64bits(o.alpha) ||
+		s.n != o.n || s.zero != o.zero ||
+		math.Float64bits(s.min) != math.Float64bits(o.min) ||
+		math.Float64bits(s.max) != math.Float64bits(o.max) {
+		return false
 	}
-	h, err := sk.Histogram(5)
-	if err != nil {
-		t.Fatal(err)
+	return s.pos.equal(&o.pos) && s.neg.equal(&o.neg)
+}
+
+func (d *sketchSide) clone() sketchSide {
+	c := *d
+	if d.counts != nil {
+		c.counts = make([]uint64, len(d.counts))
+		copy(c.counts, d.counts)
 	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
+	return c
+}
+
+func (d *sketchSide) equal(o *sketchSide) bool {
+	if d.n != o.n || len(d.counts) != len(o.counts) {
+		return false
 	}
-	if total != 1000 || h.N != 1000 {
-		t.Fatalf("histogram holds %d of %d samples", total, h.N)
+	if d.counts == nil {
+		return true
 	}
-	if h.Edges[0] != 0 || h.Edges[len(h.Edges)-1] != 9 {
-		t.Fatalf("edges span [%g, %g], want [0, 9]", h.Edges[0], h.Edges[len(h.Edges)-1])
+	if d.base != o.base || d.lo != o.lo || d.hi != o.hi {
+		return false
 	}
+	for i, c := range d.counts {
+		if c != o.counts[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -7,8 +7,8 @@
 #   3. cmd/lint   — the repo-specific determinism/concurrency/allocation
 #                   analyzers (floatcmp, rngdiscipline, maporder,
 #                   errcheck-lite, synccheck, hotalloc, ifaceescape,
-#                   mutexcopy, valuerecv; see DESIGN.md "Static analysis
-#                   & determinism invariants")
+#                   mutexcopy, valuerecv, unusedexport; see DESIGN.md
+#                   "Static analysis & determinism invariants")
 #   4. cmd/lint -escapes — the compiler escape-analysis gate: heap
 #      escapes inside //repro:hotpath functions must match the committed
 #      ESCAPES.json baseline exactly (regenerate deliberate cold-path
