@@ -90,8 +90,8 @@ func TestEndToEndNeuroHPCPipeline(t *testing.T) {
 // TestStrategyCoherenceAcrossEvaluators: for every Table-1 distribution
 // and every strategy, the plan's Eq.-(4) cost agrees with the Eq.-(13)
 // Monte-Carlo evaluation of its sequence. (Eq. 4 against the Eq.-(3)
-// integral is internal/core's TestTheorem1Equivalence, over the same
-// distributions and these strategies' sequence shapes.)
+// integral on these same plans is internal/core's TestPlansMatchIntegral,
+// next to the integral oracle.)
 func TestStrategyCoherenceAcrossEvaluators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

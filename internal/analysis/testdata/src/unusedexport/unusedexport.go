@@ -28,14 +28,18 @@ func (b Box[T]) Get() T { return b.V }
 
 func (b Box[T]) Put(v T) Box[T] { return Box[T]{V: v} } // want `method Box.Put has no non-test use`
 
-// Level's String and Error are reached through fmt and errors, and
-// Levels' Len/Less/Swap through sort; no signature in the module names
-// those interfaces.
+// Level's String, Error, Is and MarshalText are reached through fmt,
+// errors and encoding/json, and Levels' Len/Less/Swap through sort; no
+// signature in the module names those interfaces.
 type Level int
 
 func (l Level) String() string { return "level" }
 
 func (l Level) Error() string { return "level" }
+
+func (l Level) Is(target error) bool { return target == error(l) }
+
+func (l Level) MarshalText() ([]byte, error) { return []byte("level"), nil }
 
 func (l Level) Wrap() error { return l } // want `method Level.Wrap has no non-test use`
 

@@ -19,9 +19,10 @@ import (
 // declaration's reference to itself (recursion, or a type named in its
 // own methods). A method also counts as used when its type satisfies an
 // interface that non-test code names, or one of the standard interfaces
-// that values reach through fmt, sort and errors (String, Error,
-// Len/Less/Swap, Unwrap). Struct fields are out of scope: encoding/json
-// reaches them by reflection.
+// that the standard library reaches by a dynamic type check (error,
+// fmt's String/GoString/Format, sort's Len/Less/Swap, errors' Unwrap/Is/
+// As, MarshalJSON/UnmarshalJSON and MarshalText/UnmarshalText). Struct
+// fields are out of scope: encoding/json reaches them by reflection.
 //
 // A reference implementation that only tests call belongs in the
 // declaring package's _test.go files; one that tests in several
@@ -121,7 +122,11 @@ func (l *Loader) moduleRefs() *moduleRefs {
 		refs.err = err
 		return refs
 	}
-	ifaces := stdInterfaces()
+	ifaces, err := stdInterfaces(l)
+	if err != nil {
+		refs.err = err
+		return refs
+	}
 	var named []*types.TypeName
 	for _, dir := range dirs {
 		pkg, err := l.Load(dir)
@@ -254,36 +259,53 @@ func addInterfaces(set map[types.Type]bool, t types.Type) {
 	}
 }
 
-// stdInterfaceSrc declares the standard interfaces values reach through
-// fmt, sort and errors without any signature naming them.
+// stdInterfaceSrc declares the standard interfaces the standard
+// library reaches by a dynamic type check, without any signature naming
+// them: fmt's Stringer, GoStringer and Formatter, sort.Interface, the
+// methods errors.Is, errors.As and errors.Unwrap look for, and the
+// encoding/json and encoding text (un)marshalers.
 const stdInterfaceSrc = `package std
-type stringer interface{ String() string }
-type sorter interface {
-	Len() int
-	Less(i, j int) bool
-	Swap(i, j int)
-}
-type unwrapper interface{ Unwrap() error }
-type multiUnwrapper interface{ Unwrap() []error }
+
+import (
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"sort"
+)
+
+type (
+	stringer        fmt.Stringer
+	goStringer      fmt.GoStringer
+	formatter       fmt.Formatter
+	sorter          sort.Interface
+	unwrapper       interface{ Unwrap() error }
+	multiUnwrapper  interface{ Unwrap() []error }
+	iser            interface{ Is(error) bool }
+	aser            interface{ As(any) bool }
+	jsonMarshaler   json.Marshaler
+	jsonUnmarshaler json.Unmarshaler
+	textMarshaler   encoding.TextMarshaler
+	textUnmarshaler encoding.TextUnmarshaler
+)
 `
 
 // stdInterfaces returns a fresh interface set seeded with error and
-// the interfaces of stdInterfaceSrc.
-func stdInterfaces() map[types.Type]bool {
+// the interfaces of stdInterfaceSrc, type-checked against imp.
+func stdInterfaces(imp types.Importer) (map[types.Type]bool, error) {
 	set := map[types.Type]bool{errorType: true}
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "std.go", stdInterfaceSrc, 0)
 	if err != nil {
 		panic(err) // a constant source: only a bug can get here
 	}
-	pkg, err := new(types.Config).Check("std", fset, []*ast.File{f}, nil)
+	pkg, err := (&types.Config{Importer: imp}).Check("std", fset, []*ast.File{f}, nil)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	for _, name := range pkg.Scope().Names() {
 		set[pkg.Scope().Lookup(name).Type()] = true
 	}
-	return set
+	return set, nil
 }
 
 // originOf maps a method or field of a generic instance to the

@@ -55,7 +55,7 @@ func PeakWorkers() int { return int(peakWorkers.Load()) }
 // ResetPeakWorkers rebases the high-water mark to the current live
 // count, so a test can bracket one driver call.
 //
-//lint:ignore unusedexport test hook: the oversubscription tests in internal/experiments and internal/service bracket a driver call with it, and the gauge is process-wide, so nothing else can rebase it
+//lint:ignore unusedexport test hook that rebases process-wide state: the peak-worker gauge spans every package's drivers and no other call can reset it
 func ResetPeakWorkers() { peakWorkers.Store(activeWorkers.Load()) }
 
 // Workers returns the default worker count: GOMAXPROCS capped at n (no
