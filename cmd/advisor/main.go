@@ -171,9 +171,3 @@ func ParseTrace(r io.Reader, col int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// CostModelFor builds the cost model from flag values (exposed for the
-// end-to-end test).
-func CostModelFor(alpha, beta, gamma float64) repro.CostModel {
-	return repro.CostModel{Alpha: alpha, Beta: beta, Gamma: gamma}
-}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 func TestParseTracePlainLines(t *testing.T) {
@@ -93,7 +95,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	m := CostModelFor(0.95, 1, 1.05)
+	m := repro.CostModel{Alpha: 0.95, Beta: 1, Gamma: 1.05}
 	if err := run(&buf, samples, "equal-probability", m, 4, false); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -119,7 +120,7 @@ func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 		MonteCarlo:  req.Options.MonteCarlo,
 		PreviewLen:  req.Options.PreviewLen,
 		MaxAttempts: req.Options.MaxAttempts,
-		Workers:     1, // inline: the server parallelizes across requests
+		Workers:     1, // no fan-out: the server parallelizes across requests
 	}
 	pl, err := repro.NewPlanner(model, opts)
 	if err != nil {
@@ -166,21 +167,30 @@ func (s *Backend) resolvePlan(body io.Reader) (*resolved, *apiError) {
 		return nil, aerr
 	}
 	return &resolved{key: "plan|" + in.key, compute: func() ([]byte, error) {
-		p, err := in.planner.Plan(in.dist, in.strategy)
+		resp, err := in.planResponse()
 		if err != nil {
 			return nil, err
 		}
-		resp := api.PlanResponse{Plan: p.Summary(), CanonicalSpec: in.spec}
-		if st, err := p.Stats(); err == nil {
-			resp.Stats = &api.PlanStats{
-				ExpectedAttempts: st.ExpectedAttempts,
-				ExpectedReserved: st.ExpectedReserved,
-				ExpectedUsed:     st.ExpectedUsed,
-				Utilization:      st.Utilization,
-			}
-		}
-		return marshalBody(resp)
+		return planBody(resp)
 	}}, nil
+}
+
+// planResponse computes the plan in names and its /v1/plan response.
+func (in *planInputs) planResponse() (*api.PlanResponse, error) {
+	p, err := in.planner.Plan(in.dist, in.strategy)
+	if err != nil {
+		return nil, err
+	}
+	resp := &api.PlanResponse{Plan: p.Summary(), CanonicalSpec: in.spec}
+	if st, err := p.Stats(); err == nil {
+		resp.Stats = &api.PlanStats{
+			ExpectedAttempts: st.ExpectedAttempts,
+			ExpectedReserved: st.ExpectedReserved,
+			ExpectedUsed:     st.ExpectedUsed,
+			Utilization:      st.Utilization,
+		}
+	}
+	return resp, nil
 }
 
 // resolveSimulate decodes and resolves a /v1/simulate body.
@@ -356,14 +366,136 @@ func (s *Backend) respond(w http.ResponseWriter, r *http.Request, key string, co
 	}
 }
 
-// marshalBody renders a response payload. One serialization point
-// keeps cached bytes and freshly computed bytes identical.
+// marshalBody renders a response payload: the simulate and error
+// bodies, and the plan bodies planBody's flat encoder declines. Every
+// body is rendered once, on the miss that caches it, so cached bytes
+// and freshly computed bytes are the same bytes; planBody's oracle
+// tests hold its output to marshalBody's byte for byte.
 func marshalBody(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// planBody renders a /v1/plan response exactly as marshalBody would,
+// without reflection or a second Indent pass. A response the flat
+// encoder declines goes to marshalBody, which keeps encoding/json's
+// escaping and its error text (an infinite cost fails the plan with
+// json's "unsupported value" message).
+func planBody(resp *api.PlanResponse) ([]byte, error) {
+	if b, ok := appendPlanBody(resp); ok {
+		return b, nil
+	}
+	return marshalBody(*resp)
+}
+
+// appendPlanBody renders resp as json.MarshalIndent(resp, "", "  ")
+// plus a newline. It reports false when resp holds a value it does not
+// render: a NaN or infinite float, or a string with a byte that JSON
+// escapes.
+func appendPlanBody(resp *api.PlanResponse) ([]byte, bool) {
+	p := &resp.Plan
+	// A float takes at most 24 bytes, so 600 bytes hold the fixed text
+	// and nine floats, and 32 more each reservation line: the body is
+	// rendered without growing its buffer.
+	e := jsonAppender{ok: true, b: make([]byte, 0, 600+len(p.Strategy)+len(p.Distribution)+
+		len(resp.CanonicalSpec)+32*len(p.Reservations))}
+	e.raw("{\n  \"plan\": {\n    \"strategy\": ")
+	e.str(p.Strategy)
+	if p.Distribution != "" {
+		e.raw(",\n    \"distribution\": ")
+		e.str(p.Distribution)
+	}
+	e.raw(",\n    \"cost_model\": {\n      \"alpha\": ")
+	e.float(p.CostModel.Alpha)
+	e.raw(",\n      \"beta\": ")
+	e.float(p.CostModel.Beta)
+	e.raw(",\n      \"gamma\": ")
+	e.float(p.CostModel.Gamma)
+	e.raw("\n    },\n    \"reservations\": ")
+	switch {
+	case p.Reservations == nil:
+		e.raw("null")
+	case len(p.Reservations) == 0:
+		e.raw("[]")
+	default:
+		e.raw("[")
+		for i, v := range p.Reservations {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.raw("\n      ")
+			e.float(v)
+		}
+		e.raw("\n    ]")
+	}
+	e.raw(",\n    \"expected_cost\": ")
+	e.float(p.ExpectedCost)
+	e.raw(",\n    \"normalized_cost\": ")
+	e.float(p.NormalizedCost)
+	e.raw("\n  }")
+	if resp.CanonicalSpec != "" {
+		e.raw(",\n  \"canonical_spec\": ")
+		e.str(resp.CanonicalSpec)
+	}
+	if st := resp.Stats; st != nil {
+		e.raw(",\n  \"stats\": {\n    \"expected_attempts\": ")
+		e.float(st.ExpectedAttempts)
+		e.raw(",\n    \"expected_reserved\": ")
+		e.float(st.ExpectedReserved)
+		e.raw(",\n    \"expected_used\": ")
+		e.float(st.ExpectedUsed)
+		e.raw(",\n    \"utilization\": ")
+		e.float(st.Utilization)
+		e.raw("\n  }")
+	}
+	e.raw("\n}\n")
+	return e.b, e.ok
+}
+
+// jsonAppender appends JSON tokens in encoding/json's spelling; ok
+// turns false for good at the first value it does not render.
+type jsonAppender struct {
+	b  []byte
+	ok bool
+}
+
+func (e *jsonAppender) raw(s string) { e.b = append(e.b, s...) }
+
+// str appends s quoted. It renders only printable ASCII other than
+// the characters json.Marshal escapes ('"', '\\', '<', '>', '&').
+func (e *jsonAppender) str(s string) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			e.ok = false
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
+}
+
+// float appends a finite f as encoding/json does: the shortest form
+// that round-trips, in 'e' notation below 1e-6 and from 1e21 on, with
+// a one-digit negative exponent written e-7, not e-07.
+func (e *jsonAppender) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.ok = false
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
 }
 
 // writeBody writes a successful JSON response with its cache verdict.

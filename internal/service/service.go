@@ -21,13 +21,14 @@
 // its result. The X-Cache response header reports which path served
 // the request (hit, miss, or coalesced); the body never varies.
 //
-// By default plan computations run with Options.Workers = 1, i.e.
-// inline, with zero goroutines spawned on the internal/parallel pool;
-// parallelism comes from serving requests concurrently instead,
-// bounded by a semaphore of WorkerBudget slots. The pool's worker
-// gauge (workers_active / workers_peak in /debug/vars) therefore
-// stays at zero no matter the request load — the budget is visible as
-// the in_flight counter instead.
+// Plan computations run with Options.Workers = 1: each runs on the
+// one goroutine respond starts for its miss (so the handler can give
+// up at the timeout), with zero goroutines spawned on the
+// internal/parallel pool; parallelism comes from serving requests
+// concurrently instead, bounded by a semaphore of WorkerBudget slots.
+// The pool's worker gauge (workers_active / workers_peak in
+// /debug/vars) therefore stays at zero no matter the request load —
+// the budget is visible as the in_flight counter instead.
 package service
 
 import (

@@ -45,7 +45,12 @@ func (pl *Planner) Plan(d Distribution, strategyName string) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: strategy %s failed: %w", strategyName, err)
 	}
-	e, err := core.ExpectedCost(pl.model, d, seq.Clone())
+	// The cost and the preview walk seq itself, not clones: the prefix
+	// they materialize stays on the plan, so the Clone in Stats,
+	// CostFor, Simulate and CostQuantile copies it instead of
+	// re-running the generator. The generator is pure, so every value
+	// is the one a fresh walk would produce.
+	e, err := core.ExpectedCost(pl.model, d, seq)
 	if err != nil {
 		return nil, fmt.Errorf("repro: cost evaluation failed: %w", err)
 	}
@@ -53,10 +58,9 @@ func (pl *Planner) Plan(d Distribution, strategyName string) (*Plan, error) {
 	// negligible: reservations out there exist only to keep the
 	// sequence formally unbounded, would read as absurd numbers, and
 	// can overflow the Eq.-(11) recurrence to +Inf or NaN.
-	tail := seq.Clone()
 	var preview []float64
 	for i := 0; i < pl.opts.PreviewLen; i++ {
-		v, err := tail.At(i)
+		v, err := seq.At(i)
 		if errors.Is(err, core.ErrEnd) {
 			break
 		}

@@ -4,6 +4,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 // TestPlannerMatchesMakePlan: every strategy produces the identical
@@ -238,6 +241,73 @@ func TestPlannerTailOverflowLaws(t *testing.T) {
 				}
 				if _, _, err := p.Simulate(1000, 1); err != nil {
 					t.Errorf("%s %s MonteCarlo=%v: Simulate: %v", spec, name, mc, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanMaterializesSequenceOnce: Plan leaves the prefix its cost
+// and preview walks generated on the plan's own sequence, so the
+// evaluation methods copy it instead of re-running the generator; and
+// each of them returns, bit for bit, what the same call returns on a
+// freshly generated sequence of the same strategy.
+func TestPlanMaterializesSequenceOnce(t *testing.T) {
+	pl, err := NewPlanner(NeuroHPC(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, d := range dist.Table1() {
+		for _, name := range Strategies() {
+			label := d.Name() + " " + name
+			p, err := pl.Plan(d, name)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if n := len(p.Sequence().Materialized()); n < len(p.Reservations) {
+				t.Errorf("%s: %d values materialized after Plan, want at least the %d-value preview",
+					label, n, len(p.Reservations))
+			}
+			st, err := pl.opts.resolve(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := func() *core.Sequence {
+				s, err := st.Sequence(pl.model, d)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				return s
+			}
+
+			got, gerr := p.Stats()
+			want, werr := core.Stats(pl.model, d, fresh())
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: Stats error %v, fresh %v", label, gerr, werr)
+			}
+			if !same(got.ExpectedCost, want.ExpectedCost) || !same(got.ExpectedAttempts, want.ExpectedAttempts) ||
+				!same(got.ExpectedReserved, want.ExpectedReserved) || !same(got.ExpectedUsed, want.ExpectedUsed) ||
+				!same(got.Utilization, want.Utilization) || len(got.AttemptProbs) != len(want.AttemptProbs) {
+				t.Errorf("%s: Stats %+v, fresh %+v", label, got, want)
+			}
+			for i := range min(len(got.AttemptProbs), len(want.AttemptProbs)) {
+				if !same(got.AttemptProbs[i], want.AttemptProbs[i]) {
+					t.Errorf("%s: Stats AttemptProbs[%d] %v, fresh %v", label, i, got.AttemptProbs[i], want.AttemptProbs[i])
+				}
+			}
+
+			for _, q := range []float64{0.01, 0.5, 0.99, 1 - 1e-9} {
+				t0 := d.Quantile(q)
+				gc, ga, gerr := p.CostFor(t0)
+				wc, wa, werr := pl.model.RunCost(fresh(), t0)
+				if !same(gc, wc) || ga != wa || (gerr == nil) != (werr == nil) {
+					t.Errorf("%s: CostFor(%g) = %v, %d, %v; fresh %v, %d, %v", label, t0, gc, ga, gerr, wc, wa, werr)
+				}
+				gq, gerr := p.CostQuantile(q)
+				wq, werr := core.CostQuantile(pl.model, d, fresh(), q)
+				if !same(gq, wq) || (gerr == nil) != (werr == nil) {
+					t.Errorf("%s: CostQuantile(%g) = %v, %v; fresh %v, %v", label, q, gq, gerr, wq, werr)
 				}
 			}
 		}

@@ -9,7 +9,8 @@
 # K-budgeted variant), the Planner-level plan-cold kernels (brute
 # force, DP, Monte-Carlo), the plan-service pairs (cached vs uncached over
 # loopback HTTP; cached hit on the backend alone vs through the
-# in-process frontend) and the cluster-simulator trio (streaming engine,
+# in-process frontend), the in-process cold miss (the per-miss fixed
+# cost) and the cluster-simulator trio (streaming engine,
 # heap baseline, parallel sweep), parsed into a deterministic JSON
 # report. Every entry is a `go test -bench` result in ns/op; end-to-end
 # serving and fleet numbers come from perfbench/run.sh instead.

@@ -47,8 +47,8 @@ type CostModel struct {
 }
 
 // Options mirrors repro.Options on the wire. Workers is absent on
-// purpose: the server always computes inline (Workers = 1) and scales
-// across requests instead.
+// purpose: the server always computes with Workers = 1, one goroutine
+// per computation, and scales across requests instead.
 type Options struct {
 	GridM       int     `json:"grid_m,omitempty"`
 	SamplesN    int     `json:"samples_n,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -96,6 +97,35 @@ func BenchmarkPlanServiceCachedInProcess(b *testing.B) {
 				b.Fatalf("X-Cache %q, want hit", c)
 			}
 		})
+	}
+}
+
+// BenchmarkPlanServiceMissInProcess measures the plan path's fixed
+// per-miss cost: every iteration posts a new lognormal(3,σ) key to
+// Backend.ServeHTTP in process, so each one decodes, canonicalizes,
+// plans, encodes and caches. The strategy is the cheap mean-doubling,
+// so the kernel is a small share of the number; request and writer are
+// reused, so every allocation counted is the service's.
+func BenchmarkPlanServiceMissInProcess(b *testing.B) {
+	be := service.New(service.Config{Cache: service.CacheConfig{Responses: 1 << 10}})
+	req := httptest.NewRequest(http.MethodPost, api.PathPlan, nil)
+	rd := &readCloser{}
+	w := &discardWriter{h: make(http.Header)}
+	const head, tail = `{"distribution": "lognormal(3,`, `)", "cost_model": {"alpha": 1}, "strategy": "mean-doubling"}`
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sigma := 0.75 + 0.5*float64(i)/float64(b.N) // distinct for every i
+		body = append(strconv.AppendFloat(append(body[:0], head...), sigma, 'g', -1, 64), tail...)
+		rd.Reset(body)
+		req.Body = rd
+		clear(w.h)
+		w.status = http.StatusOK
+		be.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.h.Get(api.HeaderCache) != "miss" {
+			b.Fatalf("status %d, X-Cache %q, want a miss", w.status, w.h.Get(api.HeaderCache))
+		}
 	}
 }
 
