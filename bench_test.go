@@ -338,9 +338,9 @@ func dpBenchLaw(b *testing.B, n int) *dist.Discrete {
 // BenchmarkDPSolve measures the Theorem-5 dynamic program on its
 // default gated sub-quadratic path (the candidate-queue pass above the
 // auto threshold) across sample counts chosen to expose the asymptotic
-// gap to the reference scan: n=256 is a small solve above the
-// threshold, n=4096 is the headline comparison point, n=16384 shows
-// the O(n log n) scaling.
+// gap to the reference scan (internal/dp's BenchmarkDPSolveScan): n=256
+// is a small solve above the threshold, n=4096 is the headline
+// comparison point, n=16384 shows the O(n log n) scaling.
 func BenchmarkDPSolve(b *testing.B) {
 	for _, n := range []int{256, 4096, 16384} {
 		dd := dpBenchLaw(b, n)
@@ -355,46 +355,22 @@ func BenchmarkDPSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkDPSolveScan is the retained O(n²) reference scan over the
-// same instances — the denominator of the DP speedup claim (compare
-// DPSolve/n=4096 against DPSolveScan/n=4096).
-func BenchmarkDPSolveScan(b *testing.B) {
-	for _, n := range []int{256, 4096, 16384} {
-		dd := dpBenchLaw(b, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dp.SolveWith(dd, core.ReservationOnly, dp.Config{Algo: dp.AlgoScan}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDPSolveBudget measures the budget-constrained DP (K=8
-// attempts) on the fast path vs the reference scan at the headline
-// size — each of the K-1 swept layers is an offline argmin problem, so
-// the sub-quadratic engines apply layer by layer.
+// attempts) at the headline size: each of the K-1 swept layers is an
+// offline argmin problem, so the gated queue pass applies layer by
+// layer. The scan half, BenchmarkDPSolveBudget/scan, lives in
+// internal/dp.
 func BenchmarkDPSolveBudget(b *testing.B) {
 	const n, k = 4096, 8
 	dd := dpBenchLaw(b, n)
-	for _, cfg := range []struct {
-		name string
-		c    dp.Config
-	}{
-		{"fast", dp.Config{}},
-		{"scan", dp.Config{Algo: dp.AlgoScan}},
-	} {
-		b.Run(fmt.Sprintf("%s/n=%d/k=%d", cfg.name, n, k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dp.SolveMaxAttemptsWith(dd, core.ReservationOnly, k, cfg.c); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(fmt.Sprintf("fast/n=%d/k=%d", n, k), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dp.SolveMaxAttempts(dd, core.ReservationOnly, k); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkPlannerKernels measures the three plan-cold kernels at the

@@ -46,8 +46,9 @@ import (
 
 // defaultBench is the scoring-path subset — the candidate-evaluation
 // benchmarks the empirical-cost fast path is accountable to, the DP
-// solver benchmarks (sub-quadratic fast path, O(n²) reference scan,
-// budgeted variant), the Planner-level plan-cold kernels — plus the
+// solver benchmarks (the gated queue pass, unconstrained and
+// budgeted; the O(n²) reference scan is benchmarked in internal/dp),
+// the Planner-level plan-cold kernels — plus the
 // plan-service pair contrasting cached and uncached request latency,
 // the in-process cached-hit pair (backend handler alone; frontend →
 // in-process transport → backend) that leaves loopback HTTP out, the
@@ -56,7 +57,7 @@ import (
 // buffered heap baseline, parallel sweep) whose speedup ratio
 // TestCompareAgainstCommittedBaseline pins. The full suite (-bench .)
 // includes multi-second experiment drivers and is opt-in.
-const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveScan|BenchmarkDPSolveBudget|BenchmarkPlannerKernels|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceMissInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
+const defaultBench = "^(BenchmarkWorkloadScoring|BenchmarkBruteForceScoring|BenchmarkAnalyticScoring|BenchmarkDPSolve|BenchmarkDPSolveBudget|BenchmarkPlannerKernels|BenchmarkMonteCarlo|BenchmarkExpectedCost|BenchmarkPlanServiceCached|BenchmarkPlanServiceCachedInProcess|BenchmarkPlanServiceMissInProcess|BenchmarkPlanServiceUncached|BenchmarkClusterSim|BenchmarkClusterSimHeap|BenchmarkClusterSweep)$"
 
 // compareTolerance is the -compare regression threshold: a benchmark
 // fails the gate when its current ns/op exceeds the baseline by more

@@ -20,8 +20,7 @@
 // i.e. a smaller column wins-or-ties a larger one on a prefix of rows.
 // The same structure holds for the budgeted recursion of
 // SolveMaxAttempts (E replaced by the previous budget row, which is
-// finite wherever it is read — the k=0 infeasibility row is consumed
-// only by the closed-form k=1 sweep).
+// finite everywhere).
 //
 // The engine is the candidate-queue pass for least-weight-subsequence
 // DPs (Hirschberg & Larmore, 1987): rows are visited for i = n-1 … 0,
@@ -36,66 +35,20 @@
 // are computed, not assigned), so the fast path never trusts it
 // blindly: after a fast solve, an O(n) gate re-derives a set of
 // optimality conditions with the exact entry expression and falls back
-// to the O(n²) reference scan on the first violation. A debug mode
-// (Config.Verify) re-scans every row instead.
+// to the O(n²) reference scan on the first violation. The full per-row
+// rescan that upgrades the gate to proof lives in the tests.
 //
-// Tie-break contract: the engine reproduces bestChoice/bestChoiceBudget
-// bit for bit — the smallest j among minimizers, with every evaluated
-// entry computed by the identical IEEE-754 expression (entryCost /
-// entryCostBudget, shared with the scan). The queue compares a new
-// (smaller) column against an incumbent with <=, so ties go to the
-// smaller j; persistence makes that the scan's smallest-j argmin.
+// Tie-break contract: the engine reproduces bestChoice bit for bit —
+// the smallest j among minimizers, with every evaluated entry computed
+// by the identical IEEE-754 expression (entryCost, shared with the
+// scan). The queue compares a new (smaller) column against an
+// incumbent with <=, so ties go to the smaller j; persistence makes
+// that the scan's smallest-j argmin.
 package dp
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Algorithm selects the inner argmin engine of Solve and
-// SolveMaxAttempts.
-type Algorithm int
-
-const (
-	// AlgoAuto uses the candidate-queue fast path (with its gate) above
-	// autoThreshold support points and the plain scan below it, where
-	// the quadratic constant is already negligible.
-	AlgoAuto Algorithm = iota
-	// AlgoScan is the reference O(n²) row scan of the seed
-	// implementation (bestChoice / bestChoiceBudget). It is retained
-	// verbatim as the fallback target and the benchmark baseline.
-	AlgoScan
-	// AlgoQueue is the gated candidate-queue pass: O(n log n) per
-	// solve.
-	AlgoQueue
-)
-
-// String implements fmt.Stringer (test and benchmark labels).
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoScan:
-		return "scan"
-	case AlgoQueue:
-		return "queue"
-	default:
-		return "auto"
-	}
-}
-
-// Config tunes SolveWith and SolveMaxAttemptsWith. The zero value —
-// AlgoAuto without per-row verification — is what Solve and
-// SolveMaxAttempts use and is always safe: fast-path answers are gated
-// and fall back to the exact scan on any detected violation.
-type Config struct {
-	// Algo selects the argmin engine.
-	Algo Algorithm
-	// Verify additionally cross-checks every fast-path row against a
-	// full reference scan (O(n²), debug only). Any mismatch — value or
-	// winning index — discards the fast result and falls back.
-	Verify bool
-}
-
-// autoThreshold is the support size below which AlgoAuto keeps the
+// autoThreshold is the support size below which a sweep keeps the
 // plain scan. On the benchmark law (LogNormal(3, 0.5),
 // EqualProbability; BenchmarkEngineCrossover in this package, median
 // of 5 on a 2-vCPU Xeon) the gated queue pass overtakes the scan
@@ -103,24 +56,13 @@ type Config struct {
 // 1.8× faster at n = 128.
 const autoThreshold = 64
 
-// engine resolves the configured algorithm for a support of size n.
-func (c Config) engine(n int) Algorithm {
-	if c.Algo == AlgoAuto {
-		if n < autoThreshold {
-			return AlgoScan
-		}
-		return AlgoQueue
-	}
-	return c.Algo
-}
-
 var fallbackCount atomic.Uint64
 
-// Fallbacks returns the cumulative number of fast-path solves (or
-// budgeted row sweeps) that the gate or verifier abandoned to the
-// reference scan. Diagnostic: steadily increasing counts mean the
-// instance family violates total monotonicity and AlgoScan would be
-// cheaper.
+// Fallbacks returns the cumulative number of queue-pass sweeps (one per
+// Solve, one per budget row k >= 2 of SolveMaxAttempts) that the gate
+// abandoned to the reference scan. Diagnostic: steadily increasing
+// counts mean the instance family violates total monotonicity, so each
+// of its sweeps pays for the pass and the scan.
 func Fallbacks() uint64 { return fallbackCount.Load() }
 
 // monotoneSolver carries one argmin problem over a lower-triangular
@@ -162,8 +104,7 @@ type monotoneSolver struct {
 
 // newMonotoneSolver allocates a solver over the n = len(S)-1 columns
 // of a support whose suffix masses are S; the active rows are those
-// with S[i] > 0. The caller sets at/commit (per budget sweep, for the
-// budgeted DP) before each run.
+// with S[i] > 0. law.sweep sets at/commit before each run.
 func newMonotoneSolver(S []float64) *monotoneSolver {
 	n := len(S) - 1
 	s := &monotoneSolver{
@@ -185,9 +126,9 @@ func newMonotoneSolver(S []float64) *monotoneSolver {
 // run executes the fast path, gates the result, and reports whether it
 // stands. On false the caller must recompute with the reference scan;
 // best/bestJ (and anything commit published) hold unusable state.
-func (s *monotoneSolver) run(verify bool) bool {
+func (s *monotoneSolver) run() bool {
 	s.pass()
-	if !s.gate() || (verify && !s.verifyAll()) {
+	if !s.gate() {
 		fallbackCount.Add(1)
 		return false
 	}
@@ -263,8 +204,8 @@ func (s *monotoneSolver) pass() {
 // scan's contract. Every check is sound: a failure proves the fast
 // result differs from the scan (wrong value, wrong index, or a tie
 // broken away from the smallest j), so a fallback is forced; a pass is
-// strong evidence, not proof — Config.Verify upgrades it to a full
-// per-row comparison.
+// strong evidence, not proof — only a full per-row rescan (the tests'
+// verifyAll) is.
 //
 // Checked, for every active row i with winner j: column j+1 must not
 // beat it, and column j-1 (when feasible, j-1 >= i) must not beat or
@@ -311,26 +252,6 @@ func (s *monotoneSolver) checkPair(p1, p2 int) bool {
 		}
 		if j1 >= i2 && s.at(i2, j1) <= s.best[i2] {
 			return false // row i2 prefers (or ties) the earlier column
-		}
-	}
-	return true
-}
-
-// verifyAll is the Config.Verify mode: every active row is re-scanned in
-// full with the exact entry expression, and the fast answer must match
-// bit for bit — value and winning index.
-func (s *monotoneSolver) verifyAll() bool {
-	for _, i := range s.rows {
-		bv := math.Inf(1)
-		bj := -1
-		for j := i; j < s.n; j++ {
-			if c := s.at(i, j); c < bv {
-				bv, bj = c, j
-			}
-		}
-		//lint:ignore floatcmp the fast path must agree with the scan bitwise
-		if bv != s.best[i] || bj != s.bestJ[i] {
-			return false
 		}
 	}
 	return true

@@ -11,9 +11,13 @@ import (
 	"repro/internal/rng"
 )
 
-// engineAlgos are the fast engines under test; AlgoScan is the
-// reference they must match bit for bit.
-var engineAlgos = []Algorithm{AlgoQueue}
+// Values of solve's queueFrom that force one engine: the queue pass
+// for every support size, or the reference scan the queue must match
+// bit for bit.
+const (
+	forceQueue = 0
+	forceScan  = math.MaxInt
+)
 
 // testModels spans the three cost-model families the experiments use.
 var testModels = []core.CostModel{
@@ -69,14 +73,34 @@ func randomLaw(t *testing.T, r *rng.Source, n int) *dist.Discrete {
 	return d
 }
 
-// mustSolveWith is SolveWith with fatal error handling.
-func mustSolveWith(t *testing.T, d *dist.Discrete, m core.CostModel, cfg Config) Result {
+// mustSolve is solve with fatal error handling.
+func mustSolve(t *testing.T, d *dist.Discrete, m core.CostModel, queueFrom int) Result {
 	t.Helper()
-	r, err := SolveWith(d, m, cfg)
+	r, err := solve(d, m, queueFrom)
 	if err != nil {
-		t.Fatalf("SolveWith(%+v): %v", cfg, err)
+		t.Fatalf("solve(queueFrom %d): %v", queueFrom, err)
 	}
 	return r
+}
+
+// mustSolveMaxAttempts is solveMaxAttempts with fatal error handling.
+func mustSolveMaxAttempts(t *testing.T, d *dist.Discrete, m core.CostModel, k, queueFrom int) Result {
+	t.Helper()
+	r, err := solveMaxAttempts(d, m, k, queueFrom)
+	if err != nil {
+		t.Fatalf("solveMaxAttempts(K=%d, queueFrom %d): %v", k, queueFrom, err)
+	}
+	return r
+}
+
+// mustLaw is newLaw with fatal error handling.
+func mustLaw(t *testing.T, d *dist.Discrete, m core.CostModel, queueFrom int) law {
+	t.Helper()
+	l, err := newLaw(d, m, queueFrom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // assertBitIdentical fails unless two results agree bitwise: expected
@@ -105,18 +129,18 @@ func assertBitIdentical(t *testing.T, label string, got, want Result) {
 }
 
 // TestEnginesMatchOracleSmallLaws is the seeded property sweep of the
-// fast engines against the exponential oracle: random laws with n <= 14
+// queue pass against the exponential oracle: random laws with n <= 14
 // support points — including zero-mass interior/trailing points and
-// truncated total mass — across the three cost-model families. Every
-// engine (with per-row verification forced on) must agree with the
-// default Solve bit for bit, and both must match the oracle's optimum.
+// truncated total mass — across the three cost-model families. The
+// forced queue must agree with the forced scan bit for bit, and the
+// scan must match the oracle's optimum.
 func TestEnginesMatchOracleSmallLaws(t *testing.T) {
 	for seed := uint64(0); seed < 120; seed++ {
 		r := rng.New(seed)
 		n := 1 + int(r.Float64()*14)
 		d := randomLaw(t, r, n)
 		for mi, m := range testModels {
-			want := mustSolveWith(t, d, m, Config{Algo: AlgoScan})
+			want := mustSolve(t, d, m, forceScan)
 			oracle, err := SolveBruteForce(d, m)
 			if err != nil {
 				t.Fatalf("seed %d: oracle: %v", seed, err)
@@ -124,18 +148,16 @@ func TestEnginesMatchOracleSmallLaws(t *testing.T) {
 			if math.Abs(want.ExpectedCost-oracle.ExpectedCost) > 1e-9*(1+oracle.ExpectedCost) {
 				t.Errorf("seed %d model %d: scan cost %g != oracle %g", seed, mi, want.ExpectedCost, oracle.ExpectedCost)
 			}
-			for _, algo := range engineAlgos {
-				got := mustSolveWith(t, d, m, Config{Algo: algo, Verify: true})
-				assertBitIdentical(t, fmt.Sprintf("seed %d model %d %v", seed, mi, algo), got, want)
-			}
+			got := mustSolve(t, d, m, forceQueue)
+			assertBitIdentical(t, fmt.Sprintf("seed %d model %d queue", seed, mi), got, want)
 		}
 	}
 }
 
-// TestEnginesMatchScanLargeLaws pins the engines to the reference scan
-// on laws big enough to exercise deep recursion, including discretized
-// lognormals (the experiment workload) and laws with zero-mass points;
-// the default engine must also agree with per-row verification on.
+// TestEnginesMatchScanLargeLaws pins Solve and the forced queue to the
+// reference scan on laws big enough to exercise deep recursion,
+// including discretized lognormals (the experiment workload) and laws
+// with zero-mass points.
 func TestEnginesMatchScanLargeLaws(t *testing.T) {
 	laws := []*dist.Discrete{}
 	for _, n := range []int{130, 257, 512, 1000} {
@@ -151,21 +173,24 @@ func TestEnginesMatchScanLargeLaws(t *testing.T) {
 	}
 	for li, d := range laws {
 		for mi, m := range testModels {
-			want := mustSolveWith(t, d, m, Config{Algo: AlgoScan})
-			auto := mustSolveWith(t, d, m, Config{})
-			assertBitIdentical(t, fmt.Sprintf("law %d model %d auto", li, mi), auto, want)
-			verified := mustSolveWith(t, d, m, Config{Verify: true})
-			assertBitIdentical(t, fmt.Sprintf("law %d model %d auto verified", li, mi), verified, want)
-			for _, algo := range engineAlgos {
-				got := mustSolveWith(t, d, m, Config{Algo: algo})
-				assertBitIdentical(t, fmt.Sprintf("law %d model %d %v", li, mi, algo), got, want)
+			want := mustSolve(t, d, m, forceScan)
+			auto, err := Solve(d, m)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertBitIdentical(t, fmt.Sprintf("law %d model %d auto", li, mi), auto, want)
+			got := mustSolve(t, d, m, forceQueue)
+			assertBitIdentical(t, fmt.Sprintf("law %d model %d queue", li, mi), got, want)
 		}
 	}
 }
 
-// TestBudgetedEnginesMatchScan pins SolveMaxAttemptsWith across engines
-// and budgets to the reference scan, bit for bit.
+// TestBudgetedEnginesMatchScan pins the budgeted DP's queue pass to the
+// reference scan, bit for bit. A budgeted Result shows only E[K][0] and
+// the plan backtracked from it, so besides the results for several
+// budgets K, every budget row k >= 2 is compared: the queue sweep over
+// the scan's row k-1 must reproduce the scan's row k, every value and
+// every choice.
 func TestBudgetedEnginesMatchScan(t *testing.T) {
 	laws := []*dist.Discrete{
 		randomLaw(t, rng.New(7), 300),
@@ -175,16 +200,27 @@ func TestBudgetedEnginesMatchScan(t *testing.T) {
 		n := d.Len()
 		for mi, m := range testModels {
 			for _, k := range []int{2, 3, 8, n} {
-				want, err := SolveMaxAttemptsWith(d, m, k, Config{Algo: AlgoScan})
-				if err != nil {
-					t.Fatalf("law %d K=%d: %v", li, k, err)
+				want := mustSolveMaxAttempts(t, d, m, k, forceScan)
+				got := mustSolveMaxAttempts(t, d, m, k, forceQueue)
+				assertBitIdentical(t, fmt.Sprintf("law %d model %d K=%d queue", li, mi, k), got, want)
+			}
+			scan := mustLaw(t, d, m, forceScan)
+			E, choice := scan.budgetRows(n)
+			queue := mustLaw(t, d, m, forceQueue)
+			out := make([]float64, n+1)
+			ch := make([]int, n+1)
+			for k := 2; k < len(E); k++ {
+				clear(out)
+				for i := range ch {
+					ch[i] = -1
 				}
-				for _, algo := range engineAlgos {
-					got, err := SolveMaxAttemptsWith(d, m, k, Config{Algo: algo, Verify: true})
-					if err != nil {
-						t.Fatalf("law %d K=%d %v: %v", li, k, algo, err)
+				queue.sweep(E[k-1], out, ch)
+				for i := range out {
+					//lint:ignore floatcmp both engines evaluate the same entries, so rows agree bitwise
+					if out[i] != E[k][i] || ch[i] != choice[k][i] {
+						t.Fatalf("law %d model %d row k=%d, i=%d: queue (%.17g, %d) != scan (%.17g, %d)",
+							li, mi, k, i, out[i], ch[i], E[k][i], choice[k][i])
 					}
-					assertBitIdentical(t, fmt.Sprintf("law %d model %d K=%d %v", li, mi, k, algo), got, want)
 				}
 			}
 		}
@@ -208,30 +244,36 @@ func syntheticSolver(n int, at func(i, j int) float64) (*monotoneSolver, []float
 	return mx, E, J
 }
 
-// lawSolver builds the solver SolveWith runs for d under m (white box),
-// with E and choice published by commit, so tests can drive the pass
-// and the gate directly and tamper with their state.
-func lawSolver(d *dist.Discrete, m core.CostModel) *monotoneSolver {
-	n := d.Len()
-	vals := d.Values()
-	raw := d.Probs()
-	total := d.Total()
-	probs := make([]float64, n)
-	for i := range raw {
-		probs[i] = raw[i] / total
+// lawSolver returns the solver Solve's sweep ran for d under m (white
+// box), its at and commit still bound to the filled E and choice rows,
+// so tests can drive the pass and the gate directly and tamper with
+// their state.
+func lawSolver(t *testing.T, d *dist.Discrete, m core.CostModel) *monotoneSolver {
+	t.Helper()
+	l := mustLaw(t, d, m, forceQueue)
+	E := make([]float64, d.Len()+1)
+	l.sweep(E, E, make([]int, d.Len()+1))
+	return l.mx
+}
+
+// verifyAll is the full per-row check the gate only samples: every
+// active row is re-scanned with the exact entry expression, and the
+// pass's answer must match bit for bit — value and winning index.
+func (s *monotoneSolver) verifyAll() bool {
+	for _, i := range s.rows {
+		bv := math.Inf(1)
+		bj := -1
+		for j := i; j < s.n; j++ {
+			if c := s.at(i, j); c < bv {
+				bv, bj = c, j
+			}
+		}
+		//lint:ignore floatcmp the fast path must agree with the scan bitwise
+		if bv != s.best[i] || bj != s.bestJ[i] {
+			return false
+		}
 	}
-	S := make([]float64, n+1)
-	W := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		S[i] = S[i+1] + probs[i]
-		W[i] = W[i+1] + probs[i]*vals[i]
-	}
-	E := make([]float64, n+1)
-	choice := make([]int, n+1)
-	mx := newMonotoneSolver(S)
-	mx.at = func(i, j int) float64 { return entryCost(m, vals, S, W, E, i, j) }
-	mx.commit = func(i int) { E[i], choice[i] = mx.best[i], mx.bestJ[i] }
-	return mx
+	return true
 }
 
 // scanRows is the reference row scan over an explicit entry function:
@@ -280,17 +322,15 @@ func TestEnginesOnSyntheticTotallyMonotone(t *testing.T) {
 			}
 			at := func(i, j int) float64 { return a[j] + b[j]*x[i] }
 			wantE, wantJ := scanRows(n, at)
-			for _, algo := range engineAlgos {
-				mx, E, J := syntheticSolver(n, at)
-				if !mx.run(true) {
-					t.Fatalf("seed %d n=%d %v: gate tripped on an exactly monotone matrix", seed, n, algo)
-				}
-				for i := 0; i < n; i++ {
-					//lint:ignore floatcmp exact integer arithmetic must agree bitwise
-					if E[i] != wantE[i] || J[i] != wantJ[i] {
-						t.Fatalf("seed %d n=%d %v row %d: got (%g,%d) want (%g,%d)",
-							seed, n, algo, i, E[i], J[i], wantE[i], wantJ[i])
-					}
+			mx, E, J := syntheticSolver(n, at)
+			if !mx.run() {
+				t.Fatalf("seed %d n=%d: gate tripped on an exactly monotone matrix", seed, n)
+			}
+			for i := 0; i < n; i++ {
+				//lint:ignore floatcmp exact integer arithmetic must agree bitwise
+				if E[i] != wantE[i] || J[i] != wantJ[i] {
+					t.Fatalf("seed %d n=%d row %d: got (%g,%d) want (%g,%d)",
+						seed, n, i, E[i], J[i], wantE[i], wantJ[i])
 				}
 			}
 		}
@@ -306,41 +346,39 @@ func TestGateTripsAndFallbackIsExact(t *testing.T) {
 	const n = 64
 	at := func(i, j int) float64 { return math.Abs(float64(j - (n - 1 - i))) }
 	wantE, wantJ := scanRows(n, at)
-	for _, algo := range engineAlgos {
-		before := Fallbacks()
-		mx, E, J := syntheticSolver(n, at)
-		if mx.run(false) {
-			t.Fatalf("%v: gate accepted a non-monotone matrix", algo)
-		}
-		if Fallbacks() != before+1 {
-			t.Errorf("%v: fallback counter not incremented", algo)
-		}
-		// The production fallback path: discard the fast state and rerun
-		// the reference scan (what SolveWith/SolveMaxAttemptsWith do).
-		for i := 0; i < n; i++ {
-			bv, bj := math.Inf(1), -1
-			for j := i; j < n; j++ {
-				if c := at(i, j); c < bv {
-					bv, bj = c, j
-				}
+	before := Fallbacks()
+	mx, E, J := syntheticSolver(n, at)
+	if mx.run() {
+		t.Fatal("gate accepted a non-monotone matrix")
+	}
+	if Fallbacks() != before+1 {
+		t.Error("fallback counter not incremented")
+	}
+	// The production fallback path: discard the fast state and rerun
+	// the reference scan (what law.sweep does).
+	for i := 0; i < n; i++ {
+		bv, bj := math.Inf(1), -1
+		for j := i; j < n; j++ {
+			if c := at(i, j); c < bv {
+				bv, bj = c, j
 			}
-			E[i], J[i] = bv, bj
 		}
-		for i := 0; i < n; i++ {
-			//lint:ignore floatcmp the fallback is the scan, so exact equality is the contract
-			if E[i] != wantE[i] || J[i] != wantJ[i] {
-				t.Fatalf("%v row %d: fallback (%g,%d) != scan (%g,%d)", algo, i, E[i], J[i], wantE[i], wantJ[i])
-			}
+		E[i], J[i] = bv, bj
+	}
+	for i := 0; i < n; i++ {
+		//lint:ignore floatcmp the fallback is the scan, so exact equality is the contract
+		if E[i] != wantE[i] || J[i] != wantJ[i] {
+			t.Fatalf("row %d: fallback (%g,%d) != scan (%g,%d)", i, E[i], J[i], wantE[i], wantJ[i])
 		}
 	}
 }
 
-// TestVerifyAllCatchesCorruptedRow: the Config.Verify cross-check must
+// TestVerifyAllCatchesCorruptedRow: the full per-row cross-check must
 // reject a fast result whose stored winner was tampered with, even when
 // the cheap gate cannot see the difference.
 func TestVerifyAllCatchesCorruptedRow(t *testing.T) {
-	mx := lawSolver(randomLaw(t, rng.New(5), 200), testModels[1])
-	if !mx.run(true) {
+	mx := lawSolver(t, randomLaw(t, rng.New(5), 200), testModels[1])
+	if !mx.run() || !mx.verifyAll() {
 		t.Fatal("fast path rejected a real instance")
 	}
 	// Corrupt one row's stored value by an ulp-scale nudge.
@@ -355,22 +393,19 @@ func TestVerifyAllCatchesCorruptedRow(t *testing.T) {
 // allocations per solve pass: scratch is preallocated by
 // newMonotoneSolver, and the pass, gate and verifier reuse it.
 func TestDPRowKernelAllocsZero(t *testing.T) {
-	mx := lawSolver(randomLaw(t, rng.New(21), 512), testModels[1])
-	for _, algo := range engineAlgos {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			run := func() {
-				mx.pass()
-				if !mx.gate() {
-					t.Fatal("gate tripped on a real instance")
-				}
+	mx := lawSolver(t, randomLaw(t, rng.New(21), 512), testModels[1])
+	t.Run("queue", func(t *testing.T) {
+		run := func() {
+			mx.pass()
+			if !mx.gate() {
+				t.Fatal("gate tripped on a real instance")
 			}
-			run() // warm-up outside the measurement
-			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-				t.Errorf("%v row kernel: %v allocs/run, want 0", algo, allocs)
-			}
-		})
-	}
+		}
+		run() // warm-up outside the measurement
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("queue row kernel: %v allocs/run, want 0", allocs)
+		}
+	})
 	t.Run("verify", func(t *testing.T) {
 		mx.pass()
 		if allocs := testing.AllocsPerRun(10, func() {
@@ -399,8 +434,8 @@ func TestGateRejectsShiftedWinner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shift := range []int{+1, -1} {
-		mx := lawSolver(dd, testModels[1])
-		if !mx.run(false) {
+		mx := lawSolver(t, dd, testModels[1])
+		if !mx.run() {
 			t.Fatal("gate tripped on a real instance")
 		}
 		// The first row past the middle whose winner can move by shift
@@ -463,8 +498,11 @@ func TestQueueSweepNoFallback(t *testing.T) {
 				t.Fatalf("%s %v: %v", law.Name(), sch, err)
 			}
 			for mi, m := range testModels {
-				want := mustSolveWith(t, dd, m, Config{Algo: AlgoScan})
-				got := mustSolveWith(t, dd, m, Config{})
+				want := mustSolve(t, dd, m, forceScan)
+				got, err := Solve(dd, m)
+				if err != nil {
+					t.Fatal(err)
+				}
 				assertBitIdentical(t, fmt.Sprintf("%s %v model %d", law.Name(), sch, mi), got, want)
 			}
 		}
@@ -474,12 +512,12 @@ func TestQueueSweepNoFallback(t *testing.T) {
 	}
 }
 
-// FuzzDPMatchesScan checks SolveWith and SolveMaxAttemptsWith against
-// the reference scan, bit for bit, on fuzzed laws in the style of
+// FuzzDPMatchesScan checks Solve and SolveMaxAttempts against the
+// reference scan, bit for bit, on fuzzed laws in the style of
 // randomLaw (n ∈ [1, 400], zero-mass interior and trailing points,
 // truncated mass), one of the test cost models or a fuzzed valid one,
-// and a fuzzed attempt budget. The default engine, the queue alone and
-// the queue under Verify must all return the scan's answer.
+// and a fuzzed attempt budget. The default engine choice and the forced
+// queue must both return the scan's answer.
 func FuzzDPMatchesScan(f *testing.F) {
 	f.Add(uint64(1), uint16(999), uint8(0), 0.0, 0.0, 0.0, uint8(3))
 	f.Add(uint64(7), uint16(299), uint8(1), 0.0, 0.0, 0.0, uint8(7))
@@ -495,18 +533,12 @@ func FuzzDPMatchesScan(f *testing.F) {
 		}
 		d := randomLaw(t, rng.New(seed), 1+int(size)%400)
 		k := 1 + int(budget)%12
-		want := mustSolveWith(t, d, m, Config{Algo: AlgoScan})
-		wantK, err := SolveMaxAttemptsWith(d, m, k, Config{Algo: AlgoScan})
-		if err != nil {
-			t.Fatalf("scan K=%d: %v", k, err)
-		}
-		for _, cfg := range []Config{{}, {Algo: AlgoQueue}, {Algo: AlgoQueue, Verify: true}} {
-			label := fmt.Sprintf("n=%d %v %+v", d.Len(), m, cfg)
-			assertBitIdentical(t, label, mustSolveWith(t, d, m, cfg), want)
-			gotK, err := SolveMaxAttemptsWith(d, m, k, cfg)
-			if err != nil {
-				t.Fatalf("%s K=%d: %v", label, k, err)
-			}
+		want := mustSolve(t, d, m, forceScan)
+		wantK := mustSolveMaxAttempts(t, d, m, k, forceScan)
+		for _, queueFrom := range []int{autoThreshold, forceQueue} {
+			label := fmt.Sprintf("n=%d %v queueFrom %d", d.Len(), m, queueFrom)
+			assertBitIdentical(t, label, mustSolve(t, d, m, queueFrom), want)
+			gotK := mustSolveMaxAttempts(t, d, m, k, queueFrom)
 			assertBitIdentical(t, fmt.Sprintf("%s K=%d", label, k), gotK, wantK)
 		}
 	})
@@ -517,18 +549,65 @@ func FuzzDPMatchesScan(f *testing.F) {
 // sizes where autoThreshold picks between them.
 func BenchmarkEngineCrossover(b *testing.B) {
 	for _, n := range []int{16, 32, 64, 128, 256} {
-		dd, err := discretize.Discretize(dist.MustLogNormal(3, 0.5), n, 1e-7, discretize.EqualProbability)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, algo := range []Algorithm{AlgoScan, AlgoQueue} {
-			b.Run(fmt.Sprintf("%v/n=%d", algo, n), func(b *testing.B) {
+		dd := dpBenchLaw(b, n)
+		for _, e := range []struct {
+			name      string
+			queueFrom int
+		}{{"scan", forceScan}, {"queue", forceQueue}} {
+			b.Run(fmt.Sprintf("%s/n=%d", e.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := SolveWith(dd, core.ReservationOnly, Config{Algo: algo}); err != nil {
+					if _, err := solve(dd, core.ReservationOnly, e.queueFrom); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+}
+
+// dpBenchLaw is the DP benchmark law at n support points:
+// LogNormal(3, 0.5) under the EqualProbability discretization, the
+// law of the root package's BenchmarkDPSolve.
+func dpBenchLaw(b *testing.B, n int) *dist.Discrete {
+	b.Helper()
+	dd, err := discretize.Discretize(dist.MustLogNormal(3, 0.5), n, 1e-7, discretize.EqualProbability)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dd
+}
+
+// BenchmarkDPSolveScan is the O(n²) reference scan over the instances
+// of the root package's BenchmarkDPSolve — the denominator of the DP
+// speedup (compare DPSolve/n=4096 against DPSolveScan/n=4096).
+// Production runs the scan only below autoThreshold and after a gate
+// trip.
+func BenchmarkDPSolveScan(b *testing.B) {
+	for _, n := range []int{256, 4096, 16384} {
+		dd := dpBenchLaw(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := solve(dd, core.ReservationOnly, forceScan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDPSolveBudget is the scan half of the budget-constrained
+// DP benchmark (K = 8 attempts at n = 4096); its fast half is the root
+// package's BenchmarkDPSolveBudget/fast.
+func BenchmarkDPSolveBudget(b *testing.B) {
+	const n, k = 4096, 8
+	dd := dpBenchLaw(b, n)
+	b.Run(fmt.Sprintf("scan/n=%d/k=%d", n, k), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := solveMaxAttempts(dd, core.ReservationOnly, k, forceScan); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

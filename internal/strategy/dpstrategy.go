@@ -62,11 +62,13 @@ func (s Discretized) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequ
 	vals := res.Sequence
 	_, hi := d.Support()
 	if !math.IsInf(hi, 1) {
-		// Bounded support: make sure the lifted sequence covers b (the
+		// Bounded support: make sure the lifted sequence covers b. The
 		// discretization's top point can sit marginally below it only
-		// through floating-point rounding of a + n·(b-a)/n).
-		if last := vals[len(vals)-1]; last < hi {
-			vals = append(vals, hi)
+		// through floating-point rounding of a + n·(b-a)/n, so the last
+		// reservation is raised to b rather than followed by another,
+		// which would break the MaxAttempts cap.
+		if last := len(vals) - 1; vals[last] < hi {
+			vals[last] = hi
 		}
 		return core.NewExplicitSequence(vals...)
 	}

@@ -304,6 +304,37 @@ func TestDiscretizedStrategyCloseToBruteForce(t *testing.T) {
 	}
 }
 
+// TestDiscretizedBoundedTopBelowSupport: on uniform(0.01, 0.29) the
+// EQUAL-TIME grid's top point rounds to 0.28999999999999992, below the
+// upper bound 0.28999999999999998. The lifted plan must still end at
+// the bound, by raising its last reservation rather than appending one,
+// so a one-attempt cap yields exactly one reservation.
+func TestDiscretizedBoundedTopBelowSupport(t *testing.T) {
+	d := dist.MustUniform(0.01, 0.29)
+	dd, err := discretize.Discretize(d, discretize.DefaultSamples, 0, discretize.EqualTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hi := d.Support()
+	if top := dd.Values()[dd.Len()-1]; !(top < hi) {
+		t.Fatalf("top grid point %.17g is not below the bound %.17g: the case under test is gone", top, hi)
+	}
+	for _, k := range []int{0, 1, 2} {
+		s, err := Discretized{Scheme: discretize.EqualTime, MaxAttempts: k}.Sequence(core.ReservationOnly, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Bounded support: the plan is explicit and finite.
+		v := s.Materialized()
+		if v[len(v)-1] != hi { //lint:ignore floatcmp the last reservation is the bound itself
+			t.Errorf("MaxAttempts %d: plan %v does not end at %.17g", k, v, hi)
+		}
+		if k > 0 && len(v) > k {
+			t.Errorf("MaxAttempts %d: plan %v has %d reservations", k, v, len(v))
+		}
+	}
+}
+
 func TestDiscretizedSequenceExtendsBeyondTruncation(t *testing.T) {
 	d := dist.MustExponential(1)
 	s, err := Discretized{N: 50}.Sequence(core.ReservationOnly, d)

@@ -4,9 +4,9 @@
 # Wraps cmd/bench: `go test -bench` over the candidate-scoring subset
 # (Workload fast path vs CostOnSamples, brute-force search, the fused
 # analytic CostCursor vs per-candidate ExpectedCost, Eq.-(4) and
-# Eq.-(13) evaluation), the DP solver set (sub-quadratic fast path vs
-# the retained O(n²) reference scan at n = 256/4096/16384, plus the
-# K-budgeted variant), the Planner-level plan-cold kernels (brute
+# Eq.-(13) evaluation), the DP solver set (the gated queue pass at
+# n = 256/4096/16384, plus the K-budgeted variant; the O(n²) reference
+# scan is benchmarked in internal/dp), the Planner-level plan-cold kernels (brute
 # force, DP, Monte-Carlo), the plan-service pairs (cached vs uncached over
 # loopback HTTP; cached hit on the backend alone vs through the
 # in-process frontend), the in-process cold miss (the per-miss fixed
