@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -88,9 +88,8 @@ type FrontendConfig struct {
 type Frontend struct {
 	cfg     FrontendConfig
 	ring    *shard.Ring
-	clients map[string]*client.Client
+	shards  []backendShard // indexed by ring node: cfg.Backends order
 	limiter *tenant.Limiter
-	mux     *http.ServeMux
 	metrics *frontendMetrics
 
 	// routes memoizes request body → canonical spec, keyed by a seeded
@@ -99,9 +98,18 @@ type Frontend struct {
 	// every backend canonicalizes for itself.
 	routes    *lru.Cache[uint64, string]
 	routeSeed maphash.Seed
+}
 
-	mu   sync.Mutex
-	down map[string]bool
+// backendShard is the frontend's state for one backend.
+type backendShard struct {
+	name   string
+	client *client.Client
+	// inProcess is set for a Handler backend, whose call returns only
+	// after the handler is done with the request body.
+	inProcess bool
+	shard     []string    // the X-Shard header value, built once
+	down      atomic.Bool // out of rotation until a probe revives it
+	routed    counter     // requests this backend answered
 }
 
 // NewFrontend builds a Frontend over the given backends.
@@ -117,8 +125,8 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		cfg.Admission.Now = cfg.Now
 	}
 	names := make([]string, 0, len(cfg.Backends))
-	clients := make(map[string]*client.Client, len(cfg.Backends))
-	for _, b := range cfg.Backends {
+	shards := make([]backendShard, len(cfg.Backends))
+	for i, b := range cfg.Backends {
 		if b.Name == "" {
 			return nil, fmt.Errorf("service: backend with empty name")
 		}
@@ -141,7 +149,8 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 			return nil, fmt.Errorf("service: backend %q: %w", b.Name, err)
 		}
 		names = append(names, b.Name)
-		clients[b.Name] = c
+		shards[i] = backendShard{name: b.Name, client: c, inProcess: b.Handler != nil,
+			shard: []string{b.Name}, routed: counter{name: b.Name}}
 	}
 	ring, err := shard.New(names, cfg.Shard.Replicas)
 	if err != nil {
@@ -151,36 +160,35 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	f := &Frontend{
+	return &Frontend{
 		cfg:       cfg,
 		ring:      ring,
-		clients:   clients,
+		shards:    shards,
 		limiter:   limiter,
-		mux:       http.NewServeMux(),
 		metrics:   newFrontendMetrics(),
 		routes:    lru.New[uint64, string](routeMemoCap),
 		routeSeed: maphash.MakeSeed(),
-		down:      make(map[string]bool),
-	}
-	f.mux.HandleFunc(api.PathPlan, func(w http.ResponseWriter, r *http.Request) {
-		f.proxy(w, r, "plan", func(ctx context.Context, c *client.Client, body []byte) (*client.Raw, error) {
-			return c.PostRaw(ctx, api.PathPlan, body, r.Header.Get(api.HeaderTenant))
-		})
-	})
-	f.mux.HandleFunc(api.PathSimulate, func(w http.ResponseWriter, r *http.Request) {
-		f.proxy(w, r, "simulate", func(ctx context.Context, c *client.Client, body []byte) (*client.Raw, error) {
-			return c.PostRaw(ctx, api.PathSimulate, body, r.Header.Get(api.HeaderTenant))
-		})
-	})
-	f.mux.HandleFunc(api.PathHealthz, f.handleHealthz)
-	f.mux.HandleFunc(api.PathVars, f.handleVars)
-	f.mux.HandleFunc("/", f.handleNotFound)
-	return f, nil
+	}, nil
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It serves exactly the four API
+// paths; any other path, including an unclean spelling of one of them,
+// gets the structured 404.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.mux.ServeHTTP(w, r)
+	m := f.metrics
+	switch r.URL.Path {
+	case api.PathPlan:
+		f.proxy(w, r, api.PathPlan, &m.plan)
+	case api.PathSimulate:
+		f.proxy(w, r, api.PathSimulate, &m.simulate)
+	case api.PathHealthz:
+		f.handleHealthz(w, r)
+	case api.PathVars:
+		f.handleVars(w, r)
+	default:
+		m.other.Add(1)
+		f.fail(w, api.CodeNotFound, notFoundMessage(r))
+	}
 }
 
 // routeSpec is the one field the frontend needs from a request body
@@ -218,16 +226,16 @@ func (f *Frontend) route(body []byte) (string, error) {
 	return spec, nil
 }
 
-// proxy admits, routes, and forwards one request, failing over along
-// the ring on backend errors.
-func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, endpoint string,
-	post func(ctx context.Context, c *client.Client, body []byte) (*client.Raw, error)) {
-	f.metrics.requests.Add(endpoint, 1)
+// proxy admits, routes, and forwards one request to path, failing over
+// along the ring on backend errors.
+func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string, requests *counter) {
+	requests.Add(1)
 	if r.Method != http.MethodPost {
 		f.fail(w, api.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	if d := f.limiter.Admit(r.Header.Get(api.HeaderTenant)); !d.OK {
+	tenantName := r.Header.Get(api.HeaderTenant)
+	if d := f.limiter.Admit(tenantName); !d.OK {
 		f.metrics.rejected.Add(1)
 		secs := d.RetryAfter.Seconds()
 		w.Header().Set("Retry-After", strconv.Itoa(int(secs)+1))
@@ -239,9 +247,19 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, endpoint string
 		})
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		f.fail(w, api.CodeBadRequest, "reading request body: "+err.Error())
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	n, err := io.ReadFull(r.Body, *buf)
+	body := (*buf)[:n]
+	if err == nil {
+		// Longer than the pooled buffer: read the rest, bounded as a
+		// backend bounds it.
+		var rest []byte
+		rest, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes-int64(n)))
+		body = append(body[:n:n], rest...)
+	}
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		f.fail(w, api.CodeBadRequest, bodyReadError(err))
 		return
 	}
 	spec, err := f.route(body)
@@ -255,35 +273,44 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, endpoint string
 	// continues, so a dead shard costs one failed hop, not a 5xx.
 	var lastErr error
 	tried := 0
-	for _, name := range f.ring.Sequence(spec) {
-		if f.isDown(name) {
+	walk := f.ring.Walk(spec)
+	for i, ok := walk.Next(); ok; i, ok = walk.Next() {
+		s := &f.shards[i]
+		if s.down.Load() {
 			continue
 		}
 		tried++
-		raw, err := post(r.Context(), f.clients[name], body)
+		fwd := body
+		if !s.inProcess {
+			// A network transport may still be reading a request body
+			// after the response arrives; the pooled buffer goes back
+			// to the pool when this handler returns.
+			fwd = bytes.Clone(body)
+		}
+		raw, err := s.client.PostRaw(r.Context(), path, fwd, tenantName)
 		if err != nil {
 			if r.Context().Err() != nil {
 				f.fail(w, api.CodeCanceled, "request canceled")
 				return
 			}
-			f.markDown(name)
+			s.down.Store(true)
 			f.metrics.failovers.Add(1)
-			lastErr = fmt.Errorf("shard %s: %w", name, err)
+			lastErr = fmt.Errorf("shard %s: %w", s.name, err)
 			continue
 		}
 		if raw.Status == http.StatusBadGateway || raw.Status == http.StatusServiceUnavailable {
 			// The backend is up but refusing; try the next shard, but
 			// leave health to the prober.
 			f.metrics.failovers.Add(1)
-			lastErr = fmt.Errorf("shard %s: status %d", name, raw.Status)
+			lastErr = fmt.Errorf("shard %s: status %d", s.name, raw.Status)
 			continue
 		}
-		f.metrics.routed.Add(name, 1)
+		s.routed.Add(1)
 		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set(api.HeaderShard, name)
+		h["Content-Type"] = jsonContentType
+		h[api.HeaderShard] = s.shard
 		if raw.Cache != "" {
-			h.Set(api.HeaderCache, raw.Cache)
+			h[api.HeaderCache] = cacheHeader(raw.Cache)
 		}
 		w.WriteHeader(raw.Status)
 		_, _ = w.Write(raw.Body)
@@ -293,29 +320,26 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, endpoint string
 	if lastErr != nil {
 		msg += ": " + lastErr.Error()
 	} else if tried == 0 {
-		msg += ": all " + strconv.Itoa(len(f.clients)) + " shards marked down"
+		msg += ": all " + strconv.Itoa(len(f.shards)) + " shards marked down"
 	}
 	f.fail(w, api.CodeUnavailable, msg)
+}
+
+// bodyReadError is the message for a request body that could not be
+// read. A body past maxRequestBytes gets the message a backend's
+// strict decoder gives it.
+func bodyReadError(err error) string {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return "invalid JSON request: " + err.Error()
+	}
+	return "reading request body: " + err.Error()
 }
 
 // fail writes one structured error and counts it.
 func (f *Frontend) fail(w http.ResponseWriter, code, message string) {
 	f.metrics.errors.Add(code, 1)
 	writeErrorBody(w, api.Status(code), api.ErrorBody{Code: code, Message: message})
-}
-
-// isDown reports whether a backend is currently marked unhealthy.
-func (f *Frontend) isDown(name string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down[name]
-}
-
-// markDown takes a backend out of rotation until a probe revives it.
-func (f *Frontend) markDown(name string) {
-	f.mu.Lock()
-	f.down[name] = true
-	f.mu.Unlock()
 }
 
 // CheckHealth probes every backend's /healthz once and updates the
@@ -325,15 +349,14 @@ func (f *Frontend) markDown(name string) {
 // names currently down, sorted by ring membership order.
 func (f *Frontend) CheckHealth(ctx context.Context) []string {
 	var down []string
-	for _, name := range f.ring.Nodes() {
+	for i := range f.shards {
+		s := &f.shards[i]
 		pctx, cancel := context.WithTimeout(ctx, f.cfg.Shard.HealthInterval)
-		err := f.clients[name].Healthz(pctx)
+		err := s.client.Healthz(pctx)
 		cancel()
-		f.mu.Lock()
-		f.down[name] = err != nil
-		f.mu.Unlock()
+		s.down.Store(err != nil)
 		if err != nil {
-			down = append(down, name)
+			down = append(down, s.name)
 		}
 	}
 	f.metrics.probes.Add(1)
@@ -358,31 +381,30 @@ func (f *Frontend) ProbeLoop(ctx context.Context) {
 // handleHealthz implements GET /healthz: the frontend is alive iff it
 // can still route somewhere, i.e. at least one backend is in rotation.
 func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	f.metrics.requests.Add("healthz", 1)
+	f.metrics.healthz.Add(1)
 	if r.Method != http.MethodGet {
 		f.fail(w, api.CodeMethodNotAllowed, "use GET")
 		return
 	}
-	f.mu.Lock()
 	up := 0
-	for _, name := range f.ring.Nodes() {
-		if !f.down[name] {
+	for i := range f.shards {
+		if !f.shards[i].down.Load() {
 			up++
 		}
 	}
-	f.mu.Unlock()
 	if up == 0 {
 		f.fail(w, api.CodeUnavailable, "all backend shards marked down")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_, _ = io.WriteString(w, "{\"status\":\"ok\"}\n")
 }
 
 // handleVars implements GET /debug/vars for the frontend's own
 // metrics (the backends each serve their own).
 func (f *Frontend) handleVars(w http.ResponseWriter, r *http.Request) {
-	f.metrics.requests.Add("vars", 1)
+	m := f.metrics
+	m.debugVars.Add(1)
 	if r.Method != http.MethodGet {
 		f.fail(w, api.CodeMethodNotAllowed, "use GET")
 		return
@@ -402,17 +424,14 @@ func (f *Frontend) handleVars(w http.ResponseWriter, r *http.Request) {
 		pair.Set("rejected", rejected)
 		admission.Set(name, pair)
 	}
-	f.metrics.vars.Set("admission", admission)
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = io.WriteString(w, f.metrics.vars.String())
+	m.vars.Set("admission", admission)
+	publish(m.requests, &m.plan, &m.simulate, &m.healthz, &m.debugVars, &m.other)
+	for i := range f.shards {
+		publish(m.routed, &f.shards[i].routed)
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = io.WriteString(w, m.vars.String())
 	_, _ = io.WriteString(w, "\n")
-}
-
-// handleNotFound is the catch-all route.
-func (f *Frontend) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	f.metrics.requests.Add("other", 1)
-	f.fail(w, api.CodeNotFound,
-		"unknown path "+r.URL.Path+"; endpoints are /v1/plan, /v1/simulate, /healthz, /debug/vars")
 }
 
 // frontendMetrics is the frontend's unregistered expvar state.
@@ -424,6 +443,9 @@ type frontendMetrics struct {
 	failovers *expvar.Int // hops past a failed backend
 	rejected  *expvar.Int // admission rejections
 	probes    *expvar.Int // CheckHealth sweeps
+
+	// The requests map's entries, one per endpoint.
+	plan, simulate, healthz, debugVars, other counter
 
 	routeMemoHits atomic.Int64 // requests routed from the route memo
 }
@@ -437,6 +459,11 @@ func newFrontendMetrics() *frontendMetrics {
 		failovers: new(expvar.Int),
 		rejected:  new(expvar.Int),
 		probes:    new(expvar.Int),
+		plan:      counter{name: "plan"},
+		simulate:  counter{name: "simulate"},
+		healthz:   counter{name: "healthz"},
+		debugVars: counter{name: "vars"},
+		other:     counter{name: "other"},
 	}
 	m.vars.Set("requests", m.requests)
 	m.vars.Set("errors", m.errors)

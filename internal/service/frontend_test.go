@@ -74,6 +74,33 @@ func postFE(t *testing.T, h http.Handler, path, body, tenantName string) (int, s
 	return res.StatusCode, res.Header.Get(api.HeaderCache), res.Header.Get(api.HeaderShard), b
 }
 
+// failoverOrder names spec's ring walk over fe's backends, home first.
+func failoverOrder(fe *Frontend, spec string) []string {
+	var out []string
+	w := fe.ring.Walk(spec)
+	for i, ok := w.Next(); ok; i, ok = w.Next() {
+		out = append(out, fe.shards[i].name)
+	}
+	return out
+}
+
+// isDown reports whether the backend named name is out of rotation.
+func (f *Frontend) isDown(name string) bool {
+	for i := range f.shards {
+		if f.shards[i].name == name {
+			return f.shards[i].down.Load()
+		}
+	}
+	panic("no backend " + name)
+}
+
+// homeShard names spec's home backend: the first member of its walk.
+func homeShard(fe *Frontend, spec string) string {
+	w := fe.ring.Walk(spec)
+	i, _ := w.Next()
+	return fe.shards[i].name
+}
+
 func planBodyFor(spec string) string {
 	return fmt.Sprintf(`{"distribution": %q, "cost_model": {"alpha": 1}, "strategy": "mean-doubling"}`, spec)
 }
@@ -96,7 +123,7 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fe.ring.Sequence(canonical)[0]; shardName != want {
+		if want := homeShard(fe, canonical); shardName != want {
 			t.Errorf("%s: served by %q, ring home is %q", spec, shardName, want)
 		}
 		var resp api.PlanResponse
@@ -113,7 +140,7 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 	if status != http.StatusOK || cache != "hit" {
 		t.Errorf("alternate spelling: status %d, X-Cache %q, want 200 hit\n%s", status, cache, body)
 	}
-	if want := fe.ring.Sequence("exponential(1)")[0]; shardName != want {
+	if want := homeShard(fe, "exponential(1)"); shardName != want {
 		t.Errorf("alternate spelling routed to %q, want %q", shardName, want)
 	}
 }
@@ -125,7 +152,7 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 func TestFrontendFailoverInProcess(t *testing.T) {
 	fe, backends := newFleet(t, 4, nil)
 	spec := "lognormal(3,0.5)"
-	seq := fe.ring.Sequence(spec)
+	seq := failoverOrder(fe, spec)
 	home := seq[0]
 	var homeIdx int
 	fmt.Sscanf(home, "shard-%d", &homeIdx)
@@ -217,7 +244,7 @@ func TestFrontendFailoverDeadTransport(t *testing.T) {
 		"gamma(2,2)", "weibull(1,0.5)", "lognormal(3,0.5)", "pareto(1.5,3)",
 		"beta(2,2)", "uniform(1,2)", "exponential(5)", "gamma(3,1)",
 	} {
-		if fe.ring.Sequence(cand)[0] == "shard-dead" {
+		if homeShard(fe, cand) == "shard-dead" {
 			spec = cand
 			break
 		}
@@ -521,7 +548,7 @@ func TestFrontendSimulateRoutes(t *testing.T) {
 	if status != http.StatusOK || cache != "miss" {
 		t.Fatalf("status %d, X-Cache %q\n%s", status, cache, respBody)
 	}
-	if want := fe.ring.Sequence("gamma(2,2)")[0]; shardName != want {
+	if want := homeShard(fe, "gamma(2,2)"); shardName != want {
 		t.Errorf("simulate served by %q, want %q", shardName, want)
 	}
 	if status, cache, _, _ := postFE(t, fe, api.PathSimulate, body, ""); status != 200 || cache != "hit" {

@@ -146,16 +146,6 @@ type resolved struct {
 	compute func() ([]byte, error)
 }
 
-// handlePlan implements POST /v1/plan.
-func (s *Backend) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.serve(w, r, "plan", s.resolvePlan)
-}
-
-// handleSimulate implements POST /v1/simulate.
-func (s *Backend) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.serve(w, r, "simulate", s.resolveSimulate)
-}
-
 // resolvePlan decodes and resolves a /v1/plan body.
 func (s *Backend) resolvePlan(body io.Reader) (*resolved, *apiError) {
 	var req api.PlanRequest
@@ -239,14 +229,13 @@ func (s *Backend) resolveSimulate(body io.Reader) (*resolved, *apiError) {
 // Anything else — a larger body, a memo miss, a memo hit whose response
 // was evicted — is strictly decoded and resolved, and answered by
 // respond; a small body that resolves is memoized on the way.
-func (s *Backend) serve(w http.ResponseWriter, r *http.Request, endpoint string,
-	resolve func(body io.Reader) (*resolved, *apiError)) {
+func (s *Backend) serve(w http.ResponseWriter, r *http.Request, e *endpoint) {
 	start := s.now()
-	s.metrics.requests.Add(endpoint, 1)
+	e.requests.Add(1)
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 	defer func() {
-		s.metrics.latencyNS.Add(endpoint, s.now().Sub(start).Nanoseconds())
+		e.latencyNS.Add(s.now().Sub(start).Nanoseconds())
 	}()
 	if r.Method != http.MethodPost {
 		s.writeError(w, api.CodeMethodNotAllowed, "use POST")
@@ -258,7 +247,7 @@ func (s *Backend) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 	head := (*buf)[:n]
 	whole := err == io.EOF || err == io.ErrUnexpectedEOF
 	if whole {
-		if key, ok := s.memo.get(endpoint, head); ok {
+		if key, ok := s.memo.get(e.requests.name, head); ok {
 			if body, ok := s.cache.Get(key); ok {
 				s.metrics.bodyMemoHits.Add(1)
 				s.metrics.cacheHits.Add(1)
@@ -274,13 +263,13 @@ func (s *Backend) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 	case !whole: // a read error: the decoder meets it after head
 		body = io.MultiReader(body, errReader{err})
 	}
-	res, aerr := resolve(body)
+	res, aerr := e.resolve(body)
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
 	}
 	if whole {
-		s.memo.put(endpoint, head, res.key)
+		s.memo.put(e.requests.name, head, res.key)
 	}
 	s.respond(w, r, res.key, res.compute)
 }
@@ -500,8 +489,9 @@ func (e *jsonAppender) float(f float64) {
 
 // writeBody writes a successful JSON response with its cache verdict.
 func writeBody(w http.ResponseWriter, cacheState string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(api.HeaderCache, cacheState)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h[api.HeaderCache] = cacheHeader(cacheState)
 	_, _ = w.Write(body)
 }
 
@@ -521,7 +511,7 @@ func writeErrorBody(w http.ResponseWriter, status int, body api.ErrorBody) {
 		http.Error(w, body.Message, status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(append(b, '\n'))
 }

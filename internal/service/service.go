@@ -117,13 +117,14 @@ func (c Config) withDefaults() Config {
 // Frontend, or a single Backend serving directly.
 type Backend struct {
 	cfg        Config
-	mux        *http.ServeMux
 	cache      *lru.Cache[string, []byte]
 	memo       *bodyMemo
 	flight     flightGroup
 	sem        chan struct{}
 	metrics    *metrics
 	strategies map[string]bool
+
+	plan, simulate endpoint
 
 	// computeGate, when non-nil (tests only), is invoked with the
 	// cache key at the start of every underlying computation, before
@@ -136,7 +137,6 @@ func New(cfg Config) *Backend {
 	cfg = cfg.withDefaults()
 	s := &Backend{
 		cfg:        cfg,
-		mux:        http.NewServeMux(),
 		cache:      lru.New[string, []byte](cfg.Cache.Responses),
 		memo:       newBodyMemo(cfg.Cache.Responses),
 		sem:        make(chan struct{}, cfg.Limits.WorkerBudget),
@@ -146,17 +146,34 @@ func New(cfg Config) *Backend {
 		s.strategies[name] = true
 	}
 	s.metrics = newMetrics(s.cache.Len, s.memo.entries.Len)
-	s.mux.HandleFunc(api.PathPlan, s.handlePlan)
-	s.mux.HandleFunc(api.PathSimulate, s.handleSimulate)
-	s.mux.HandleFunc(api.PathHealthz, s.handleHealthz)
-	s.mux.HandleFunc(api.PathVars, s.handleVars)
-	s.mux.HandleFunc("/", s.handleNotFound)
+	s.plan = endpoint{requests: counter{name: "plan"}, resolve: s.resolvePlan}
+	s.simulate = endpoint{requests: counter{name: "simulate"}, resolve: s.resolveSimulate}
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It serves exactly the four API
+// paths; any other path, including an unclean spelling of one of them,
+// gets the structured 404.
 func (s *Backend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	switch r.URL.Path {
+	case api.PathPlan:
+		s.serve(w, r, &s.plan)
+	case api.PathSimulate:
+		s.serve(w, r, &s.simulate)
+	case api.PathHealthz:
+		s.handleHealthz(w, r)
+	case api.PathVars:
+		s.handleVars(w, r)
+	default:
+		s.metrics.other.Add(1)
+		s.writeError(w, api.CodeNotFound, notFoundMessage(r))
+	}
+}
+
+// notFoundMessage is the 404 message for r, shared by the Backend and
+// the Frontend.
+func notFoundMessage(r *http.Request) string {
+	return "unknown path " + r.URL.Path + "; endpoints are /v1/plan, /v1/simulate, /healthz, /debug/vars"
 }
 
 func (s *Backend) now() time.Time { return s.cfg.Now() }
@@ -169,12 +186,12 @@ func (s *Backend) release() { <-s.sem }
 
 // handleHealthz implements GET /healthz.
 func (s *Backend) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add("healthz", 1)
+	s.metrics.healthz.Add(1)
 	if r.Method != http.MethodGet {
 		s.writeError(w, api.CodeMethodNotAllowed, "use GET")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_, _ = io.WriteString(w, "{\"status\":\"ok\"}\n")
 }
 
@@ -184,21 +201,74 @@ func (s *Backend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the global expvar registry; expvar's own handler is therefore not
 // used.
 func (s *Backend) handleVars(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add("vars", 1)
+	m := s.metrics
+	m.debugVars.Add(1)
 	if r.Method != http.MethodGet {
 		s.writeError(w, api.CodeMethodNotAllowed, "use GET")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = io.WriteString(w, s.metrics.vars.String())
+	publish(m.requests, &s.plan.requests, &s.simulate.requests, &m.healthz, &m.debugVars, &m.other)
+	for _, e := range []*endpoint{&s.plan, &s.simulate} {
+		if e.requests.Value() != 0 {
+			m.latencyNS.Set(e.requests.name, &e.latencyNS)
+		}
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = io.WriteString(w, m.vars.String())
 	_, _ = io.WriteString(w, "\n")
 }
 
-// handleNotFound is the catch-all route.
-func (s *Backend) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add("other", 1)
-	s.writeError(w, api.CodeNotFound,
-		"unknown path "+r.URL.Path+"; endpoints are /v1/plan, /v1/simulate, /healthz, /debug/vars")
+// endpoint is one POST endpoint of a Backend: how it resolves a body,
+// and its entries in /debug/vars. The name of its requests counter
+// also keys its body-memo entries.
+type endpoint struct {
+	requests  counter
+	latencyNS expvar.Int // cumulative handler nanoseconds
+	resolve   func(body io.Reader) (*resolved, *apiError)
+}
+
+// counter is one entry of a /debug/vars map whose key is known up
+// front. A handler adds to the expvar.Int it holds: one atomic add, no
+// map lookup and no key conversion. publish enters the entry in its
+// map just before the map is printed, once it has counted something,
+// so the map lists the same keys with the same values as if every
+// count had gone through expvar.Map.Add.
+type counter struct {
+	expvar.Int
+	name string
+}
+
+// publish enters each counter that has counted into m.
+func publish(m *expvar.Map, cs ...*counter) {
+	for _, c := range cs {
+		if c.Value() != 0 {
+			m.Set(c.name, &c.Int)
+		}
+	}
+}
+
+// Response header values, built once: handlers assign them to the
+// header map instead of allocating a value per response through
+// Header.Set. Nothing modifies a header value in place, and each has
+// len == cap, so an Add copies it first.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"hit"}
+	cacheMiss       = []string{"miss"}
+	cacheCoalesced  = []string{"coalesced"}
+)
+
+// cacheHeader returns the X-Cache header value for state.
+func cacheHeader(state string) []string {
+	switch state {
+	case "hit":
+		return cacheHit
+	case "miss":
+		return cacheMiss
+	case "coalesced":
+		return cacheCoalesced
+	}
+	return []string{state}
 }
 
 // metrics is the per-backend expvar state. The map is deliberately NOT
@@ -214,6 +284,10 @@ type metrics struct {
 	coalesced   *expvar.Int // requests served by joining another's computation
 	inFlight    *expvar.Int
 
+	// The requests map's entries for the endpoints other than the POST
+	// ones, which the Backend's endpoints hold.
+	healthz, debugVars, other counter
+
 	bodyMemoHits atomic.Int64 // hits answered from the body memo
 }
 
@@ -227,6 +301,9 @@ func newMetrics(cacheLen, memoLen func() int) *metrics {
 		cacheMisses: new(expvar.Int),
 		coalesced:   new(expvar.Int),
 		inFlight:    new(expvar.Int),
+		healthz:     counter{name: "healthz"},
+		debugVars:   counter{name: "vars"},
+		other:       counter{name: "other"},
 	}
 	m.vars.Set("requests", m.requests)
 	m.vars.Set("errors", m.errors)

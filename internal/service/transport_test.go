@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,6 +103,7 @@ func TestInProcessMatchesTCP(t *testing.T) {
 	plan := planBodyFor("exponential(1)")
 	simulate := `{"distribution": "exponential(1)", "cost_model": {"alpha": 1}, "strategy": "mean-doubling", "samples": 500, "sim_seed": 3}`
 	badStrategy := `{"distribution": "exp(1)", "cost_model": {"alpha": 1}, "strategy": "no-such"}`
+	overlong := `{"distribution": "exp(1)",` + strings.Repeat(" ", maxRequestBytes) + `"cost_model": {"alpha": 1}}`
 	const (
 		ok       = http.StatusOK
 		bad      = http.StatusBadRequest
@@ -123,7 +125,33 @@ func TestInProcessMatchesTCP(t *testing.T) {
 		{name: "backend wrong method", to: toBackend, path: api.PathHealthz, body: plan, status: method, code: api.CodeMethodNotAllowed},
 		{name: "flood admitted", to: toFrontend, path: api.PathPlan, body: plan, tenant: "flood", status: ok, cache: "hit"},
 		{name: "flood over quota", to: toFrontend, path: api.PathPlan, body: plan, tenant: "flood", status: http.StatusTooManyRequests, code: api.CodeOverQuota},
+		{name: "frontend overlong", to: toFrontend, path: api.PathPlan, body: overlong, status: bad, code: api.CodeBadRequest},
+		{name: "backend overlong", to: toBackend, path: api.PathPlan, body: overlong, status: bad, code: api.CodeBadRequest},
 		{name: "all shards down", to: toFrontend, path: api.PathPlan, body: plan, kill: true, status: http.StatusBadGateway, code: api.CodeUnavailable},
+	}
+	// Only the exact API paths are served. An unclean spelling of one is
+	// not cleaned or redirected; it is a 404 like any unknown path. A
+	// percent-encoded spelling of the exact path, or a query string, is
+	// the path itself.
+	for _, p := range []struct {
+		path   string
+		status int
+		code   string
+		cache  string
+	}{
+		{"/v1//plan", notFound, api.CodeNotFound, ""},
+		{"/v1/./plan", notFound, api.CodeNotFound, ""},
+		{"/v1/plan/", notFound, api.CodeNotFound, ""},
+		{"/v1/%70lan", ok, "", "hit"},
+		{"/v1/plan?x=1", ok, "", "hit"},
+	} {
+		for _, to := range []struct {
+			name string
+			to   func(f *parityFleet) *client.Client
+		}{{"frontend", toFrontend}, {"backend", toBackend}} {
+			cases = append(cases, parityCase{name: to.name + " " + p.path, to: to.to, path: p.path, body: plan,
+				status: p.status, code: p.code, cache: p.cache})
+		}
 	}
 	run := func(tcp bool) []*client.Raw {
 		f := newParityFleet(t, tcp)

@@ -11,6 +11,13 @@
 // keys that were homed on it (consistency), and with enough virtual
 // nodes the key mass is balanced across members within a small factor
 // (both properties are pinned by tests).
+//
+// A key's failover order is a Walk over member indices: one binary
+// search finds the home member, and only a caller that asks for the
+// next member — a failover — walks further clockwise. Each virtual node
+// records how far back its member's previous virtual node lies, so the
+// walk tells a member it has already returned from a new one without a
+// per-request set, and allocates nothing.
 package shard
 
 import (
@@ -59,6 +66,9 @@ func mix64(h uint64) uint64 {
 type point struct {
 	hash uint64
 	node int // index into nodes
+	// back is how many positions counter-clockwise the member's previous
+	// virtual node lies, cyclically; len(points) for a member with one.
+	back int
 }
 
 // Ring is an immutable consistent-hash ring over a set of member
@@ -111,12 +121,17 @@ func New(nodes []string, replicas int) (*Ring, error) {
 		// on (astronomically unlikely) 64-bit hash collisions.
 		return r.points[a].node < r.points[b].node
 	})
+	// A member's last position is, cyclically, the one before its first.
+	prev := make([]int, len(r.nodes))
+	for i, p := range r.points {
+		prev[p.node] = i - len(r.points)
+	}
+	for i := range r.points {
+		p := &r.points[i]
+		p.back = i - prev[p.node]
+		prev[p.node] = i
+	}
 	return r, nil
-}
-
-// Nodes returns the member names, in construction order.
-func (r *Ring) Nodes() []string {
-	return append([]string(nil), r.nodes...)
 }
 
 // start returns the index of the first virtual node at or clockwise
@@ -130,19 +145,44 @@ func (r *Ring) start(key string) int {
 	return i
 }
 
-// Sequence returns all members in failover order for key: the home
-// member first, then each subsequent distinct member in clockwise ring
-// order. Every member appears exactly once, so walking the sequence
-// tries the whole fleet.
-func (r *Ring) Sequence(key string) []string {
-	out := make([]string, 0, len(r.nodes))
-	seen := make(map[int]bool, len(r.nodes))
-	for i, n := r.start(key), 0; n < len(r.points) && len(out) < len(r.nodes); i, n = (i+1)%len(r.points), n+1 {
-		p := r.points[i]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, r.nodes[p.node])
+// Walk is one key's failover order over a Ring's members: the home
+// member first, then each further distinct member in clockwise ring
+// order, every member exactly once. Members are named by their index
+// in the list New was given. A Walk is a value; it allocates nothing.
+type Walk struct {
+	r     *Ring
+	start int // the key's first virtual node
+	step  int // virtual nodes walked past start
+	left  int // members not yet returned
+}
+
+// Walk returns key's failover walk. Its first Next is the home member
+// and costs no more than the ring search done here.
+//
+//repro:hotpath
+func (r *Ring) Walk(key string) Walk {
+	return Walk{r: r, start: r.start(key), left: len(r.nodes)}
+}
+
+// Next returns the index of the walk's next member, or false once
+// every member has been returned.
+//
+//repro:hotpath
+func (w *Walk) Next() (int, bool) {
+	for w.left > 0 {
+		i := w.start + w.step
+		if i >= len(w.r.points) {
+			i -= len(w.r.points)
+		}
+		p := w.r.points[i]
+		// The member is new unless its previous virtual node lies
+		// between start and here, where the walk has already been.
+		isNew := p.back > w.step
+		w.step++
+		if isNew {
+			w.left--
+			return p.node, true
 		}
 	}
-	return out
+	return 0, false
 }

@@ -114,13 +114,13 @@ func TestConsistencyUnderMembershipChange(t *testing.T) {
 	}
 }
 
-// TestSequenceCoversAllNodesOnce: the failover order starts at the
+// TestSequenceCoversAllNodesOnce: the failover walk starts at the
 // home shard and visits every member exactly once.
 func TestSequenceCoversAllNodesOnce(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d", "e"}
 	r := mustRing(t, nodes, 32)
 	for _, k := range testKeys(200) {
-		seq := r.Sequence(k)
+		seq := walkNames(r, k)
 		if len(seq) != len(nodes) {
 			t.Fatalf("Sequence(%q) = %v, want all %d nodes", k, seq, len(nodes))
 		}
@@ -145,7 +145,7 @@ func TestSequenceFailoverSpreads(t *testing.T) {
 	second := make(map[string]int)
 	for _, k := range testKeys(2000) {
 		if r.Lookup(k) == "a" {
-			second[r.Sequence(k)[1]]++
+			second[walkNames(r, k)[1]]++
 		}
 	}
 	if len(second) < 2 {
@@ -158,8 +158,8 @@ func TestSingleNodeRing(t *testing.T) {
 	if r.Lookup("anything") != "only" {
 		t.Error("single-node lookup")
 	}
-	if got := r.Sequence("anything"); !reflect.DeepEqual(got, []string{"only"}) {
-		t.Errorf("Sequence = %v", got)
+	if got := walkNames(r, "anything"); !reflect.DeepEqual(got, []string{"only"}) {
+		t.Errorf("walk = %v", got)
 	}
 }
 
@@ -188,8 +188,108 @@ func TestNodesReturnsCopy(t *testing.T) {
 	}
 }
 
+// Nodes returns the member names, in construction order.
+func (r *Ring) Nodes() []string {
+	return append([]string(nil), r.nodes...)
+}
+
 // Lookup returns the home member for key: the owner of the first
 // virtual node clockwise from the key's hash.
 func (r *Ring) Lookup(key string) string {
 	return r.nodes[r.points[r.start(key)].node]
+}
+
+// Sequence is the failover-order oracle the allocation-free Walk
+// replaced: all members for key, the home member first, then each
+// subsequent distinct member in clockwise ring order, found with a set
+// of the members seen so far.
+func (r *Ring) Sequence(key string) []string {
+	out := make([]string, 0, len(r.nodes))
+	seen := make(map[int]bool, len(r.nodes))
+	for i, n := r.start(key), 0; n < len(r.points) && len(out) < len(r.nodes); i, n = (i+1)%len(r.points), n+1 {
+		p := r.points[i]
+		if !seen[p.node] {
+			seen[p.node] = true
+			out = append(out, r.nodes[p.node])
+		}
+	}
+	return out
+}
+
+// walkNames runs key's whole Walk and names its members.
+func walkNames(r *Ring, key string) []string {
+	var out []string
+	w := r.Walk(key)
+	for i, ok := w.Next(); ok; i, ok = w.Next() {
+		out = append(out, r.nodes[i])
+	}
+	return out
+}
+
+// checkWalk fails t unless key's Walk over r returns Sequence's members
+// in Sequence's order, and then stays exhausted.
+func checkWalk(t *testing.T, r *Ring, key string) {
+	t.Helper()
+	w := r.Walk(key)
+	for n, want := range r.Sequence(key) {
+		i, ok := w.Next()
+		if !ok || r.nodes[i] != want {
+			t.Fatalf("%d nodes × %d replicas, key %q: walk step %d = (%d, %v), want %q (sequence %v)",
+				len(r.nodes), r.replicas, key, n, i, ok, want, r.Sequence(key))
+		}
+	}
+	if i, ok := w.Next(); ok {
+		t.Fatalf("%d nodes × %d replicas, key %q: walk returned member %d past the whole fleet",
+			len(r.nodes), r.replicas, key, i)
+	}
+}
+
+// ringNodes names n members the way the service's fleets do.
+func ringNodes(n int) []string {
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("shard-%d", i)
+	}
+	return nodes
+}
+
+// TestWalkMatchesSequence: for 1–16 members, one, a few and the
+// default number of replicas, the walk returns exactly the oracle's
+// failover order for 10,000 keys.
+func TestWalkMatchesSequence(t *testing.T) {
+	keys := testKeys(10000)
+	for n := 1; n <= 16; n++ {
+		for _, replicas := range []int{1, 3, DefaultReplicas} {
+			r := mustRing(t, ringNodes(n), replicas)
+			for _, k := range keys {
+				checkWalk(t, r, k)
+			}
+		}
+	}
+}
+
+// TestWalkAllocs: neither building a walk nor running it to the end
+// allocates.
+func TestWalkAllocs(t *testing.T) {
+	r := mustRing(t, ringNodes(8), DefaultReplicas)
+	allocs := testing.AllocsPerRun(100, func() {
+		w := r.Walk("lognormal(3,0.5)")
+		for _, ok := w.Next(); ok; _, ok = w.Next() {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a whole walk allocates %.1f times", allocs)
+	}
+}
+
+// FuzzRingWalk: for any member count up to 64, replica count up to 256
+// and key, the walk returns exactly the oracle's failover order.
+func FuzzRingWalk(f *testing.F) {
+	f.Add(uint8(0), uint8(0), "exponential(1)")
+	f.Add(uint8(3), uint8(127), "lognormal(3,0.5)")
+	f.Add(uint8(15), uint8(2), "")
+	f.Fuzz(func(t *testing.T, nodes, replicas uint8, key string) {
+		r := mustRing(t, ringNodes(1+int(nodes)%64), 1+int(replicas))
+		checkWalk(t, r, key)
+	})
 }

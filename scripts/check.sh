@@ -44,11 +44,13 @@
 #  10. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
 #      core fuzz targets, the brute-force winner-only scan target
 #      (Sequence vs Search, bit for bit), the DP engine target (the
-#      candidate-queue pass vs the O(n²) scan, bit for bit) and the
+#      candidate-queue pass vs the O(n²) scan, bit for bit), the
 #      plan-body target (the direct /v1/plan encoder and its fallback vs
-#      json.MarshalIndent, byte for byte or the same error) on top of
-#      their committed corpora (testdata/fuzz), so a freshly broken
-#      invariant is found here, not in a nightly.
+#      json.MarshalIndent, byte for byte or the same error) and the
+#      ring-walk target (the shard ring's allocation-free failover walk
+#      vs the member-set oracle, member for member) on top of their
+#      committed corpora (testdata/fuzz), so a freshly broken invariant
+#      is found here, not in a nightly.
 #
 # Usage: scripts/check.sh [--bench] [--compare]
 #
@@ -97,13 +99,14 @@ go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
 
-echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan + DP engine + plan body)"
+echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan + DP engine + plan body + ring walk)"
 go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzBackfill$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzEventCore$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzWinnerOnlyScan$' -fuzztime 3s ./internal/strategy/
 go test -run '^$' -fuzz '^FuzzDPMatchesScan$' -fuzztime 3s ./internal/dp/
 go test -run '^$' -fuzz '^FuzzPlanBody$' -fuzztime 3s ./internal/service/
+go test -run '^$' -fuzz '^FuzzRingWalk$' -fuzztime 3s ./internal/shard/
 
 echo "check.sh: all gates passed"
 
