@@ -20,14 +20,20 @@ var costCursorModels = []CostModel{
 }
 
 // parityLaws are the laws of the parity tests against the oracle:
-// every Table-1 law plus a lognormal(3, σ) sweep that includes the two
-// recorded tail-overflow laws.
+// every Table-1 law, a lognormal(3, σ) sweep that includes the two
+// recorded tail-overflow laws, and an empirical law with an atom at the
+// top of its support, whose survival stays above the cutoff at b — the
+// walk ends there with mass left over, so the candidate is uncovered.
 func parityLaws() []dist.Distribution {
 	laws := dist.Table1()
 	for _, sigma := range []float64{0.1, 0.25, 0.40315, 0.55, 0.7760321568029569, 0.95, 1.2, 1.45} {
 		laws = append(laws, dist.MustLogNormal(3, sigma))
 	}
-	return laws
+	emp, err := dist.NewEmpirical([]float64{1, 2, 2, 3, 5, 8, 13})
+	if err != nil {
+		panic(err)
+	}
+	return append(laws, emp)
 }
 
 // parityFracs place first reservations across a search interval,
