@@ -36,15 +36,21 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{api.CodeBadRequest, fmt.Sprintf(format, args...)}
 }
 
-// decodeJSON strictly decodes one JSON value from a request body.
+// decodeJSON strictly decodes one JSON value from a request body: no
+// unknown fields, and nothing but whitespace after the value up to the
+// end of the body. The next token is read rather than asking More,
+// which is false on a stray '}' or ']' and on a read error.
 func decodeJSON(body io.Reader, v any) *apiError {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("invalid JSON request: %v", err)
 	}
-	if dec.More() {
-		return badRequest("invalid JSON request: trailing data after the JSON body")
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			return badRequest("invalid JSON request: trailing data after the JSON body")
+		}
+		return badRequest("invalid JSON request: %v", err)
 	}
 	return nil
 }

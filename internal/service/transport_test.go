@@ -88,6 +88,7 @@ type parityCase struct {
 	status int    // want: HTTP status
 	code   string // want: error code, for an error status
 	cache  string // want: X-Cache, for a 200
+	msg    string // want: error message, when set
 }
 
 func toFrontend(f *parityFleet) *client.Client { return f.fe }
@@ -104,6 +105,10 @@ func TestInProcessMatchesTCP(t *testing.T) {
 	simulate := `{"distribution": "exponential(1)", "cost_model": {"alpha": 1}, "strategy": "mean-doubling", "samples": 500, "sim_seed": 3}`
 	badStrategy := `{"distribution": "exp(1)", "cost_model": {"alpha": 1}, "strategy": "no-such"}`
 	overlong := `{"distribution": "exp(1)",` + strings.Repeat(" ", maxRequestBytes) + `"cost_model": {"alpha": 1}}`
+	// Only whitespace may follow the JSON value, up to the end of the
+	// body; a body that never ends within the limit is too large.
+	padded := plan + strings.Repeat(" ", 2<<20)
+	const tooLarge = "invalid JSON request: http: request body too large"
 	const (
 		ok       = http.StatusOK
 		bad      = http.StatusBadRequest
@@ -127,6 +132,12 @@ func TestInProcessMatchesTCP(t *testing.T) {
 		{name: "flood over quota", to: toFrontend, path: api.PathPlan, body: plan, tenant: "flood", status: http.StatusTooManyRequests, code: api.CodeOverQuota},
 		{name: "frontend overlong", to: toFrontend, path: api.PathPlan, body: overlong, status: bad, code: api.CodeBadRequest},
 		{name: "backend overlong", to: toBackend, path: api.PathPlan, body: overlong, status: bad, code: api.CodeBadRequest},
+		{name: "backend trailing whitespace", to: toBackend, path: api.PathPlan, body: plan + " \n\t", status: ok, cache: "hit"},
+		{name: "backend trailing brace", to: toBackend, path: api.PathPlan, body: plan + " }", status: bad, code: api.CodeBadRequest},
+		{name: "backend trailing bracket", to: toBackend, path: api.PathPlan, body: plan + " ]", status: bad, code: api.CodeBadRequest},
+		{name: "backend trailing value", to: toBackend, path: api.PathPlan, body: plan + " {}", status: bad, code: api.CodeBadRequest},
+		{name: "frontend padded", to: toFrontend, path: api.PathPlan, body: padded, status: bad, code: api.CodeBadRequest, msg: tooLarge},
+		{name: "backend padded", to: toBackend, path: api.PathPlan, body: padded, status: bad, code: api.CodeBadRequest, msg: tooLarge},
 		{name: "all shards down", to: toFrontend, path: api.PathPlan, body: plan, kill: true, status: http.StatusBadGateway, code: api.CodeUnavailable},
 	}
 	// Only the exact API paths are served. An unclean spelling of one is
@@ -187,6 +198,9 @@ func TestInProcessMatchesTCP(t *testing.T) {
 		var er api.ErrorResponse
 		if err := json.Unmarshal(a.Body, &er); err != nil || er.Error.Code != tc.code {
 			t.Errorf("%s: error body %s, want code %s", tc.name, a.Body, tc.code)
+		}
+		if tc.msg != "" && er.Error.Message != tc.msg {
+			t.Errorf("%s: message %q, want %q", tc.name, er.Error.Message, tc.msg)
 		}
 		if tc.code == api.CodeOverQuota && er.Error.RetryAfterSeconds <= 0 {
 			t.Errorf("%s: no retry_after_seconds in %s", tc.name, a.Body)
