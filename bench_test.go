@@ -116,10 +116,10 @@ func BenchmarkExp1(b *testing.B) {
 // scoring against the deterministic Eq.-(4) scoring — the central
 // protocol choice of §4.1/§5.1 — at the paper's full scale (M=5000 grid
 // points, N=1000 samples), single-worker so the per-candidate cost is
-// what is measured. The plain entries run Search, which records every
-// candidate; the sequence-* entries run Sequence, the winner-only scan
-// a plan request takes (no candidate slab, budget-pruned scoring, early
-// block stop).
+// what is measured. The plain entries run Curve, which scores every
+// grid point exactly (the Fig.-3 curve); the sequence-* entries run
+// Sequence, the winner-only scan a plan request takes (no candidate
+// slab, budget-pruned scoring, early block stop).
 func BenchmarkBruteForceScoring(b *testing.B) {
 	d := dist.MustLogNormal(3, 0.5)
 	for _, mode := range []strategy.EvalMode{strategy.EvalMonteCarlo, strategy.EvalAnalytic} {
@@ -127,7 +127,7 @@ func BenchmarkBruteForceScoring(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bf.Search(core.ReservationOnly, d); err != nil {
+				if _, err := bf.Curve(core.ReservationOnly, d, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -149,7 +149,7 @@ func BenchmarkBruteForceScoring(b *testing.B) {
 // (one survival evaluation per reservation, budget early-abort, zero
 // per-candidate allocations) over the same full-scale grid. Both
 // variants track the running best so the cursor's pruning is exercised
-// the way SearchOn uses it.
+// the way Search uses it.
 func BenchmarkAnalyticScoring(b *testing.B) {
 	const gridM = 5000
 	d := dist.MustLogNormal(3, 0.5)
@@ -308,8 +308,8 @@ func TestHotPathAllocsZero(t *testing.T) {
 	})
 }
 
-// BenchmarkBruteForceWorkers measures the parallel speedup of the grid
-// scan.
+// BenchmarkBruteForceWorkers measures the parallel speedup of the
+// exhaustive grid scan.
 func BenchmarkBruteForceWorkers(b *testing.B) {
 	d := dist.MustGamma(2, 2)
 	for _, w := range []int{1, 4} {
@@ -317,7 +317,7 @@ func BenchmarkBruteForceWorkers(b *testing.B) {
 			b.ReportAllocs()
 			bf := strategy.BruteForce{M: 600, N: 300, Seed: 1, Workers: w}
 			for i := 0; i < b.N; i++ {
-				if _, err := bf.Search(core.ReservationOnly, d); err != nil {
+				if _, err := bf.Curve(core.ReservationOnly, d, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

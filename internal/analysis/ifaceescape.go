@@ -17,7 +17,7 @@ import (
 // Boxing a *pointer* to a hot-path type is deliberately allowed: the
 // pointer rides in the interface word, so handing &cursor to a scorer
 // costs one escape per worker block, which is the sanctioned pattern
-// (see strategy.BruteForce.SearchOn).
+// (see strategy.BruteForce.Search).
 var IfaceEscape = &Analyzer{
 	Name: "ifaceescape",
 	Doc:  "flags by-value conversions of //repro:hotpath types to interfaces, which force a heap copy per conversion",

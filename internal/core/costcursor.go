@@ -92,10 +92,6 @@ func (c *CostCursor) PrunesFrom(t1, budget float64) bool {
 //
 // After an abort the cursor is immediately reusable — the next call
 // starts a fresh candidate; no Reset is needed.
-//
-// The recurrence step is walk.next written out in the loop, so the
-// kernel pays no call per step (next is too large to inline); the
-// parity tests against the earlier implementations pin both copies.
 func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, err error) {
 	w := &c.w
 	sum := c.betaMean
@@ -139,32 +135,14 @@ func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, 
 		if i >= MaxSequenceLen {
 			return math.NaN(), false, ErrTooLong
 		}
-		if w.bounded && tPrev >= w.hi {
-			// Support covered, sequence complete (ErrEnd) — but mass
-			// remains above the cutoff: uncovered, infinite cost.
+		ti, err = w.next(tPrev, sf, sfPrev)
+		if err == ErrEnd {
+			// Support covered, sequence complete — but mass remains
+			// above the cutoff: uncovered, infinite cost.
 			return math.Inf(1), false, nil
 		}
-		ti = math.NaN()
-		if f := w.d.PDF(tPrev); f > 0 && !math.IsInf(f, 0) {
-			if w.g == nil {
-				ti = sfPrev/f + w.beta/w.alpha*(sf/f-tPrev) - w.gamma/w.alpha
-			} else {
-				ti = w.g.Inverse(w.g.Deriv(tPrev)*sfPrev/f + w.beta*(sf/f-tPrev))
-			}
-		}
-		if ti > tPrev {
-			if w.bounded && ti >= w.hi {
-				ti = w.hi
-			}
-		} else if sf <= w.tailEps {
-			if w.bounded {
-				ti = w.hi
-			} else {
-				ti = 2 * tPrev
-			}
-		}
-		if math.IsNaN(ti) || ti <= tPrev {
-			return math.NaN(), false, ErrNonIncreasing
+		if err != nil {
+			return math.NaN(), false, err
 		}
 	}
 }

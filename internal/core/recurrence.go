@@ -49,8 +49,7 @@ func (r *rule) affineTerm(t, tPrev, sf float64) float64 {
 
 // walk is the whole Proposition-1 expansion rule — the successor of
 // rule plus the stopping and validity rules — shared by the lazy
-// Sequence, RecurrenceCursor and CostCursor (whose loop writes next
-// out):
+// Sequence, RecurrenceCursor and CostCursor:
 //
 //   - the sequence must stay strictly increasing from t_0 = 0;
 //   - on bounded support [a, b] it closes with b as soon as the

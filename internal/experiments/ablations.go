@@ -123,16 +123,16 @@ func AblationScoring(cfg Config) ([]ScoringRow, error) {
 	names := dist.Table1Names()
 	rows := make([]ScoringRow, 0, len(names))
 	for i, d := range dist.Table1() {
-		an, err := (strategy.BruteForce{M: cfg.M, Mode: strategy.EvalAnalytic}).Search(m, d)
+		an, err := (strategy.BruteForce{M: cfg.M, Mode: strategy.EvalAnalytic}).Search(m, d, nil)
 		if err != nil {
 			return nil, err
 		}
 		bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: strategy.EvalMonteCarlo, Seed: cfg.Seed + uint64(i)}
-		mc, err := bf.Search(m, d)
+		mc, err := bf.Search(m, d, nil)
 		if err != nil {
 			return nil, err
 		}
-		rescored, _ := bf.EvaluateT1(m, d, mc.Best.T1, nil) // nil samples → analytic
+		rescored, _ := bf.EvaluateT1(m, d, mc.Best.T1, nil) // nil workload → analytic
 		o := m.OmniscientCost(d)
 		rows = append(rows, ScoringRow{
 			Distribution: names[i],

@@ -156,7 +156,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		wl := workloadFor(d, cfg, uint64(i))
 
 		bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: cfg.evalMode(), Seed: cfg.Seed + uint64(i), Workers: 1}
-		res, err := bf.SearchOn(m, d, wl)
+		res, err := bf.Search(m, d, wl)
 		if err != nil {
 			errs[i] = fmt.Errorf("experiments: brute force on %s: %w", d.Name(), err)
 			row.Costs[0] = math.NaN()
@@ -232,7 +232,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		row := Table3Row{Distribution: names[i]}
 		wl := workloadFor(d, cfg, uint64(i))
 		bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: cfg.evalMode(), Seed: cfg.Seed + uint64(i), Workers: 1}
-		res, err := bf.SearchOn(m, d, wl)
+		res, err := bf.Search(m, d, wl)
 		if err != nil {
 			errs[i] = fmt.Errorf("experiments: brute force on %s: %w", d.Name(), err)
 			row.BestT1, row.BestCost = math.NaN(), math.NaN()
@@ -243,7 +243,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		for q, p := range Table3Quantiles {
 			t1 := d.Quantile(p)
 			row.QuantileT1[q] = t1
-			cand, _ := bf.EvaluateT1On(m, d, t1, wl)
+			cand, _ := bf.EvaluateT1(m, d, t1, wl)
 			if cand.Valid {
 				row.QuantileCost[q] = cand.Cost / m.OmniscientCost(d)
 			} else {

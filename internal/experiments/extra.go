@@ -51,7 +51,7 @@ func StudyBimodal(cfg Config) ([]BimodalRow, error) {
 			gridM = 1500
 		}
 		bf := strategy.BruteForce{M: gridM, Mode: strategy.EvalAnalytic, Seed: cfg.Seed + uint64(i)}
-		res, err := bf.Search(m, mix)
+		res, err := bf.Search(m, mix, nil)
 		if err != nil {
 			row.Costs[0] = math.NaN()
 		} else {
@@ -125,7 +125,7 @@ func StudyOverheadSensitivity(cfg Config) ([]OverheadRow, error) {
 	for _, g := range OverheadLevels {
 		m := core.CostModel{Alpha: 1, Beta: 1, Gamma: g * mean}
 		bf := strategy.BruteForce{M: gridM, Mode: strategy.EvalAnalytic}
-		res, err := bf.Search(m, d)
+		res, err := bf.Search(m, d, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: overhead γ=%g: %w", g, err)
 		}

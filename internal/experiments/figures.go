@@ -37,23 +37,21 @@ func Fig3(cfg Config) ([]Fig3Series, error) {
 	series := make([]Fig3Series, len(dists))
 	parallel.ForEach(len(dists), cfg.Workers, func(i int) {
 		d := dists[i]
-		// Fig. 3 plots the entire cost-vs-t1 curve, so the analytic
-		// budget prune must stay off (FullCosts): a pruned candidate
-		// records only a lower bound, which would punch spurious gaps
-		// into the series.
-		bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: cfg.evalMode(), Seed: cfg.Seed + uint64(i), Workers: 1, FullCosts: true}
-		res, err := bf.SearchOn(m, d, workloadFor(d, cfg, uint64(i)))
+		bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: cfg.evalMode(), Seed: cfg.Seed + uint64(i), Workers: 1}
+		// A law without a search interval plots an empty series.
+		curve, _ := bf.Curve(m, d, workloadFor(d, cfg, uint64(i)))
 		s := Fig3Series{Distribution: names[i], BestT1: math.NaN()}
-		if err == nil {
-			s.BestT1 = res.Best.T1
-		}
 		o := m.OmniscientCost(d)
-		for _, c := range res.Candidates {
+		best := math.Inf(1)
+		for _, c := range curve {
 			s.T1 = append(s.T1, c.T1)
-			if c.Valid {
-				s.Cost = append(s.Cost, c.Cost/o)
-			} else {
+			if !c.Valid {
 				s.Cost = append(s.Cost, math.NaN())
+				continue
+			}
+			s.Cost = append(s.Cost, c.Cost/o)
+			if c.Cost < best {
+				best, s.BestT1 = c.Cost, c.T1
 			}
 		}
 		series[i] = s
@@ -117,7 +115,7 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 		wl := workloadFor(d, cfg, uint64(i))
 
 		bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: cfg.evalMode(), Seed: cfg.Seed + uint64(i), Workers: 1}
-		res, err := bf.SearchOn(m, d, wl)
+		res, err := bf.Search(m, d, wl)
 		if err != nil {
 			row.Costs[0] = math.NaN()
 		} else {
@@ -172,7 +170,7 @@ func Fig4FromTrace(cfg Config, app trace.Application, runs int) (Fig4Row, core.C
 	row := Fig4Row{Factor: 1, MeanHours: d.Mean(), SdHours: dist.StdDev(d), Costs: make([]float64, len(HeuristicNames))}
 	mc := workloadFor(d, cfg, 99)
 	bf := strategy.BruteForce{M: cfg.M, N: cfg.N, Mode: cfg.evalMode(), Seed: cfg.Seed, Workers: cfg.Workers}
-	res, err := bf.Search(m, d)
+	res, err := bf.Search(m, d, nil)
 	if err != nil {
 		row.Costs[0] = math.NaN()
 	} else {

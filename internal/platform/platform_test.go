@@ -173,7 +173,7 @@ func TestNeuroHPCScenarioEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	eMD /= m.OmniscientCost(d)
-	bf, err := strategy.BruteForce{M: 800, Mode: strategy.EvalAnalytic}.Search(m, d)
+	bf, err := strategy.BruteForce{M: 800, Mode: strategy.EvalAnalytic}.Search(m, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,16 +56,6 @@ type BruteForce struct {
 	TailEps float64
 	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// FullCosts disables the analytic budget prune in Search so every
-	// grid point's exact cost is recorded in Candidates — required by
-	// Fig.-3-style analyses that plot the whole cost curve. The default
-	// (false) abandons a candidate as soon as its Eq.-(4) partial sum
-	// exceeds the worker block's best cost, which never changes the
-	// winner (see core.CostCursor.CostBudget) but leaves pruned
-	// Candidates entries holding only a lower bound. Search records
-	// every Monte-Carlo candidate exactly whatever FullCosts says.
-	// Sequence records nothing and always prunes, in both modes.
-	FullCosts bool
 }
 
 // Name implements Strategy.
@@ -78,29 +68,16 @@ type Candidate struct {
 	// Cost is the estimated expected cost (NaN when invalid).
 	Cost float64
 	// Valid reports whether the Eq.-(11) expansion stayed strictly
-	// increasing (within the tail tolerance).
+	// increasing (within the tail tolerance) and covered the support.
 	Valid bool
-	// Pruned marks a candidate abandoned by a budgeted score
-	// (core.CostCursor.CostBudget or simulate.Workload.Cost): Cost
-	// then holds only the partial Eq.-(4) sum, or Eq.-(13) mean,
-	// accumulated before the abort — an admissible lower bound on the
-	// true cost, already above the block's best — and Valid is false
-	// because the unscanned tail of the recurrence was never checked.
-	// Which candidates get pruned (and their partial values) depends on
-	// scan order and worker count; only the winner is canonical. Search
-	// prunes analytic candidates only, unless FullCosts is set.
-	Pruned bool
 }
 
-// SearchResult is the full outcome of a brute-force scan.
+// SearchResult is the winner of a brute-force scan.
 type SearchResult struct {
 	// Best is the winning candidate.
 	Best Candidate
 	// Sequence is the winning sequence.
 	Sequence *core.Sequence
-	// Candidates holds every grid point in scan order (for Fig. 3 /
-	// Table 3 style analyses).
-	Candidates []Candidate
 }
 
 func (b BruteForce) params() (m, n int, tailEps float64) {
@@ -126,36 +103,21 @@ func tailTolerance(eps float64) float64 {
 	return eps
 }
 
-// EvaluateT1 scores a single first-reservation candidate under the
-// configured mode, returning the candidate record and its sequence.
-// Monte-Carlo scoring builds a throwaway Workload from the samples;
-// callers scoring many candidates on one sample set should build the
-// Workload once and use EvaluateT1On instead.
-func (b BruteForce) EvaluateT1(m core.CostModel, d dist.Distribution, t1 float64, samples []float64) (Candidate, *core.Sequence) {
-	var wl *simulate.Workload
-	if b.Mode != EvalAnalytic && samples != nil {
-		wl = simulate.NewWorkload(samples)
-	}
-	return b.EvaluateT1On(m, d, t1, wl)
-}
-
-// EvaluateT1On scores a single candidate against a shared Workload
+// EvaluateT1 scores a single candidate against a shared Workload
 // (Monte-Carlo protocol) or, when wl is nil or the mode is analytic,
 // with the deterministic Eq.-(4) closed form, streamed through a
 // core.CostCursor (no Sequence is materialized unless the candidate is
 // valid and its sequence is returned).
-func (b BruteForce) EvaluateT1On(m core.CostModel, d dist.Distribution, t1 float64, wl *simulate.Workload) (Candidate, *core.Sequence) {
+func (b BruteForce) EvaluateT1(m core.CostModel, d dist.Distribution, t1 float64, wl *simulate.Workload) (Candidate, *core.Sequence) {
 	_, _, tailEps := b.params()
+	var c Candidate
 	if b.Mode == EvalAnalytic || wl == nil {
 		cur := core.NewCostCursor(m, d, tailEps)
-		c := evalAnalytic(t1, math.Inf(1), &cur)
-		if !c.Valid {
-			return c, nil
-		}
-		return c, core.SequenceFromFirstTail(m, d, t1, tailEps)
+		c = evalAnalytic(t1, math.Inf(1), &cur)
+	} else {
+		cur := core.NewRecurrenceCursor(m, d, t1, tailEps)
+		c = evalWorkload(m, t1, math.Inf(1), wl, &cur)
 	}
-	cur := core.NewRecurrenceCursor(m, d, t1, tailEps)
-	c := evalWorkload(m, t1, math.Inf(1), wl, &cur)
 	if !c.Valid {
 		return c, nil
 	}
@@ -171,13 +133,7 @@ func (b BruteForce) EvaluateT1On(m core.CostModel, d dist.Distribution, t1 float
 //repro:hotpath
 func evalWorkload(m core.CostModel, t1, budget float64, wl *simulate.Workload, cur *core.RecurrenceCursor) Candidate {
 	cost, pruned, err := wl.Cost(m, cur, budget)
-	if err != nil || math.IsNaN(cost) || math.IsInf(cost, 1) {
-		return Candidate{T1: t1, Cost: math.NaN()}
-	}
-	if pruned {
-		return Candidate{T1: t1, Cost: cost, Pruned: true}
-	}
-	return Candidate{T1: t1, Cost: cost, Valid: true}
+	return candidate(t1, cost, pruned, err)
 }
 
 // evalAnalytic scores one candidate through the fused Eq.-(4)/Eq.-(11)
@@ -188,11 +144,17 @@ func evalWorkload(m core.CostModel, t1, budget float64, wl *simulate.Workload, c
 //repro:hotpath
 func evalAnalytic(t1, budget float64, cur *core.CostCursor) Candidate {
 	cost, pruned, err := cur.CostBudget(t1, budget)
-	if err != nil || math.IsNaN(cost) || math.IsInf(cost, 1) {
+	return candidate(t1, cost, pruned, err)
+}
+
+// candidate is the record of a budgeted score. A pruned candidate is
+// invalid: its cost is only a lower bound above its block's best, and
+// the unscanned tail of its recurrence was never checked.
+//
+//repro:hotpath
+func candidate(t1, cost float64, pruned bool, err error) Candidate {
+	if pruned || err != nil || math.IsNaN(cost) || math.IsInf(cost, 1) {
 		return Candidate{T1: t1, Cost: math.NaN()}
-	}
-	if pruned {
-		return Candidate{T1: t1, Cost: cost, Pruned: true}
 	}
 	return Candidate{T1: t1, Cost: cost, Valid: true}
 }
@@ -217,28 +179,27 @@ func scanGrid(m, workers int, block func(lo, hi int) Candidate) Candidate {
 }
 
 // scanAnalytic is the §4.1 scan of the m-point grid t1 = lo +
-// k·(hi-lo)/m, k = 1..m, scored through a per-block copy of cur. Each
-// candidate is pruned against its block's best so far unless full:
-// a candidate is abandoned only once its partial sum strictly exceeds
-// the block's incumbent, so every candidate whose exact cost ties or
-// beats the eventual minimum is scored exactly and the winner is the
-// unpruned one. A non-nil cands records every candidate; a nil cands
-// asks for the winner only, and a block then stops at the first point
-// from which the cursor reports every later point pruned
+// k·(hi-lo)/m, k = 1..m, scored through a per-block copy of cur. A
+// non-nil cands records every candidate's exact cost. A nil cands asks
+// for the winner only: each candidate is pruned against its block's
+// best so far — abandoned only once its partial sum strictly exceeds
+// the incumbent, so every candidate whose exact cost ties or beats the
+// eventual minimum is scored exactly — and a block stops at the first
+// point from which the cursor reports every later point pruned
 // (CostCursor.PrunesFrom): the grid is FP-nondecreasing in k and the
 // block's best only falls.
-func scanAnalytic(cur core.CostCursor, lo, hi float64, m, workers int, full bool, cands []Candidate) Candidate {
+func scanAnalytic(cur core.CostCursor, lo, hi float64, m, workers int, cands []Candidate) Candidate {
 	return scanGrid(m, workers, func(wlo, whi int) Candidate {
 		cur := cur
 		best := Candidate{Cost: math.Inf(1)}
+		budget := math.Inf(1)
 		for i := wlo; i < whi; i++ {
 			t1 := lo + (hi-lo)*float64(i+1)/float64(m)
-			budget := best.Cost
-			if full {
-				budget = math.Inf(1)
-			}
-			if cands == nil && cur.PrunesFrom(t1, budget) {
-				break
+			if cands == nil {
+				budget = best.Cost
+				if cur.PrunesFrom(t1, budget) {
+					break
+				}
 			}
 			c := evalAnalytic(t1, budget, &cur)
 			if cands != nil {
@@ -301,71 +262,71 @@ func polish(cur *core.CostCursor, t1, step, lo, hi float64) Candidate {
 	return evalAnalytic(x, math.Inf(1), cur)
 }
 
-// Search runs the full grid scan and returns every candidate along
-// with the winner. In Monte-Carlo mode the (N, Seed) workload is drawn
-// and precomputed once for the whole scan.
-func (b BruteForce) Search(m core.CostModel, d dist.Distribution) (SearchResult, error) {
-	return b.SearchOn(m, d, nil)
-}
-
-// SearchOn is Search scoring Monte-Carlo candidates against a shared
-// precomputed Workload — the drivers that evaluate many strategies on
-// one distribution build the workload once and pass it to every scan.
-// A nil wl in Monte-Carlo mode draws the configured (N, Seed) workload;
-// in analytic mode wl is ignored.
-func (b BruteForce) SearchOn(m core.CostModel, d dist.Distribution, wl *simulate.Workload) (SearchResult, error) {
-	return b.search(m, d, wl, true)
-}
-
-// search is the §4.1 scan. With record it fills Candidates (Search);
-// without, it is the winner-only scan behind Sequence: no candidate
-// slab, every candidate pruned against its block's incumbent in both
-// modes, and early block stops. Both return the same winner bit for
-// bit.
-func (b BruteForce) search(m core.CostModel, d dist.Distribution, wl *simulate.Workload, record bool) (SearchResult, error) {
-	if err := m.Validate(); err != nil {
+// Search is the winner-only §4.1 scan a plan request takes: no
+// candidate slab, every candidate pruned against its worker block's
+// incumbent in both scoring modes, and each block stopped at the first
+// grid point from which every later point is pruned. Its winner is
+// Curve's first minimal valid candidate, bit for bit, at any worker
+// count. Monte-Carlo candidates are scored against wl — the drivers
+// that evaluate many strategies on one distribution build the workload
+// once — or, when wl is nil, against the configured (N, Seed) workload;
+// analytic scoring ignores wl.
+func (b BruteForce) Search(m core.CostModel, d dist.Distribution, wl *simulate.Workload) (SearchResult, error) {
+	best, err := b.scan(m, d, wl, nil)
+	if err != nil {
 		return SearchResult{}, err
+	}
+	if !best.Valid {
+		return SearchResult{}, errors.New("strategy: no valid brute-force candidate")
+	}
+	// Candidates were scored through cursors, so build the winner's
+	// (lazy) sequence now — O(1), no rescore.
+	_, _, tailEps := b.params()
+	return SearchResult{Best: best, Sequence: core.SequenceFromFirstTail(m, d, best.T1, tailEps)}, nil
+}
+
+// Curve scores every grid point of the §4.1 scan exactly, in scan
+// order, with NaN costs for invalid candidates: the whole cost-vs-t1
+// curve that Fig. 3 plots. wl is used as in Search.
+func (b BruteForce) Curve(m core.CostModel, d dist.Distribution, wl *simulate.Workload) ([]Candidate, error) {
+	gridM, _, _ := b.params()
+	cands := make([]Candidate, gridM)
+	if _, err := b.scan(m, d, wl, cands); err != nil {
+		return nil, err
+	}
+	return cands, nil
+}
+
+// scan is the §4.1 scan over the grid t1 in (lo, A1] (Theorem 2),
+// returning the best valid candidate (Valid false when there is none).
+// A non-nil cands records every candidate exactly (Curve); a nil cands
+// is the winner-only scan (Search). Both modes stream each candidate
+// through one reused per-block cursor: the Monte-Carlo path through the
+// Eq.-(11) RecurrenceCursor against the shared Workload, the analytic
+// path through the fused Eq.-(4)/Eq.-(11) CostCursor.
+func (b BruteForce) scan(m core.CostModel, d dist.Distribution, wl *simulate.Workload, cands []Candidate) (Candidate, error) {
+	if err := m.Validate(); err != nil {
+		return Candidate{}, err
 	}
 	gridM, n, tailEps := b.params()
 	lo, _ := d.Support()
 	hi := core.BoundFirstReservation(m, d)
 	if !(hi > lo) {
-		return SearchResult{}, fmt.Errorf("strategy: degenerate search interval [%g, %g]", lo, hi)
+		return Candidate{}, fmt.Errorf("strategy: degenerate search interval [%g, %g]", lo, hi)
 	}
-	var cands []Candidate
-	if record {
-		cands = make([]Candidate, gridM)
+	if b.Mode == EvalAnalytic {
+		return scanAnalytic(core.NewCostCursor(m, d, tailEps), lo, hi, gridM, b.Workers, cands), nil
 	}
-	// Both modes stream each candidate through one reused per-block
-	// cursor: the Monte-Carlo path through the Eq.-(11)
-	// RecurrenceCursor against the shared Workload, the analytic path
-	// through the fused Eq.-(4)/Eq.-(11) CostCursor.
-	var best Candidate
-	if b.Mode == EvalMonteCarlo {
-		if wl == nil {
-			wl = simulate.NewWorkloadFrom(d, n, b.Seed)
-		}
-		best = scanWorkload(m, d, wl, lo, hi, gridM, b.Workers, tailEps, cands)
-	} else {
-		best = scanAnalytic(core.NewCostCursor(m, d, tailEps), lo, hi, gridM, b.Workers, b.FullCosts && record, cands)
+	if wl == nil {
+		wl = simulate.NewWorkloadFrom(d, n, b.Seed)
 	}
-	if !best.Valid {
-		return SearchResult{Candidates: cands}, errors.New("strategy: no valid brute-force candidate")
-	}
-	// Candidates were scored through cursors, so build the winner's
-	// (lazy) sequence now — O(1), no rescore.
-	bestSeq := core.SequenceFromFirstTail(m, d, best.T1, tailEps)
-	return SearchResult{Best: best, Sequence: bestSeq, Candidates: cands}, nil
+	return scanWorkload(m, d, wl, lo, hi, gridM, b.Workers, tailEps, cands), nil
 }
 
-// Sequence implements Strategy with the winner-only scan a plan
-// request takes: no candidate slab, every candidate pruned against its
-// worker block's incumbent in both scoring modes, and each block
-// stopped at the first grid point from which every later point is
-// pruned. It returns Search's winning sequence bit for bit at any
-// worker count.
+// Sequence implements Strategy: Search's winning sequence on the
+// configured workload.
 func (b BruteForce) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequence, error) {
-	res, err := b.search(m, d, nil, false)
+	res, err := b.Search(m, d, nil)
 	return res.Sequence, err
 }
 
@@ -383,15 +344,15 @@ type RefinedBruteForce struct {
 // Name implements Strategy.
 func (RefinedBruteForce) Name() string { return "Refined-BF" }
 
-// search is the coarse scan (recording candidates or winner-only, as
-// in BruteForce.search) followed by the polish.
-func (r RefinedBruteForce) search(m core.CostModel, d dist.Distribution, record bool) (SearchResult, error) {
+// search is the winner-only coarse scan (see BruteForce.Search)
+// followed by the polish.
+func (r RefinedBruteForce) search(m core.CostModel, d dist.Distribution) (SearchResult, error) {
 	coarse := r.Coarse
 	coarse.Mode = EvalAnalytic
 	if coarse.M == 0 {
 		coarse.M = 500
 	}
-	res, err := coarse.search(m, d, nil, record)
+	res, err := coarse.Search(m, d, nil)
 	if err != nil {
 		return res, err
 	}
@@ -403,13 +364,11 @@ func (r RefinedBruteForce) search(m core.CostModel, d dist.Distribution, record 
 	if !c.Valid || c.Cost > res.Best.Cost {
 		return res, nil // keep the coarse winner
 	}
-	seq := core.SequenceFromFirstTail(m, d, c.T1, tailEps)
-	return SearchResult{Best: c, Sequence: seq, Candidates: res.Candidates}, nil
+	return SearchResult{Best: c, Sequence: core.SequenceFromFirstTail(m, d, c.T1, tailEps)}, nil
 }
 
-// Sequence implements Strategy: the winner-only coarse scan (see
-// BruteForce.Sequence) and the polish, returning Search's sequence.
+// Sequence implements Strategy: the polished winner's sequence.
 func (r RefinedBruteForce) Sequence(m core.CostModel, d dist.Distribution) (*core.Sequence, error) {
-	res, err := r.search(m, d, false)
+	res, err := r.search(m, d)
 	return res.Sequence, err
 }

@@ -61,7 +61,7 @@ func (b ConvexBruteForce) Search(d dist.Distribution) (t1, cost float64, seq *co
 	// Eq.-(37) cursor; the polish is taken only when it strictly beats
 	// the grid winner.
 	cur := core.NewConvexCostCursor(b.G, b.Beta, d, tailEps)
-	best := scanAnalytic(cur, lo, upper, m, b.Workers, false, nil)
+	best := scanAnalytic(cur, lo, upper, m, b.Workers, nil)
 	if !best.Valid {
 		return 0, 0, nil, errors.New("strategy: no valid convex candidate")
 	}

@@ -14,7 +14,7 @@ import (
 func ExampleBruteForce_Search() {
 	d := dist.MustExponential(1)
 	bf := strategy.BruteForce{M: 2000, Mode: strategy.EvalAnalytic}
-	res, _ := bf.Search(core.ReservationOnly, d)
+	res, _ := bf.Search(core.ReservationOnly, d, nil)
 	fmt.Printf("t1 ≈ %.1f, cost ≈ %.2f\n", res.Best.T1, res.Best.Cost)
 	// Output:
 	// t1 ≈ 0.7, cost ≈ 2.36

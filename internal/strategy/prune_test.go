@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -8,9 +9,10 @@ import (
 )
 
 // TestAnalyticSearchPruningDeterminism is the acceptance property of
-// the analytic fast path: SearchOn must return a bit-identical winner
-// (same t1, same cost, same sequence) with the budget prune on and
-// off, at any worker count, across distributions and cost models.
+// the analytic fast path: the budget-pruned Search must return the
+// winner of an exhaustive serial scan over Curve's exact costs bit for
+// bit (same t1, same cost, same sequence) at any worker count, across
+// distributions and cost models.
 func TestAnalyticSearchPruningDeterminism(t *testing.T) {
 	models := []core.CostModel{
 		core.ReservationOnly,
@@ -25,87 +27,12 @@ func TestAnalyticSearchPruningDeterminism(t *testing.T) {
 	}
 	for _, m := range models {
 		for _, d := range dists {
-			// Reference: exact costs, serial scan.
-			ref, errRef := BruteForce{M: 400, Mode: EvalAnalytic, Workers: 1, FullCosts: true}.
-				Search(m, d)
+			ref, refSeq, errRef := curveWinner(BruteForce{M: 400, Mode: EvalAnalytic, Workers: 1}, m, d)
 			for _, workers := range []int{1, 3, 8} {
-				for _, full := range []bool{false, true} {
-					bf := BruteForce{M: 400, Mode: EvalAnalytic, Workers: workers, FullCosts: full}
-					res, err := bf.Search(m, d)
-					if (errRef == nil) != (err == nil) {
-						t.Fatalf("%s %v workers=%d full=%v: err %v vs ref %v",
-							d.Name(), m, workers, full, err, errRef)
-					}
-					if errRef != nil {
-						continue
-					}
-					if res.Best.T1 != ref.Best.T1 || res.Best.Cost != ref.Best.Cost { //lint:ignore floatcmp winner must be bit-identical
-						t.Errorf("%s %v workers=%d full=%v: winner (%.17g, %.17g) != reference (%.17g, %.17g)",
-							d.Name(), m, workers, full, res.Best.T1, res.Best.Cost, ref.Best.T1, ref.Best.Cost)
-					}
-					got, err1 := res.Sequence.Clone().Prefix(8)
-					want, err2 := ref.Sequence.Clone().Prefix(8)
-					if err1 != nil || err2 != nil || len(got) != len(want) {
-						t.Fatalf("%s workers=%d full=%v: sequence prefixes %v/%v, errs %v/%v",
-							d.Name(), workers, full, got, want, err1, err2)
-					}
-					for i := range got {
-						if got[i] != want[i] { //lint:ignore floatcmp winner sequence must be bit-identical
-							t.Errorf("%s workers=%d full=%v: sequence[%d] = %.17g != %.17g",
-								d.Name(), workers, full, i, got[i], want[i])
-						}
-					}
-				}
+				res, err := BruteForce{M: 400, Mode: EvalAnalytic, Workers: workers}.Search(m, d, nil)
+				checkSameWinner(t, fmt.Sprintf("%s %v workers=%d", d.Name(), m, workers), res, err, res.Sequence, err, ref, refSeq, errRef)
 			}
 		}
-	}
-}
-
-// TestAnalyticSearchPrunedCandidatesAreLowerBounds: every pruned entry
-// in the candidate array must carry a partial sum that is (a) strictly
-// above the cost of the winner (it lost to some incumbent at least as
-// good) and (b) at most the candidate's exact cost from an unpruned
-// scan — the admissibility that makes pruning safe.
-func TestAnalyticSearchPrunedCandidatesAreLowerBounds(t *testing.T) {
-	d := dist.MustLogNormal(3, 0.5)
-	m := core.ReservationOnly
-	pruned, err := BruteForce{M: 500, Mode: EvalAnalytic, Workers: 1}.Search(m, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := BruteForce{M: 500, Mode: EvalAnalytic, Workers: 1, FullCosts: true}.Search(m, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nPruned := 0
-	for i, c := range pruned.Candidates {
-		if !c.Pruned {
-			// Unpruned entries must match the full scan exactly.
-			f := full.Candidates[i]
-			if c.Valid != f.Valid {
-				t.Errorf("cand %d: valid %v != full %v", i, c.Valid, f.Valid)
-			}
-			if c.Valid && c.Cost != f.Cost { //lint:ignore floatcmp unpruned scores must be bit-identical
-				t.Errorf("cand %d: cost %.17g != full %.17g", i, c.Cost, f.Cost)
-			}
-			continue
-		}
-		nPruned++
-		if c.Valid {
-			t.Errorf("cand %d: pruned entry marked valid", i)
-		}
-		if !(c.Cost > pruned.Best.Cost) {
-			t.Errorf("cand %d: pruned bound %g not above winner %g", i, c.Cost, pruned.Best.Cost)
-		}
-		if f := full.Candidates[i]; f.Valid && c.Cost > f.Cost {
-			t.Errorf("cand %d: pruned bound %g exceeds exact cost %g", i, c.Cost, f.Cost)
-		}
-	}
-	if nPruned == 0 {
-		t.Error("no candidate was pruned; the early abort never fired on a 500-point grid")
-	}
-	if full.Best.T1 != pruned.Best.T1 { //lint:ignore floatcmp winner must be bit-identical
-		t.Errorf("winners differ: pruned %g vs full %g", pruned.Best.T1, full.Best.T1)
 	}
 }
 

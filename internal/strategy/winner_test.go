@@ -1,12 +1,14 @@
 package strategy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/simulate"
 )
 
 // errString renders an error for equality checks (nil as "").
@@ -20,58 +22,101 @@ func errString(err error) string {
 // sameBits reports whether two floats are Float64bits-equal.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// curveWinner is the winner of an exhaustive linear scan over Curve's
+// exact costs — its first minimal valid candidate — with the sequence
+// and error Search must report.
+func curveWinner(b BruteForce, m core.CostModel, d dist.Distribution) (Candidate, *core.Sequence, error) {
+	cands, err := b.Curve(m, d, nil)
+	if err != nil {
+		return Candidate{}, nil, err
+	}
+	best := Candidate{Cost: math.Inf(1)}
+	for _, c := range cands {
+		if c.Valid && c.Cost < best.Cost {
+			best = c
+		}
+	}
+	if !best.Valid {
+		return Candidate{}, nil, errors.New("strategy: no valid brute-force candidate")
+	}
+	_, _, tailEps := b.params()
+	return best, core.SequenceFromFirstTail(m, d, best.T1, tailEps), nil
+}
+
+// refinedWinner is RefinedBruteForce's answer rebuilt on curveWinner:
+// the exhaustive coarse winner, then the same polish, taken unless it
+// scores worse.
+func refinedWinner(r RefinedBruteForce, m core.CostModel, d dist.Distribution) (Candidate, *core.Sequence, error) {
+	coarse := r.Coarse
+	coarse.Mode = EvalAnalytic
+	if coarse.M == 0 {
+		coarse.M = 500
+	}
+	best, seq, err := curveWinner(coarse, m, d)
+	if err != nil {
+		return best, seq, err
+	}
+	lo, _ := d.Support()
+	hi := core.BoundFirstReservation(m, d)
+	_, _, tailEps := coarse.params()
+	cur := core.NewCostCursor(m, d, tailEps)
+	if c := polish(&cur, best.T1, (hi-lo)/float64(coarse.M), lo, hi); c.Valid && !(c.Cost > best.Cost) {
+		return c, core.SequenceFromFirstTail(m, d, c.T1, tailEps), nil
+	}
+	return best, seq, nil
+}
+
 // checkSameWinner asserts that the winner-only result got (and the
-// public Sequence output seq) carries Search's winner want bit for
-// bit: error, T1, cost, flags and an 8-value preview of the sequence.
-func checkSameWinner(t *testing.T, what string, got SearchResult, errGot error, seq *core.Sequence, errSeq error, want SearchResult, errWant error) {
+// public Sequence output seq) carries the exhaustive winner want bit
+// for bit: error, T1, cost, Valid and an 8-value preview of want's
+// sequence.
+func checkSameWinner(t *testing.T, what string, got SearchResult, errGot error, seq *core.Sequence, errSeq error, want Candidate, wantSeq *core.Sequence, errWant error) {
 	t.Helper()
 	if errString(errGot) != errString(errWant) || errString(errSeq) != errString(errWant) {
-		t.Fatalf("%s: errors winner-only %v, Sequence %v, Search %v", what, errGot, errSeq, errWant)
-	}
-	if got.Candidates != nil {
-		t.Fatalf("%s: winner-only scan recorded %d candidates", what, len(got.Candidates))
+		t.Fatalf("%s: errors winner-only %v, Sequence %v, exhaustive %v", what, errGot, errSeq, errWant)
 	}
 	if errWant != nil {
 		return
 	}
-	if !sameBits(got.Best.T1, want.Best.T1) || !sameBits(got.Best.Cost, want.Best.Cost) ||
-		got.Best.Valid != want.Best.Valid || got.Best.Pruned != want.Best.Pruned {
-		t.Fatalf("%s: winner %+v, Search %+v", what, got.Best, want.Best)
+	if !sameBits(got.Best.T1, want.T1) || !sameBits(got.Best.Cost, want.Cost) || got.Best.Valid != want.Valid {
+		t.Fatalf("%s: winner %+v, exhaustive %+v", what, got.Best, want)
 	}
-	wantPre, errW := want.Sequence.Clone().Prefix(8)
+	wantPre, errW := wantSeq.Clone().Prefix(8)
 	for _, s := range []*core.Sequence{got.Sequence, seq} {
 		pre, err := s.Clone().Prefix(8)
 		if errString(err) != errString(errW) || len(pre) != len(wantPre) {
-			t.Fatalf("%s: preview %v (%v), Search %v (%v)", what, pre, err, wantPre, errW)
+			t.Fatalf("%s: preview %v (%v), exhaustive %v (%v)", what, pre, err, wantPre, errW)
 		}
 		for i := range pre {
 			if !sameBits(pre[i], wantPre[i]) {
-				t.Fatalf("%s: preview[%d] = %.17g, Search %.17g", what, i, pre[i], wantPre[i])
+				t.Fatalf("%s: preview[%d] = %.17g, exhaustive %.17g", what, i, pre[i], wantPre[i])
 			}
 		}
 	}
 }
 
-// checkWinnerOnly runs b and its refinement both ways and compares.
+// checkWinnerOnly runs b and its refinement through the winner-only
+// path and compares them with the exhaustive scan over Curve.
 func checkWinnerOnly(t *testing.T, what string, b BruteForce, m core.CostModel, d dist.Distribution) {
 	t.Helper()
-	want, errWant := b.Search(m, d)
-	got, errGot := b.search(m, d, nil, false)
+	want, wantSeq, errWant := curveWinner(b, m, d)
+	got, errGot := b.Search(m, d, nil)
 	seq, errSeq := b.Sequence(m, d)
-	checkSameWinner(t, what, got, errGot, seq, errSeq, want, errWant)
+	checkSameWinner(t, what, got, errGot, seq, errSeq, want, wantSeq, errWant)
 
 	r := RefinedBruteForce{Coarse: b}
-	want, errWant = r.search(m, d, true)
-	got, errGot = r.search(m, d, false)
+	want, wantSeq, errWant = refinedWinner(r, m, d)
+	got, errGot = r.search(m, d)
 	seq, errSeq = r.Sequence(m, d)
-	checkSameWinner(t, what+" refined", got, errGot, seq, errSeq, want, errWant)
+	checkSameWinner(t, what+" refined", got, errGot, seq, errSeq, want, wantSeq, errWant)
 }
 
 // TestSequenceMatchesSearch is the differential check of the
-// winner-only scan: Sequence (no candidate slab, budget-pruned
-// Monte-Carlo, early block stop) must return Search's winner bit for
-// bit over the pin laws and a lognormal σ sweep, three cost models,
-// both scoring modes, one and three workers, and both tail rules.
+// winner-only scan: Search and Sequence (no candidate slab,
+// budget-pruned candidates, early block stop) must return the winner
+// of an exhaustive scan over Curve's exact costs bit for bit, over the
+// pin laws and a lognormal σ sweep, three cost models, both scoring
+// modes, one and three workers, and both tail rules.
 func TestSequenceMatchesSearch(t *testing.T) {
 	// The narrow lognormals put the Monte-Carlo winner's first-attempt
 	// fixed cost within a percent of its total, where a loosened stop
@@ -97,7 +142,7 @@ func TestSequenceMatchesSearch(t *testing.T) {
 				}
 			}
 			cur := core.NewCostCursor(m, d, core.DefaultTailEps)
-			if res, err := (BruteForce{M: 500, Mode: EvalAnalytic, Workers: 1}).Search(m, d); err == nil &&
+			if res, err := (BruteForce{M: 500, Mode: EvalAnalytic, Workers: 1}).Search(m, d, nil); err == nil &&
 				cur.PrunesFrom(core.BoundFirstReservation(m, d), res.Best.Cost) {
 				stops++
 			}
@@ -106,6 +151,35 @@ func TestSequenceMatchesSearch(t *testing.T) {
 	// The comparison is only meaningful if blocks do stop early.
 	if stops == 0 {
 		t.Error("no law stops its scan before the last grid point; the early stop was never exercised")
+	}
+}
+
+// TestCurveIsExact: every point of Curve carries EvaluateT1's exact,
+// unbudgeted score of its t1 on the same workload, in scan order, at
+// one and three workers and in both scoring modes.
+func TestCurveIsExact(t *testing.T) {
+	const gridM = 120
+	for _, d := range pinLaws() {
+		for _, m := range []core.CostModel{core.ReservationOnly, {Alpha: 0.95, Beta: 1, Gamma: 1.05}} {
+			for _, mode := range []EvalMode{EvalMonteCarlo, EvalAnalytic} {
+				wl := simulate.NewWorkloadFrom(d, 300, 5)
+				for _, workers := range []int{1, 3} {
+					b := BruteForce{M: gridM, N: 300, Mode: mode, Seed: 5, Workers: workers}
+					cands, err := b.Curve(m, d, wl)
+					if err != nil || len(cands) != gridM {
+						t.Fatalf("%s %v %v: %d candidates, %v", d.Name(), m, mode, len(cands), err)
+					}
+					lo, _ := d.Support()
+					hi := core.BoundFirstReservation(m, d)
+					for i, c := range cands {
+						want, _ := b.EvaluateT1(m, d, lo+(hi-lo)*float64(i+1)/gridM, wl)
+						if !sameBits(c.T1, want.T1) || !sameBits(c.Cost, want.Cost) || c.Valid != want.Valid {
+							t.Fatalf("%s %v %v workers=%d point %d: curve %+v, EvaluateT1 %+v", d.Name(), m, mode, workers, i, c, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -212,8 +286,8 @@ func fuzzLaw(family uint8, u1, u2 float64) (dist.Distribution, error) {
 // model, a grid size M in [2, 600], and a setting byte (bit 0: analytic
 // scoring, bit 1: three workers, bit 2: the strict tail rule), and
 // asserts that the winner-only scans of BruteForce and
-// RefinedBruteForce return Search's error, T1, cost and 8-value preview
-// bit for bit.
+// RefinedBruteForce return the error, T1, cost and 8-value preview of
+// the exhaustive scan over Curve bit for bit.
 func FuzzWinnerOnlyScan(f *testing.F) {
 	f.Add(uint8(3), 0.75, 0.64, 1.0, 0.0, 0.0, uint16(498), uint8(1))
 	f.Add(uint8(0), 0.2, 0.0, 0.95, 1.0, 1.05, uint16(300), uint8(2))

@@ -43,7 +43,7 @@
 #      within its documented error bound.
 #  10. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
 #      core fuzz targets, the brute-force winner-only scan target
-#      (Sequence vs Search, bit for bit), the DP engine target (the
+#      (Search and Sequence vs Curve, bit for bit), the DP engine target (the
 #      candidate-queue pass vs the O(n²) scan, bit for bit), the
 #      plan-body target (the direct /v1/plan encoder and its fallback vs
 #      json.MarshalIndent, byte for byte or the same error) and the
