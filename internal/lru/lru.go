@@ -1,6 +1,7 @@
 // Package lru provides a small, concurrency-safe, bounded
 // least-recently-used cache. It backs the plan service's caches: the
-// backend's response cache and body memo, and the frontend's route memo.
+// backend's response cache, and the body memos of both tiers (the
+// backend's body → cache key, the frontend's body → route).
 package lru
 
 import (

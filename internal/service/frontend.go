@@ -7,7 +7,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"net/http"
 	"strconv"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/lru"
 	"repro/internal/shard"
 	"repro/internal/tenant"
 	"repro/service/api"
@@ -92,12 +90,9 @@ type Frontend struct {
 	limiter *tenant.Limiter
 	metrics *frontendMetrics
 
-	// routes memoizes request body → canonical spec, keyed by a seeded
-	// hash of the body alone. A collision can only route a request to a
-	// shard other than its home, which still answers it correctly:
-	// every backend canonicalizes for itself.
-	routes    *lru.Cache[uint64, string]
-	routeSeed maphash.Seed
+	// routes memoizes request body → canonical spec. A route does not
+	// depend on the endpoint, so every entry is under the empty name.
+	routes *bodyMemo
 }
 
 // backendShard is the frontend's state for one backend.
@@ -161,13 +156,12 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	return &Frontend{
-		cfg:       cfg,
-		ring:      ring,
-		shards:    shards,
-		limiter:   limiter,
-		metrics:   newFrontendMetrics(),
-		routes:    lru.New[uint64, string](routeMemoCap),
-		routeSeed: maphash.MakeSeed(),
+		cfg:     cfg,
+		ring:    ring,
+		shards:  shards,
+		limiter: limiter,
+		metrics: newFrontendMetrics(),
+		routes:  newBodyMemo(routeMemoCap),
 	}, nil
 }
 
@@ -204,10 +198,8 @@ type routeSpec struct {
 // that route successfully are memoized.
 func (f *Frontend) route(body []byte) (string, error) {
 	memoable := len(body) <= memoBodyCap
-	var sum uint64
 	if memoable {
-		sum = maphash.Bytes(f.routeSeed, body)
-		if spec, ok := f.routes.Get(sum); ok {
+		if spec, ok := f.routes.get("", body); ok {
 			f.metrics.routeMemoHits.Add(1)
 			return spec, nil
 		}
@@ -221,7 +213,7 @@ func (f *Frontend) route(body []byte) (string, error) {
 		return "", err
 	}
 	if memoable {
-		f.routes.Put(sum, spec)
+		f.routes.put("", body, spec)
 	}
 	return spec, nil
 }

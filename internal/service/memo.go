@@ -13,13 +13,13 @@ import (
 // streaming decode path every time.
 const memoBodyCap = 4 << 10
 
-// bodyMemo maps (endpoint, request body bytes) to the response-cache key
-// the body resolved to, so a repeated body reaches the response cache
-// without being decoded, parsed or canonicalized again. Entries are
-// found by a seeded hash of the body and confirmed by comparing the
-// stored bytes, so a hash collision is a miss, never a wrong key. Only
-// bodies of at most memoBodyCap bytes that resolved successfully are
-// stored. Safe for concurrent use.
+// bodyMemo maps (endpoint, request body bytes) to the string the body
+// resolved to — a Backend's response-cache key, a Frontend's routing
+// spec — so a repeated body is answered without being decoded, parsed
+// or canonicalized again. Entries are found by a seeded hash of the
+// body and confirmed by comparing the stored bytes, so a hash collision
+// is a miss, never a wrong key. Only bodies of at most memoBodyCap
+// bytes that resolved successfully are stored. Safe for concurrent use.
 type bodyMemo struct {
 	seed    maphash.Seed
 	entries *lru.Cache[memoKey, memoEntry]
@@ -31,8 +31,8 @@ type memoKey struct {
 	sum      uint64
 }
 
-// memoEntry is one memoized body and the cache key it resolved to; the
-// key string is the one the response cache holds, not a copy.
+// memoEntry is one memoized body and the string it resolved to; a
+// Backend's key string is the one the response cache holds, not a copy.
 type memoEntry struct {
 	body []byte
 	key  string
@@ -42,7 +42,7 @@ func newBodyMemo(capacity int) *bodyMemo {
 	return &bodyMemo{seed: maphash.MakeSeed(), entries: lru.New[memoKey, memoEntry](capacity)}
 }
 
-// get returns the response-cache key body resolved to at endpoint.
+// get returns the string body resolved to at endpoint.
 //
 //repro:hotpath
 func (m *bodyMemo) get(endpoint string, body []byte) (string, bool) {

@@ -281,13 +281,22 @@ func (s *Backend) serve(w http.ResponseWriter, r *http.Request, e *endpoint) {
 }
 
 // respond serves a computed response for key: from the byte cache on a
-// hit, otherwise through the singleflight group, bounded by the worker
-// semaphore, honoring the per-request timeout. Cache hits return the
+// hit, otherwise from the key's flight, which runs compute in one of
+// the WorkerBudget slots. The request waits for the flight until its
+// own context ends, at the per-request timeout. Cache hits return the
 // exact bytes the original miss stored, so identical requests are
 // byte-identical regardless of path; only the X-Cache header (hit,
 // miss, coalesced) distinguishes them.
 func (s *Backend) respond(w http.ResponseWriter, r *http.Request, key string, compute func() ([]byte, error)) {
-	if body, ok := s.cache.Get(key); ok {
+	body, f, shared := s.flight.join(key, func() ([]byte, error) {
+		if s.computeGate != nil {
+			s.computeGate(key)
+		}
+		s.acquire()
+		defer s.release()
+		return compute()
+	})
+	if f == nil {
 		s.metrics.cacheHits.Add(1)
 		writeBody(w, "hit", body)
 		return
@@ -298,60 +307,21 @@ func (s *Backend) respond(w http.ResponseWriter, r *http.Request, key string, co
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Limits.RequestTimeout)
 		defer cancel()
 	}
-	type result struct {
-		body    []byte
-		err     error
-		shared  bool
-		lateHit bool
-	}
-	ch := make(chan result, 1)
-	go func() {
-		var lateHit bool
-		body, err, shared := s.flight.Do(key, func() ([]byte, error) {
-			// An earlier flight may have completed between our cache check
-			// and this one starting; it stores its bytes before the flight
-			// key is released, so a re-check here is authoritative. This
-			// keeps the miss count exactly one per unique key no matter how
-			// requests interleave.
-			if b, ok := s.cache.Get(key); ok {
-				lateHit = true
-				return b, nil
-			}
-			if s.computeGate != nil {
-				s.computeGate(key)
-			}
-			s.acquire()
-			defer s.release()
-			b, err := compute()
-			if err == nil {
-				s.cache.Put(key, b)
-			}
-			return b, err
-		})
-		// lateHit is only meaningful for the flight leader: a follower's
-		// closure never ran, so its lateHit stays false.
-		ch <- result{body, err, shared, lateHit && !shared}
-	}()
 	select {
-	case res := <-ch:
-		if res.err != nil {
-			s.writeError(w, api.CodePlanFailed, res.err.Error())
-			return
-		}
+	case <-f.done:
 		switch {
-		case res.lateHit:
-			s.metrics.cacheHits.Add(1)
-			writeBody(w, "hit", res.body)
-		case res.shared:
+		case f.err != nil:
+			s.writeError(w, api.CodePlanFailed, f.err.Error())
+		case shared:
 			s.metrics.coalesced.Add(1)
-			writeBody(w, "coalesced", res.body)
+			writeBody(w, "coalesced", f.body)
 		default:
 			s.metrics.cacheMisses.Add(1)
-			writeBody(w, "miss", res.body)
+			writeBody(w, "miss", f.body)
 		}
 	case <-ctx.Done():
-		// The computation keeps running detached and will populate the
-		// cache for later requests; this request reports the timeout.
+		// The flight keeps computing and will populate the cache for
+		// later requests; this request reports the timeout.
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.writeError(w, api.CodeTimeout,
 				"computation exceeded the request timeout of "+s.cfg.Limits.RequestTimeout.String())

@@ -16,14 +16,14 @@
 // so a cache hit returns bytes identical to the miss that populated
 // it. A small body that resolved before reaches its cache entry through
 // a memo of the exact body bytes, skipping decode and canonicalization
-// (see memo.go). Concurrent identical requests are coalesced through a
-// singleflight group: one computation runs, every duplicate waits for
-// its result. The X-Cache response header reports which path served
-// the request (hit, miss, or coalesced); the body never varies.
+// (see memo.go). Concurrent identical requests are coalesced into one
+// flight (see singleflight.go): one computation runs, every duplicate
+// waits for its result. The X-Cache response header reports which path
+// served the request (hit, miss, or coalesced); the body never varies.
 //
 // Plan computations run with Options.Workers = 1: each runs on the
-// one goroutine respond starts for its miss (so the handler can give
-// up at the timeout), with zero goroutines spawned on the
+// one goroutine its flight starts (so every waiting handler can give
+// up at its timeout), with zero goroutines spawned on the
 // internal/parallel pool; parallelism comes from serving requests
 // concurrently instead, bounded by a semaphore of WorkerBudget slots.
 // The pool's worker gauge (workers_active / workers_peak in
@@ -70,9 +70,10 @@ func (c CacheConfig) withDefaults() CacheConfig {
 
 // LimitsConfig bounds a Backend's computation resources.
 type LimitsConfig struct {
-	// RequestTimeout bounds each request's computation; zero means no
-	// timeout. A timed-out computation keeps running in the background
-	// and still populates the cache.
+	// RequestTimeout bounds how long each request waits for its
+	// computation; zero means no timeout. A request that times out
+	// answers 504 and leaves; the computation keeps running on its
+	// flight's goroutine and still populates the cache.
 	RequestTimeout time.Duration
 	// WorkerBudget caps the number of plan computations running at
 	// once (default GOMAXPROCS). Each computation is single-threaded
@@ -142,6 +143,7 @@ func New(cfg Config) *Backend {
 		sem:        make(chan struct{}, cfg.Limits.WorkerBudget),
 		strategies: make(map[string]bool),
 	}
+	s.flight.cache = s.cache
 	for _, name := range repro.Strategies() {
 		s.strategies[name] = true
 	}

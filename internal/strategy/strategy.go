@@ -124,8 +124,8 @@ func (MedianByMedian) Sequence(m core.CostModel, d dist.Distribution) (*core.Seq
 	})), nil
 }
 
-// All returns the §4.3 standard-measure heuristics in the paper's
-// column order.
+// StandardHeuristics returns the §4.3 standard-measure heuristics in
+// the paper's column order.
 func StandardHeuristics() []Strategy {
 	return []Strategy{MeanByMean{}, MeanStdev{}, MeanDoubling{}, MedianByMedian{}}
 }

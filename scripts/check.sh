@@ -36,12 +36,20 @@
 #      and the body and route memos both hit on the warm pass. Its
 #      subtests show a ring bypass, a skipped warm key and a bypassed
 #      memo each break the invariant meant to catch them.
-#   9. clustersim smoke — the simulator's built-in gate (cmd/clustersim
+#   9. flight under -race — the coalescing, timeout and flight tests
+#      (TestSingleflightCollapsesConcurrentRequests, TestRequestTimeout,
+#      TestFlightGroup*, and the wait-path tests: n coalesced requests
+#      hold n + 1 goroutines, timed-out requests leave only the
+#      computation's, a failed flight answers every waiter and is not
+#      cached) run 20 times under the race detector, so an ordering bug
+#      in flightGroup.join — a flight forgotten before its bytes are
+#      cached, say — fails the gate instead of once in a while.
+#  10. clustersim smoke — the simulator's built-in gate (cmd/clustersim
 #      -smoke): a small (strategy × shape × replicate) sweep matrix must
 #      be bit-identical for 1, 4, and 16 workers, and the streaming
 #      quantile sketch must agree with exact sorted-sample quantiles
 #      within its documented error bound.
-#  10. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
+#  11. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
 #      core fuzz targets, the brute-force winner-only scan target
 #      (Search and Sequence vs Curve, bit for bit), the DP engine target (the
 #      candidate-queue pass vs the O(n²) scan, bit for bit), the
@@ -95,6 +103,9 @@ go test -race ./internal/parallel/... ./internal/simulate/... ./internal/cluster
 
 echo "== serving invariants"
 go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
+
+echo "== flight under -race (coalescing, timeout, wait path)"
+go test -race -count=20 -run '^(TestSingleflightCollapsesConcurrentRequests|TestRequestTimeout|TestFlightGroup.*|TestCoalescedRequestsShareOneGoroutine|TestTimedOutRequestsLeaveOnlyTheComputation|TestFailedFlightAnswersEveryWaiter)$' ./internal/service/
 
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
