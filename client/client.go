@@ -1,9 +1,9 @@
 // Package client is the typed Go client of the plan service wire API
 // (service/api). It is the single consumer-side implementation of the
-// schema: the sharding frontend proxies through it to backend shards,
-// the benchmark (perfbench) and the serving-invariant tests drive
-// in-process fleets with it, and external programs use it as the
-// supported SDK.
+// schema: the sharding frontend proxies through it to backend shards
+// it reaches by URL, the benchmark (perfbench), the fleet warmup and
+// the serving-invariant tests drive in-process fleets with it, and
+// external programs use it as the supported SDK.
 //
 // Plan and simulate computations are pure functions of the request, so
 // every request is idempotent; the client therefore retries transport

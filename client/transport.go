@@ -14,9 +14,9 @@ import (
 
 // HandlerTransport returns an http.RoundTripper that serves every
 // request by invoking h directly, with no network or listener in
-// between. It is how cmd/serve wires N in-process backend shards
-// behind one frontend, and how tests and perfbench drive a whole fleet
-// inside one process:
+// between. It is how service.Warm, perfbench and the tests reach a
+// whole fleet inside one process (the frontend itself calls its
+// in-process shards directly, without a Client):
 //
 //	c, _ := client.New(client.Config{
 //		BaseURL:    "http://shard0",

@@ -34,7 +34,9 @@ type BackendRef struct {
 	// must be stable across the fleet: every frontend that knows the
 	// same names computes the same routing.
 	Name string
-	// Handler serves the shard in-process, with no network hop.
+	// Handler serves the shard in-process: the frontend calls it
+	// directly with a copy of its own request and captures the
+	// response, with no network hop and no client.
 	Handler http.Handler
 	// URL is the shard's base URL, e.g. "http://10.0.0.7:8081".
 	URL string
@@ -46,7 +48,8 @@ type ShardConfig struct {
 	// (default shard.DefaultReplicas).
 	Replicas int
 	// HealthInterval is the background probe period for ProbeLoop
-	// and the time limit of each probe (default 1s). A backend marked
+	// and the time limit of each URL backend's probe (default 1s); an
+	// in-process shard is probed by a direct call. A backend marked
 	// down by a failed request or probe receives no traffic until a
 	// probe sees it healthy again.
 	HealthInterval time.Duration
@@ -95,16 +98,53 @@ type Frontend struct {
 	routes *bodyMemo
 }
 
-// backendShard is the frontend's state for one backend.
+// backendShard is the frontend's state for one backend: a Handler
+// shard is called directly (see capture), a URL shard through its
+// client.
 type backendShard struct {
-	name   string
-	client *client.Client
-	// inProcess is set for a Handler backend, whose call returns only
-	// after the handler is done with the request body.
-	inProcess bool
-	shard     []string    // the X-Shard header value, built once
-	down      atomic.Bool // out of rotation until a probe revives it
-	routed    counter     // requests this backend answered
+	name    string
+	handler http.Handler   // set for an in-process shard
+	client  *client.Client // set for a URL shard
+	shard   []string       // the X-Shard header value, built once
+	down    atomic.Bool    // out of rotation until a probe revives it
+	routed  counter        // requests this backend answered
+}
+
+// hop sends body to s and returns its response. For an in-process
+// shard the response lives in a capture, which the caller releases once
+// it has read raw; for a URL shard the capture is nil.
+func (s *backendShard) hop(r *http.Request, path string, body []byte, tenant string) (*client.Raw, *capture, error) {
+	if s.handler != nil {
+		c := serveCaptured(s.handler, r, body)
+		return &c.raw, c, nil
+	}
+	// A network transport may still be reading a request body after
+	// the response arrives; the pooled buffer goes back to the pool
+	// when the frontend's handler returns.
+	raw, err := s.client.PostRaw(r.Context(), path, bytes.Clone(body), tenant)
+	return raw, nil, err
+}
+
+// probe checks s's /healthz: an in-process shard is served a GET in a
+// capture and must answer 200; a URL shard is probed through its
+// client, under timeout.
+func (s *backendShard) probe(ctx context.Context, timeout time.Duration) error {
+	if s.handler != nil {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, api.PathHealthz, nil)
+		if err != nil {
+			return err
+		}
+		c := serveCaptured(s.handler, req, nil)
+		status := c.raw.Status
+		c.release()
+		if status != http.StatusOK {
+			return fmt.Errorf("healthz returned status %d", status)
+		}
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	return s.client.Healthz(ctx)
 }
 
 // NewFrontend builds a Frontend over the given backends.
@@ -128,24 +168,21 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		if (b.Handler == nil) == (b.URL == "") {
 			return nil, fmt.Errorf("service: backend %q must set exactly one of Handler and URL", b.Name)
 		}
-		ccfg := client.Config{
-			// The frontend does its own ring failover; per-backend
-			// retries would only delay it.
-			MaxRetries: -1,
-		}
-		if b.Handler != nil {
-			ccfg.BaseURL = "http://" + b.Name
-			ccfg.HTTPClient = &http.Client{Transport: client.HandlerTransport(b.Handler)}
-		} else {
-			ccfg.BaseURL = b.URL
-		}
-		c, err := client.New(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("service: backend %q: %w", b.Name, err)
+		shards[i] = backendShard{name: b.Name, handler: b.Handler,
+			shard: []string{b.Name}, routed: counter{name: b.Name}}
+		if b.URL != "" {
+			c, err := client.New(client.Config{
+				BaseURL: b.URL,
+				// The frontend does its own ring failover; per-backend
+				// retries would only delay it.
+				MaxRetries: -1,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("service: backend %q: %w", b.Name, err)
+			}
+			shards[i].client = c
 		}
 		names = append(names, b.Name)
-		shards[i] = backendShard{name: b.Name, client: c, inProcess: b.Handler != nil,
-			shard: []string{b.Name}, routed: counter{name: b.Name}}
 	}
 	ring, err := shard.New(names, cfg.Shard.Replicas)
 	if err != nil {
@@ -272,41 +309,36 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string, re
 			continue
 		}
 		tried++
-		fwd := body
-		if !s.inProcess {
-			// A network transport may still be reading a request body
-			// after the response arrives; the pooled buffer goes back
-			// to the pool when this handler returns.
-			fwd = bytes.Clone(body)
-		}
-		raw, err := s.client.PostRaw(r.Context(), path, fwd, tenantName)
-		if err != nil {
-			if r.Context().Err() != nil {
-				f.fail(w, api.CodeCanceled, "request canceled")
-				return
+		raw, c, err := s.hop(r, path, body, tenantName)
+		if err == nil && raw.Status != http.StatusBadGateway && raw.Status != http.StatusServiceUnavailable {
+			s.routed.Add(1)
+			h := w.Header()
+			h["Content-Type"] = jsonContentType
+			h[api.HeaderShard] = s.shard
+			if raw.Cache != "" {
+				h[api.HeaderCache] = cacheHeader(raw.Cache)
 			}
+			w.WriteHeader(raw.Status)
+			_, _ = w.Write(raw.Body)
+			c.release()
+			return
+		}
+		// A 502/503 means the backend is up but refusing: try the next
+		// shard, but leave health to the prober.
+		refused := err == nil
+		if refused {
+			err = errors.New("status " + strconv.Itoa(raw.Status))
+			c.release()
+		}
+		if r.Context().Err() != nil {
+			f.fail(w, api.CodeCanceled, "request canceled")
+			return
+		}
+		if !refused {
 			s.down.Store(true)
-			f.metrics.failovers.Add(1)
-			lastErr = fmt.Errorf("shard %s: %w", s.name, err)
-			continue
 		}
-		if raw.Status == http.StatusBadGateway || raw.Status == http.StatusServiceUnavailable {
-			// The backend is up but refusing; try the next shard, but
-			// leave health to the prober.
-			f.metrics.failovers.Add(1)
-			lastErr = fmt.Errorf("shard %s: status %d", s.name, raw.Status)
-			continue
-		}
-		s.routed.Add(1)
-		h := w.Header()
-		h["Content-Type"] = jsonContentType
-		h[api.HeaderShard] = s.shard
-		if raw.Cache != "" {
-			h[api.HeaderCache] = cacheHeader(raw.Cache)
-		}
-		w.WriteHeader(raw.Status)
-		_, _ = w.Write(raw.Body)
-		return
+		f.metrics.failovers.Add(1)
+		lastErr = fmt.Errorf("shard %s: %w", s.name, err)
 	}
 	msg := "no healthy backend shard"
 	if lastErr != nil {
@@ -335,17 +367,16 @@ func (f *Frontend) fail(w http.ResponseWriter, code, message string) {
 }
 
 // CheckHealth probes every backend's /healthz once and updates the
-// rotation: healthy backends rejoin, failing ones leave. Each probe is
-// bounded by the health interval, so a peer that accepts and never
+// rotation: healthy backends rejoin, failing ones leave. An in-process
+// shard is healthy when its handler answers 200. A URL backend's probe
+// is bounded by the health interval, so a peer that accepts and never
 // answers is marked down instead of stalling the sweep. It returns the
 // names currently down, sorted by ring membership order.
 func (f *Frontend) CheckHealth(ctx context.Context) []string {
 	var down []string
 	for i := range f.shards {
 		s := &f.shards[i]
-		pctx, cancel := context.WithTimeout(ctx, f.cfg.Shard.HealthInterval)
-		err := s.client.Healthz(pctx)
-		cancel()
+		err := s.probe(ctx, f.cfg.Shard.HealthInterval)
 		s.down.Store(err != nil)
 		if err != nil {
 			down = append(down, s.name)

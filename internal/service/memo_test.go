@@ -258,13 +258,40 @@ func TestPlannerCacheComparesBits(t *testing.T) {
 	}
 }
 
-// maxHitAllocs caps the allocations of an in-process Backend cache hit
-// answered from the body memo: none measured (writeBody assigns header
-// values built once), plus slack for a sync.Pool refill (the race
-// detector drops pooled buffers at random).
-const maxHitAllocs = 2
+// Pool refills the race detector can add to a hit: it makes
+// sync.Pool.Put drop items at random, and each dropped item is rebuilt
+// by a later Get. Each count was measured with AllocsPerRun on a hit
+// whose Get finds the pool empty.
+const (
+	// bodyBufRefill rebuilds a bodyBufs buffer: the buffer and its
+	// slice header.
+	bodyBufRefill = 2
+	// captureRefill rebuilds a frontend capture: the capture, its
+	// header map, the map's first group and the body's first growth.
+	captureRefill = 4
+	// clientWriterRefill rebuilds the client's in-process response
+	// writer: the writer, its header map, the map's first group and its
+	// body buffer.
+	clientWriterRefill = 4
+)
 
-// TestBackendHitAllocs pins the allocation count of a memo hit.
+// pinAllocs requires allocs to be exactly want, or at most
+// want + raceSlack under the race detector.
+func pinAllocs(t *testing.T, what string, allocs float64, want, raceSlack int) {
+	t.Helper()
+	t.Logf("%s allocates %.1f times", what, allocs)
+	switch {
+	case raceEnabled && allocs > float64(want+raceSlack):
+		t.Errorf("%s allocates %.1f times, ceiling %d under the race detector", what, allocs, want+raceSlack)
+	case !raceEnabled && allocs != float64(want):
+		t.Errorf("%s allocates %.1f times, want exactly %d", what, allocs, want)
+	}
+}
+
+// TestBackendHitAllocs pins the allocation count of a memo hit served
+// straight to Backend.ServeHTTP: none (writeBody assigns header values
+// built once), plus the one bodyBufs buffer the hit puts back under
+// the race detector.
 func TestBackendHitAllocs(t *testing.T) {
 	s := New(Config{})
 	body := []byte(planBodyFor("exponential(1)"))
@@ -283,33 +310,58 @@ func TestBackendHitAllocs(t *testing.T) {
 	if got := s.metrics.bodyMemoHits.Load() - memoHits; got != 201 {
 		t.Fatalf("%d of 201 runs were memo hits", got)
 	}
-	t.Logf("memo hit allocates %.1f times", allocs)
-	if allocs > maxHitAllocs {
-		t.Errorf("memo hit allocates %.1f times, ceiling %d", allocs, maxHitAllocs)
+	pinAllocs(t, "memo hit", allocs, 0, bodyBufRefill)
+}
+
+// TestFrontendServeHTTPHitAllocs pins the allocation count of a hit
+// served straight to Frontend.ServeHTTP, through its in-process shard
+// and answered from the backend's body memo: none. A frontend that
+// builds a request, a header map or a body copy per hop fails it.
+// Under the race detector the hit may refill the two bodyBufs
+// buffers (frontend and backend reads) and the capture.
+func TestFrontendServeHTTPHitAllocs(t *testing.T) {
+	be := New(Config{})
+	fe, err := NewFrontend(FrontendConfig{Backends: []BackendRef{{Name: "shard-0", Handler: be}}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	body := []byte(planBodyFor("exponential(1)"))
+	req := httptest.NewRequest(http.MethodPost, api.PathPlan, nil)
+	rd := &reusableBody{}
+	w := &headerWriter{h: make(http.Header)}
+	serve := func() {
+		rd.Reset(body)
+		req.Body = rd
+		clear(w.h)
+		fe.ServeHTTP(w, req)
+	}
+	serve() // miss: computes and memoizes
+	memoHits := be.metrics.bodyMemoHits.Load()
+	allocs := testing.AllocsPerRun(200, serve)
+	if got := be.metrics.bodyMemoHits.Load() - memoHits; got != 201 {
+		t.Fatalf("%d of 201 runs were memo hits", got)
+	}
+	if got := w.h.Get(api.HeaderCache); got != "hit" {
+		t.Fatalf("X-Cache %q, want hit", got)
+	}
+	pinAllocs(t, "frontend hit", allocs, 0, 2*bodyBufRefill+captureRefill)
 }
 
 // frontendHitAllocs is the allocation count of client.PostRaw through
 // client.HandlerTransport to a Frontend and on to its Backend, answered
-// from the backend's body memo. Through http.Client.Do and an
+// from the backend's body memo: all of it the client's hop (its
+// request, header map, request copy, Raw and body copy), since the
+// frontend's hop allocates nothing. Through http.Client.Do and an
 // httptest.ResponseRecorder per hop the same request took 70, so a
 // client that falls back to Do fails the pin, and so does a frontend
 // that reads the body or sets a header value with a fresh allocation.
-const frontendHitAllocs = 12
-
-// raceRefillAllocs bounds what the race detector adds to a frontend
-// hit: it makes sync.Pool.Put drop items at random, and each dropped
-// item is rebuilt by a later Get. The hit puts back four pooled items:
-// two bodyBufs (frontend and backend reads; a refill allocates the
-// buffer and its slice header) and two client writers (one per
-// in-process hop; a refill allocates the writer, its header map, the
-// map's first group and the body buffer). The bound lets every one of
-// them be dropped on every run.
-const raceRefillAllocs = 2*2 + 2*4
+const frontendHitAllocs = 6
 
 // TestFrontendHitAllocs pins the allocation count of a hit through both
-// in-process hops: exactly frontendHitAllocs, or at most
-// raceRefillAllocs more under the race detector.
+// in-process hops: exactly frontendHitAllocs, or, under the race
+// detector, at most the refills of what the hit puts back — two
+// bodyBufs buffers, the frontend's capture and the client's writer —
+// more.
 func TestFrontendHitAllocs(t *testing.T) {
 	be := New(Config{})
 	fe, err := NewFrontend(FrontendConfig{Backends: []BackendRef{{Name: "shard-0", Handler: be}}})
@@ -338,13 +390,7 @@ func TestFrontendHitAllocs(t *testing.T) {
 	if got := be.metrics.bodyMemoHits.Load() - memoHits; got != 201 {
 		t.Fatalf("%d of 201 runs were memo hits", got)
 	}
-	t.Logf("frontend hit allocates %.1f times", allocs)
-	switch {
-	case raceEnabled && allocs > frontendHitAllocs+raceRefillAllocs:
-		t.Errorf("frontend hit allocates %.1f times, ceiling %d under the race detector", allocs, frontendHitAllocs+raceRefillAllocs)
-	case !raceEnabled && allocs != frontendHitAllocs:
-		t.Errorf("frontend hit allocates %.1f times, want exactly %d", allocs, frontendHitAllocs)
-	}
+	pinAllocs(t, "client → frontend hit", allocs, frontendHitAllocs, 2*bodyBufRefill+captureRefill+clientWriterRefill)
 }
 
 // reusableBody is a request body that can be reset between requests.

@@ -41,9 +41,16 @@
 #      TestFlightGroup*, and the wait-path tests: n coalesced requests
 #      hold n + 1 goroutines, timed-out requests leave only the
 #      computation's, a failed flight answers every waiter and is not
-#      cached) run 20 times under the race detector, so an ordering bug
-#      in flightGroup.join — a flight forgotten before its bytes are
-#      cached, say — fails the gate instead of once in a while.
+#      cached) and the frontend's in-process hop tests (TestCapture*,
+#      TestInProcessRefusalFailsOver, TestInProcessHopCarriesCallerContext,
+#      TestInProcessHopConcurrentBodies: a 502/503 fails over, a bare
+#      Write is a 200, a body is cut at the client's 4 MiB as over a
+#      URL, a late X-Cache is dropped, the caller's context
+#      reaches the backend, concurrent callers get their own bytes) run
+#      20 times under the race detector, so an ordering bug in
+#      flightGroup.join — a flight forgotten before its bytes are
+#      cached, say — or a capture reused while a hop still reads it
+#      fails the gate instead of once in a while.
 #  10. clustersim smoke — the simulator's built-in gate (cmd/clustersim
 #      -smoke): a small (strategy × shape × replicate) sweep matrix must
 #      be bit-identical for 1, 4, and 16 workers, and the streaming
@@ -104,8 +111,8 @@ go test -race ./internal/parallel/... ./internal/simulate/... ./internal/cluster
 echo "== serving invariants"
 go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
 
-echo "== flight under -race (coalescing, timeout, wait path)"
-go test -race -count=20 -run '^(TestSingleflightCollapsesConcurrentRequests|TestRequestTimeout|TestFlightGroup.*|TestCoalescedRequestsShareOneGoroutine|TestTimedOutRequestsLeaveOnlyTheComputation|TestFailedFlightAnswersEveryWaiter)$' ./internal/service/
+echo "== flight under -race (coalescing, timeout, wait path, in-process hop)"
+go test -race -count=20 -run '^(TestSingleflightCollapsesConcurrentRequests|TestRequestTimeout|TestFlightGroup.*|TestCoalescedRequestsShareOneGoroutine|TestTimedOutRequestsLeaveOnlyTheComputation|TestFailedFlightAnswersEveryWaiter|TestCapture.*|TestInProcessRefusalFailsOver|TestInProcessHopCarriesCallerContext|TestInProcessHopConcurrentBodies)$' ./internal/service/
 
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke

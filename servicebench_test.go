@@ -55,8 +55,9 @@ func BenchmarkPlanServiceCached(b *testing.B) {
 // BenchmarkPlanServiceCachedInProcess is BenchmarkPlanServiceCached
 // without the loopback HTTP hop, so it measures the service's own hit
 // path: "backend" calls Backend.ServeHTTP directly, "frontend" goes
-// Frontend → client.HandlerTransport → Backend. Request and response
-// writer are reused, so every allocation counted is the service's.
+// Frontend → Backend, the frontend calling its in-process shard's
+// handler itself. Request and response writer are reused, so every
+// allocation counted is the service's.
 func BenchmarkPlanServiceCachedInProcess(b *testing.B) {
 	be := service.New(service.Config{Cache: service.CacheConfig{Responses: 1 << 16}})
 	fe, err := service.NewFrontend(service.FrontendConfig{
