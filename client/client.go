@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/inproc"
 	"repro/internal/rng"
 	"repro/service/api"
 )
@@ -41,9 +42,6 @@ const (
 	DefaultRetryBase  = 50 * time.Millisecond
 	DefaultRetryMax   = time.Second
 )
-
-// maxResponseBytes bounds how much of a response body the client reads.
-const maxResponseBytes = 4 << 20
 
 // Config tunes a Client.
 type Config struct {
@@ -89,19 +87,10 @@ type Client struct {
 }
 
 // Raw is a verbatim service response: the exact bytes the service
-// wrote plus the serving metadata headers. The frontend proxies Raw
-// bodies through unchanged so cached responses stay byte-identical
-// end to end.
-type Raw struct {
-	// Status is the HTTP status code.
-	Status int
-	// Body is the response body (JSON).
-	Body []byte
-	// Cache is the X-Cache header: "hit", "miss", or "coalesced".
-	Cache string
-	// Shard is the X-Shard header a frontend set, if any.
-	Shard string
-}
+// wrote plus the serving metadata headers (Status, Body, Cache,
+// Shard). The frontend proxies Raw bodies through unchanged so cached
+// responses stay byte-identical end to end.
+type Raw = inproc.Raw
 
 // APIError is a structured non-2xx service response.
 type APIError struct {
@@ -201,7 +190,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 		return err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, inproc.MaxResponseBytes))
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("client: healthz returned status %d", resp.StatusCode)
 	}
@@ -256,7 +245,7 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte, tenant s
 func (c *Client) once(ctx context.Context, path string, body []byte, tenant string) (*Raw, error) {
 	// A nil ctx goes to Do, which reports it as an error.
 	if u := c.direct[path]; u != nil && ctx != nil {
-		return serveInProcess(c.handler, newPost(ctx, u, body, tenant)), nil
+		return serveInProcess(ctx, c.handler, u, body, tenant), nil
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
@@ -271,7 +260,7 @@ func (c *Client) once(ctx context.Context, path string, body []byte, tenant stri
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, inproc.MaxResponseBytes))
 	if err != nil {
 		return nil, err
 	}

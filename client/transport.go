@@ -7,8 +7,8 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 
+	"repro/internal/inproc"
 	"repro/service/api"
 )
 
@@ -28,13 +28,14 @@ import (
 // A Client built as above — the HTTPClient's Transport is the value
 // HandlerTransport returned, and its Timeout, Jar and CheckRedirect are
 // all unset — posts to api.PathPlan and api.PathSimulate by calling h
-// itself, without http.Client.Do: one *http.Request carrying the
-// caller's context, a pooled response writer, and one copy of the
-// response body into Raw.Body. Any other Client (a wrapped transport,
-// or one of those three fields set) and every other request go through
-// Do and RoundTrip. Either way the handler sees the same request and
-// PostRaw returns the same Raw; the in-process call does not follow
-// redirects, which the plan service never issues.
+// itself, without http.Client.Do: one request carrying the caller's
+// context, served into a pooled capture, and one copy of the response
+// body into Raw.Body. Any other Client (a wrapped transport, or one of
+// those three fields set) and every other request go through Do and
+// RoundTrip, which serve into the same capture. Either way the handler
+// sees the same request and PostRaw returns the same Raw; the
+// in-process call does not follow redirects, which the plan service
+// never issues.
 func HandlerTransport(h http.Handler) http.RoundTripper {
 	return handlerTransport{h: h}
 }
@@ -43,25 +44,37 @@ type handlerTransport struct {
 	h http.Handler
 }
 
-// RoundTrip implements http.RoundTripper by recording the handler's
-// response in memory. The response carries the handler's header map
-// itself, with X-Cache and X-Shard as they stood when the response was
-// committed.
+// RoundTrip implements http.RoundTripper: it reads and closes the
+// request body, serves the request into a capture and returns the
+// capture's response, whose header map is the handler's own with
+// X-Cache and X-Shard as they stood when the response was committed.
+// The response keeps the capture's header and body, so the capture is
+// not released.
 func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	w := &responseWriter{header: make(http.Header)}
-	t.h.ServeHTTP(w, req)
-	w.commit()
-	setOrDel(w.header, api.HeaderCache, w.cache)
-	setOrDel(w.header, api.HeaderShard, w.shard)
+	var body []byte
+	if req.Body != nil {
+		var err error
+		body, err = io.ReadAll(req.Body)
+		if cerr := req.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	c := inproc.Serve(t.h, req, body)
+	h := c.Header()
+	setOrDel(h, api.HeaderCache, c.Cache)
+	setOrDel(h, api.HeaderShard, c.Shard)
 	return &http.Response{
-		Status:        strconv.Itoa(w.status) + " " + http.StatusText(w.status),
-		StatusCode:    w.status,
+		Status:        strconv.Itoa(c.Status) + " " + http.StatusText(c.Status),
+		StatusCode:    c.Status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        w.header,
-		Body:          io.NopCloser(bytes.NewReader(w.body)),
-		ContentLength: int64(len(w.body)),
+		Header:        h,
+		Body:          io.NopCloser(bytes.NewReader(c.Body)),
+		ContentLength: int64(len(c.Body)),
 		Request:       req,
 	}, nil
 }
@@ -94,106 +107,32 @@ func inProcess(hc *http.Client, baseURL string) (http.Handler, map[string]*url.U
 	return t.h, direct
 }
 
-// responseWriter is the http.ResponseWriter in-process handlers serve
-// into. Like net/http's server it commits the response at the first
-// WriteHeader or Write, defaulting to 200; it keeps the status, the
-// serving metadata headers as of that moment, and at most
-// maxResponseBytes of the body, which is what a client reading the
-// response over TCP would see.
-type responseWriter struct {
-	header       http.Header
-	status       int
-	cache, shard string
-	body         []byte
-}
+// jsonContentType is the Content-Type of every in-process post. Its
+// capacity is its length, so a handler that appends to it gets a copy.
+var jsonContentType = []string{"application/json"}
 
-// Header implements http.ResponseWriter.
-func (w *responseWriter) Header() http.Header { return w.header }
-
-// WriteHeader implements http.ResponseWriter; calls after the first
-// are ignored, as over TCP.
-func (w *responseWriter) WriteHeader(status int) {
-	if w.status != 0 {
-		return
-	}
-	w.status = status
-	w.cache = w.header.Get(api.HeaderCache)
-	w.shard = w.header.Get(api.HeaderShard)
-}
-
-// Write implements http.ResponseWriter.
-func (w *responseWriter) Write(p []byte) (int, error) {
-	w.commit()
-	if room := maxResponseBytes - len(w.body); room > 0 {
-		w.body = append(w.body, p[:min(len(p), room)]...)
-	}
-	return len(p), nil
-}
-
-// commit commits a 200 response unless the handler already committed
-// one.
-func (w *responseWriter) commit() { w.WriteHeader(http.StatusOK) }
-
-// pooledBodyCap is the largest body buffer a pooled writer keeps; a
-// writer whose buffer grew past it is left to the GC.
-const pooledBodyCap = 64 << 10
-
-var writerPool = sync.Pool{New: func() any {
-	return &responseWriter{header: make(http.Header)}
-}}
-
-// serveInProcess serves req with h into a pooled writer and returns the
+// serveInProcess posts body to h at u, as http.NewRequestWithContext
+// and http.Client.Do would present it to the handler, and returns the
 // response as a Raw whose Body is an exact-size copy.
-func serveInProcess(h http.Handler, req *http.Request) *Raw {
-	w := writerPool.Get().(*responseWriter)
-	h.ServeHTTP(w, req)
-	w.commit()
-	raw := &Raw{Status: w.status, Body: make([]byte, len(w.body)), Cache: w.cache, Shard: w.shard}
-	copy(raw.Body, w.body)
-	if cap(w.body) <= pooledBodyCap {
-		clear(w.header)
-		*w = responseWriter{header: w.header, body: w.body[:0]}
-		writerPool.Put(w)
-	}
-	return raw
-}
-
-// newPost builds the request once sends, as http.NewRequestWithContext
-// and http.Client.Do would present it to the handler, from a parsed
-// URL.
-func newPost(ctx context.Context, u *url.URL, body []byte, tenant string) *http.Request {
-	p := &postState{contentType: [1]string{"application/json"}, tenant: [1]string{tenant}}
-	p.body.Reset(body)
-	h := make(http.Header, 2)
-	h["Content-Type"] = p.contentType[:]
+func serveInProcess(ctx context.Context, h http.Handler, u *url.URL, body []byte, tenant string) *Raw {
+	header := make(http.Header, 2)
+	header["Content-Type"] = jsonContentType
 	if tenant != "" {
-		h[api.HeaderTenant] = p.tenant[:]
+		header[api.HeaderTenant] = []string{tenant}
 	}
 	req := http.Request{
-		Method:        http.MethodPost,
-		URL:           u,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        h,
-		Body:          &p.body,
-		ContentLength: int64(len(body)),
-		Host:          u.Host,
+		Method:     http.MethodPost,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     header,
+		Host:       u.Host,
 	}
-	return req.WithContext(ctx)
+	c := inproc.Serve(h, req.WithContext(ctx), body)
+	raw := c.Raw
+	raw.Body = make([]byte, len(c.Body))
+	copy(raw.Body, c.Body)
+	c.Release()
+	return &raw
 }
-
-// postState holds an in-process request's body reader and header
-// values in one allocation.
-type postState struct {
-	body        requestBody
-	contentType [1]string
-	tenant      [1]string
-}
-
-// requestBody is an in-process request's body: the caller's bytes,
-// read in place.
-type requestBody struct{ bytes.Reader }
-
-// Close implements io.Closer.
-func (*requestBody) Close() error { return nil }

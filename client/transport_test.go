@@ -8,9 +8,11 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/inproc"
 	"repro/service/api"
 )
 
@@ -78,22 +80,23 @@ func TestInProcessHeadersAfterWriteIgnored(t *testing.T) {
 	}
 }
 
-// TestInProcessBodyTruncated: a body longer than maxResponseBytes is
-// cut at maxResponseBytes, as the TCP path reads it.
+// TestInProcessBodyTruncated: a body longer than
+// inproc.MaxResponseBytes is cut there, as the TCP path reads it.
 func TestInProcessBodyTruncated(t *testing.T) {
 	chunk := bytes.Repeat([]byte("x"), 1<<20)
 	raw := postAllWays(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		for i := 0; i < maxResponseBytes/len(chunk)+2; i++ {
+		for i := 0; i < inproc.MaxResponseBytes/len(chunk)+2; i++ {
 			_, _ = w.Write(chunk)
 		}
 	}), []byte("{}"))
-	if len(raw.Body) != maxResponseBytes {
-		t.Errorf("body %d bytes, want %d", len(raw.Body), maxResponseBytes)
+	if len(raw.Body) != inproc.MaxResponseBytes {
+		t.Errorf("body %d bytes, want %d", len(raw.Body), inproc.MaxResponseBytes)
 	}
 }
 
-// TestInProcessWriterReuseLeaksNothing: a pooled writer carries no
-// header, status or body into the next request.
+// TestInProcessWriterReuseLeaksNothing: the pooled capture the client
+// serves into carries no header, status or body into the next
+// request, and a returned Raw does not share the capture's memory.
 func TestInProcessWriterReuseLeaksNothing(t *testing.T) {
 	calls := 0
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -117,12 +120,51 @@ func TestInProcessWriterReuseLeaksNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Status != http.StatusAccepted || a.Cache != "hit" || a.Shard != "shard-1" {
-			t.Fatalf("first response %+v", a)
+		if a.Status != http.StatusAccepted || a.Cache != "hit" || a.Shard != "shard-1" ||
+			string(a.Body) != "first response, longer than the second" {
+			t.Fatalf("first response %+v, body %q", a, a.Body)
 		}
 		if b.Status != http.StatusOK || b.Cache != "" || b.Shard != "" || string(b.Body) != "second" {
 			t.Fatalf("second response leaks the first: %+v, body %q", b, b.Body)
 		}
+	}
+}
+
+// closeRecorder is a request body that records whether it was closed.
+type closeRecorder struct {
+	io.Reader
+	closed bool
+}
+
+func (b *closeRecorder) Close() error {
+	b.closed = true
+	return nil
+}
+
+// TestRoundTripClosesRequestBody: HandlerTransport's RoundTrip closes
+// the request body, as the http.RoundTripper contract requires, and
+// the handler still reads the caller's bytes.
+func TestRoundTripClosesRequestBody(t *testing.T) {
+	var got []byte
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+	})
+	hc := &http.Client{Transport: HandlerTransport(h), Timeout: time.Minute}
+	body := &closeRecorder{Reader: strings.NewReader(`{"distribution": "exponential(1)"}`)}
+	req, err := http.NewRequest(http.MethodPost, "http://fleet"+api.PathPlan, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !body.closed {
+		t.Error("RoundTrip left the request body open")
+	}
+	if string(got) != `{"distribution": "exponential(1)"}` {
+		t.Errorf("handler read %q", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/inproc"
 	"repro/internal/shard"
 	"repro/internal/tenant"
 	"repro/service/api"
@@ -99,7 +100,7 @@ type Frontend struct {
 }
 
 // backendShard is the frontend's state for one backend: a Handler
-// shard is called directly (see capture), a URL shard through its
+// shard is called directly (see inproc.Serve), a URL shard through its
 // client.
 type backendShard struct {
 	name    string
@@ -113,10 +114,10 @@ type backendShard struct {
 // hop sends body to s and returns its response. For an in-process
 // shard the response lives in a capture, which the caller releases once
 // it has read raw; for a URL shard the capture is nil.
-func (s *backendShard) hop(r *http.Request, path string, body []byte, tenant string) (*client.Raw, *capture, error) {
+func (s *backendShard) hop(r *http.Request, path string, body []byte, tenant string) (*client.Raw, *inproc.Capture, error) {
 	if s.handler != nil {
-		c := serveCaptured(s.handler, r, body)
-		return &c.raw, c, nil
+		c := inproc.Serve(s.handler, r, body)
+		return &c.Raw, c, nil
 	}
 	// A network transport may still be reading a request body after
 	// the response arrives; the pooled buffer goes back to the pool
@@ -134,9 +135,9 @@ func (s *backendShard) probe(ctx context.Context, timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		c := serveCaptured(s.handler, req, nil)
-		status := c.raw.Status
-		c.release()
+		c := inproc.Serve(s.handler, req, nil)
+		status := c.Status
+		c.Release()
 		if status != http.StatusOK {
 			return fmt.Errorf("healthz returned status %d", status)
 		}
@@ -245,7 +246,7 @@ func (f *Frontend) route(body []byte) (string, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return "", errors.New("invalid JSON request: " + err.Error())
 	}
-	spec, err := CanonicalSpec(req.Distribution)
+	_, spec, err := CanonicalSpec(req.Distribution)
 	if err != nil {
 		return "", err
 	}
@@ -320,7 +321,7 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string, re
 			}
 			w.WriteHeader(raw.Status)
 			_, _ = w.Write(raw.Body)
-			c.release()
+			c.Release()
 			return
 		}
 		// A 502/503 means the backend is up but refusing: try the next
@@ -328,7 +329,7 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string, re
 		refused := err == nil
 		if refused {
 			err = errors.New("status " + strconv.Itoa(raw.Status))
-			c.release()
+			c.Release()
 		}
 		if r.Context().Err() != nil {
 			f.fail(w, api.CodeCanceled, "request canceled")

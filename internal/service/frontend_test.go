@@ -119,7 +119,7 @@ func TestFrontendRoutesByCanonicalSpec(t *testing.T) {
 		if cache != "miss" {
 			t.Errorf("%s: X-Cache %q, want miss", spec, cache)
 		}
-		canonical, err := CanonicalSpec(spec)
+		_, canonical, err := CanonicalSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,6 +537,23 @@ func TestFrontendBadRequests(t *testing.T) {
 	fe.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown path: %d", rec.Code)
+	}
+}
+
+// TestBadSpecAnswersAlikeOnBothTiers: a body with no, a blank or an
+// unknown distribution gets the same status and error body from a
+// frontend, which rejects it before routing, as from a backend.
+func TestBadSpecAnswersAlikeOnBothTiers(t *testing.T) {
+	fe, _ := newFleet(t, 2, nil)
+	be := New(Config{})
+	for _, body := range []string{`{}`, `{"distribution": "  "}`, `{"distribution": "weird(1)"}`} {
+		for _, path := range []string{api.PathPlan, api.PathSimulate} {
+			wantStatus, _, _, want := postFE(t, be, path, body, "")
+			status, _, _, got := postFE(t, fe, path, body, "")
+			if wantStatus != http.StatusBadRequest || status != wantStatus || !bytes.Equal(got, want) {
+				t.Errorf("%s %s: frontend %d %s, backend %d %s", path, body, status, got, wantStatus, want)
+			}
+		}
 	}
 }
 

@@ -266,13 +266,9 @@ const (
 	// bodyBufRefill rebuilds a bodyBufs buffer: the buffer and its
 	// slice header.
 	bodyBufRefill = 2
-	// captureRefill rebuilds a frontend capture: the capture, its
+	// captureRefill rebuilds an inproc capture: the capture, its
 	// header map, the map's first group and the body's first growth.
 	captureRefill = 4
-	// clientWriterRefill rebuilds the client's in-process response
-	// writer: the writer, its header map, the map's first group and its
-	// body buffer.
-	clientWriterRefill = 4
 )
 
 // pinAllocs requires allocs to be exactly want, or at most
@@ -350,17 +346,18 @@ func TestFrontendServeHTTPHitAllocs(t *testing.T) {
 // frontendHitAllocs is the allocation count of client.PostRaw through
 // client.HandlerTransport to a Frontend and on to its Backend, answered
 // from the backend's body memo: all of it the client's hop (its
-// request, header map, request copy, Raw and body copy), since the
-// frontend's hop allocates nothing. Through http.Client.Do and an
-// httptest.ResponseRecorder per hop the same request took 70, so a
-// client that falls back to Do fails the pin, and so does a frontend
-// that reads the body or sets a header value with a fresh allocation.
-const frontendHitAllocs = 6
+// request header map and that map's first group, the Raw and its body
+// copy), since the frontend's hop allocates nothing. Through
+// http.Client.Do and an httptest.ResponseRecorder per hop the same
+// request took 70, so a client that falls back to Do fails the pin,
+// and so does a frontend that reads the body or sets a header value
+// with a fresh allocation.
+const frontendHitAllocs = 4
 
 // TestFrontendHitAllocs pins the allocation count of a hit through both
 // in-process hops: exactly frontendHitAllocs, or, under the race
 // detector, at most the refills of what the hit puts back — two
-// bodyBufs buffers, the frontend's capture and the client's writer —
+// bodyBufs buffers and two captures, the client's and the frontend's —
 // more.
 func TestFrontendHitAllocs(t *testing.T) {
 	be := New(Config{})
@@ -390,7 +387,7 @@ func TestFrontendHitAllocs(t *testing.T) {
 	if got := be.metrics.bodyMemoHits.Load() - memoHits; got != 201 {
 		t.Fatalf("%d of 201 runs were memo hits", got)
 	}
-	pinAllocs(t, "client → frontend hit", allocs, frontendHitAllocs, 2*bodyBufRefill+captureRefill+clientWriterRefill)
+	pinAllocs(t, "client → frontend hit", allocs, frontendHitAllocs, 2*bodyBufRefill+2*captureRefill)
 }
 
 // reusableBody is a request body that can be reset between requests.

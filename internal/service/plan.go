@@ -79,21 +79,25 @@ func plannerKey(m repro.CostModel, o repro.Options) string {
 	}, "|")
 }
 
-// CanonicalSpec canonicalizes a distribution spec exactly as the
-// service's cache keys and the frontend's shard routing do. The
-// Frontend uses it so that every spelling of one distribution routes
-// to the same home shard.
-func CanonicalSpec(spec string) (string, error) {
+// CanonicalSpec parses a request's distribution spec and canonicalizes
+// it exactly as the service's cache keys and the frontend's shard
+// routing do, so every spelling of one distribution routes to the same
+// home shard and shares one cache entry. A blank spec is an error.
+// Both tiers call it, so they reject a spec with the same message.
+func CanonicalSpec(spec string) (repro.Distribution, string, error) {
+	if strings.TrimSpace(spec) == "" {
+		return nil, "", errors.New(`missing distribution spec (e.g. "lognormal(3,0.5)")`)
+	}
 	d, err := repro.ParseDistribution(spec)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	if canonical, err := repro.DistributionSpec(d); err == nil {
-		return canonical, nil
+		return d, canonical, nil
 	}
 	// Distributions without a canonical serialization (e.g. empirical)
 	// keep the caller's spelling.
-	return spec, nil
+	return d, spec, nil
 }
 
 // resolveInputs validates a plan request and canonicalizes it into a
@@ -102,10 +106,7 @@ func CanonicalSpec(spec string) (string, error) {
 // omitted option vs its default, an empty strategy vs "brute-force" —
 // resolve to the same key.
 func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
-	if strings.TrimSpace(req.Distribution) == "" {
-		return nil, badRequest("missing distribution spec (e.g. \"lognormal(3,0.5)\")")
-	}
-	d, err := repro.ParseDistribution(req.Distribution)
+	d, spec, err := CanonicalSpec(req.Distribution)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
@@ -131,10 +132,6 @@ func (s *Backend) resolveInputs(req api.PlanRequest) (*planInputs, *apiError) {
 	pl, err := repro.NewPlanner(model, opts)
 	if err != nil {
 		return nil, badRequest("%v", err)
-	}
-	spec := req.Distribution
-	if canonical, err := repro.DistributionSpec(d); err == nil {
-		spec = canonical
 	}
 	return &planInputs{
 		planner:  pl,

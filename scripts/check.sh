@@ -27,7 +27,8 @@
 #      package whose shared-cursor scoring runs on worker blocks, the
 #      DP package whose fallback counter is a process-wide atomic
 #      updated from concurrent solves, and the serving tier
-#      (service backend/frontend, shard ring, tenant limiter, client).
+#      (service backend/frontend, shard ring, tenant limiter, client,
+#      and the in-process capture every in-process call serves into).
 #   8. serving invariants — TestFleetServingInvariants
 #      (internal/service) drives an in-process four-shard fleet with
 #      seeded concurrent traffic: zero errors, cold misses == unique
@@ -41,14 +42,18 @@
 #      TestFlightGroup*, and the wait-path tests: n coalesced requests
 #      hold n + 1 goroutines, timed-out requests leave only the
 #      computation's, a failed flight answers every waiter and is not
-#      cached) and the frontend's in-process hop tests (TestCapture*,
+#      cached), the in-process capture's contract (TestCapture in
+#      internal/inproc: a silent handler or a bare Write is a 200,
+#      WriteHeader, X-Cache and X-Shard after the commit point are
+#      ignored, a body is cut at 4 MiB, a reused capture leaks
+#      nothing) and the frontend's in-process hop tests
+#      (TestCaptureBodyTruncated, TestCaptureDropsLateXCache,
 #      TestInProcessRefusalFailsOver, TestInProcessHopCarriesCallerContext,
-#      TestInProcessHopConcurrentBodies: a 502/503 fails over, a bare
-#      Write is a 200, a body is cut at the client's 4 MiB as over a
-#      URL, a late X-Cache is dropped, the caller's context
-#      reaches the backend, concurrent callers get their own bytes) run
-#      20 times under the race detector, so an ordering bug in
-#      flightGroup.join — a flight forgotten before its bytes are
+#      TestInProcessHopConcurrentBodies: a 502/503 fails over, a body is
+#      cut as over a URL, a late X-Cache is dropped, the caller's
+#      context reaches the backend, concurrent callers get their own
+#      bytes) run 20 times under the race detector, so an ordering bug
+#      in flightGroup.join — a flight forgotten before its bytes are
 #      cached, say — or a capture reused while a hop still reads it
 #      fails the gate instead of once in a while.
 #  10. clustersim smoke — the simulator's built-in gate (cmd/clustersim
@@ -106,13 +111,13 @@ echo "== behaviour fingerprint"
 go test -count=1 -run '^TestBehaviourFingerprint$' -v ./cmd/experiments/ | grep -E '^(--- |ok|FAIL)|fingerprint'
 
 echo "== go test -race (concurrency substrate)"
-go test -race ./internal/parallel/... ./internal/simulate/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./client/...
+go test -race ./internal/parallel/... ./internal/simulate/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./internal/inproc/... ./client/...
 
 echo "== serving invariants"
 go test -count=1 -run '^TestFleetServingInvariants$' ./internal/service/
 
-echo "== flight under -race (coalescing, timeout, wait path, in-process hop)"
-go test -race -count=20 -run '^(TestSingleflightCollapsesConcurrentRequests|TestRequestTimeout|TestFlightGroup.*|TestCoalescedRequestsShareOneGoroutine|TestTimedOutRequestsLeaveOnlyTheComputation|TestFailedFlightAnswersEveryWaiter|TestCapture.*|TestInProcessRefusalFailsOver|TestInProcessHopCarriesCallerContext|TestInProcessHopConcurrentBodies)$' ./internal/service/
+echo "== flight under -race (coalescing, timeout, wait path, capture, in-process hop)"
+go test -race -count=20 -run '^(TestSingleflightCollapsesConcurrentRequests|TestRequestTimeout|TestFlightGroup.*|TestCoalescedRequestsShareOneGoroutine|TestTimedOutRequestsLeaveOnlyTheComputation|TestFailedFlightAnswersEveryWaiter|TestCapture|TestCaptureBodyTruncated|TestCaptureDropsLateXCache|TestInProcessRefusalFailsOver|TestInProcessHopCarriesCallerContext|TestInProcessHopConcurrentBodies)$' ./internal/inproc/ ./internal/service/
 
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
