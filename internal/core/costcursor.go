@@ -10,12 +10,13 @@ import (
 // evaluator that scores a Proposition-1 candidate (a first reservation
 // t1 expanded with the Eq.-(11) recurrence, or Eq. (37) under a convex
 // cost) in O(L) time and O(1) allocations. It fuses the recurrence step
-// with the cost summation so each d.Survival(t_i) — the expensive
-// special-function call for Gamma/Beta-type laws — is evaluated exactly
-// once and shared between the two, where the unfused path
-// (SequenceFromFirstTail + ExpectedCost) evaluates it three times: once
-// for the cost term and twice across the two recurrence steps that
-// reference t_i.
+// with the cost summation so each step asks the law once, with
+// d.SurvivalPDF(t_i): S(t_i) — the expensive special-function call for
+// Gamma/Beta-type laws — serves both the recurrence and the cost term,
+// and f(t_i) comes out of the same call (one logarithm for a
+// LogNormal). The unfused path (SequenceFromFirstTail + ExpectedCost)
+// evaluates S(t_i) three times: once for the cost term and twice across
+// the two recurrence steps that reference t_i.
 //
 // Construction hoists everything that does not depend on the
 // candidate: β·E[X], the survival at t_0 = 0, and the support bound.
@@ -29,7 +30,8 @@ import (
 // SequenceFromFirstConvexTail) bit for bit: the fused loop performs the
 // same IEEE-754 operations in the same order, only skipping the
 // redundant survival re-evaluations (which are pure and bitwise
-// reproducible).
+// reproducible) and taking S(t_i) and f(t_i) from one SurvivalPDF call,
+// which returns the separate calls' values bit for bit.
 //
 //repro:hotpath
 type CostCursor struct {
@@ -105,8 +107,8 @@ func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, 
 		return math.NaN(), false, err
 	}
 	// Iteration i scores t_{i-1} (ti) after t_{i-2} (tPrev, survival
-	// sf), then generates t_i; S(t_{i-1}) is evaluated once and serves
-	// both that step and the next iteration's term.
+	// sf), then generates t_i; one SurvivalPDF(t_{i-1}) serves that
+	// step and the next iteration's term.
 	tPrev, sfPrev := 0.0, 0.0
 	for i := 1; ; i++ {
 		var term float64
@@ -125,7 +127,8 @@ func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, 
 			return sum, true, nil
 		}
 		tPrev, sfPrev = ti, sf
-		sf = w.d.Survival(tPrev)
+		var f float64
+		sf, f = w.d.SurvivalPDF(tPrev)
 		if sf <= survivalCutoff {
 			return sum, false, nil
 		}
@@ -135,7 +138,7 @@ func (c *CostCursor) CostBudget(t1, budget float64) (cost float64, pruned bool, 
 		if i >= MaxSequenceLen {
 			return math.NaN(), false, ErrTooLong
 		}
-		ti, err = w.next(tPrev, sf, sfPrev)
+		ti, err = w.next(tPrev, f, sf, sfPrev)
 		if err == ErrEnd {
 			// Support covered, sequence complete — but mass remains
 			// above the cutoff: uncovered, infinite cost.

@@ -53,8 +53,8 @@ func (c *SequenceCursor) Next() (float64, error) {
 // reservation t1 followed by the Eq.-(11) recurrence — without
 // materializing it. It reproduces SequenceFromFirstTail value for
 // value through the same walk, but keeps only O(1) state: t_{i-1} and
-// S(t_{i-2}), so each step costs one Survival and one PDF evaluation
-// and scoring a brute-force candidate allocates nothing.
+// S(t_{i-2}), so each step costs one SurvivalPDF evaluation and
+// scoring a brute-force candidate allocates nothing.
 //
 //repro:hotpath
 type RecurrenceCursor struct {
@@ -107,8 +107,8 @@ func (c *RecurrenceCursor) Next() (float64, error) {
 	if c.i == 0 {
 		v, err = c.w.first(c.t1)
 	} else {
-		sf := c.w.d.Survival(c.prev)
-		v, err = c.w.next(c.prev, sf, c.sfPrev)
+		sf, f := c.w.d.SurvivalPDF(c.prev)
+		v, err = c.w.next(c.prev, f, sf, c.sfPrev)
 		c.sfPrev = sf
 	}
 	if err != nil {

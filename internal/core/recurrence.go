@@ -85,16 +85,17 @@ func (w *walk) first(t1 float64) (float64, error) {
 	return t1, nil
 }
 
-// next returns t_{i+1} from t = t_i, sf = S(t_i) and sfPrev =
-// S(t_{i-1}). It reports ErrEnd once t has reached b and
+// next returns t_{i+1} from t = t_i, f = f(t_i), sf = S(t_i) and
+// sfPrev = S(t_{i-1}); callers take sf and f from one
+// d.SurvivalPDF(t_i). It reports ErrEnd once t has reached b and
 // ErrNonIncreasing on a breakdown above the tail tolerance (including
 // a vanishing density at t, where Eq. (11) is undefined).
-func (w *walk) next(t, sf, sfPrev float64) (float64, error) {
+func (w *walk) next(t, f, sf, sfPrev float64) (float64, error) {
 	if w.bounded && t >= w.hi {
 		return math.NaN(), ErrEnd
 	}
 	v := math.NaN()
-	if f := w.d.PDF(t); f > 0 && !math.IsInf(f, 0) {
+	if f > 0 && !math.IsInf(f, 0) {
 		v = w.succ(t, f, sf, sfPrev)
 	}
 	if v > t {
@@ -115,8 +116,9 @@ func (w *walk) next(t, sf, sfPrev float64) (float64, error) {
 }
 
 // walkSequence returns the lazy Sequence of w from t1. Its generator
-// stays pure (Clone shares it), so each step evaluates the two
-// survivals it needs from the prefix (t_0 = 0).
+// stays pure (Clone shares it), so each step evaluates what it needs
+// from the prefix (t_0 = 0): one SurvivalPDF at t_i and one Survival
+// at t_{i-1}.
 func walkSequence(w walk, t1 float64) *Sequence {
 	return NewSequence(func(i int, prefix []float64) (float64, bool) {
 		var v float64
@@ -129,7 +131,8 @@ func walkSequence(w walk, t1 float64) *Sequence {
 				tPrev = prefix[i-2]
 			}
 			t := prefix[i-1]
-			v, err = w.next(t, w.d.Survival(t), w.d.Survival(tPrev))
+			sf, f := w.d.SurvivalPDF(t)
+			v, err = w.next(t, f, sf, w.d.Survival(tPrev))
 		}
 		return v, err != ErrEnd // NaN on ErrNonIncreasing: At reports it
 	})

@@ -86,6 +86,11 @@ func (d BetaDist) Survival(t float64) float64 {
 	return specfun.RegIncBeta(d.beta, d.alpha, 1-t)
 }
 
+// SurvivalPDF implements Distribution.
+func (d BetaDist) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution: Q(x) = I^{-1}_x(α, β).
 func (d BetaDist) Quantile(p float64) float64 {
 	p = clampP(p)

@@ -70,6 +70,11 @@ func (d BoundedPareto) Survival(t float64) float64 {
 	return clampP(1 - d.CDF(t))
 }
 
+// SurvivalPDF implements Distribution.
+func (d BoundedPareto) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution (Table 5):
 // Q(x) = L / (1 - (1 - (L/H)^α) x)^{1/α}.
 func (d BoundedPareto) Quantile(p float64) float64 {

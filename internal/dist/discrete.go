@@ -140,6 +140,11 @@ func (d *Discrete) Survival(t float64) float64 {
 	return d.total - d.cum[i-1]
 }
 
+// SurvivalPDF implements Distribution.
+func (d *Discrete) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution: inf{v : F(v) >= p}. For truncated
 // discretizations with total mass < 1, p above the total maps to the
 // largest value.

@@ -34,6 +34,12 @@ type Distribution interface {
 	// Survival returns P(X >= t) = 1 - F(t), computed in a numerically
 	// stable way where the law permits.
 	Survival(t float64) float64
+	// SurvivalPDF returns (Survival(t), PDF(t)) bit for bit, for every
+	// t including ±Inf and NaN: the same IEEE-754 operations on the
+	// same values, with the work the two formulas share (a logarithm,
+	// an exponential, a power) done once. A Proposition-1 step needs
+	// both at t_i, so the walk asks the law once per step.
+	SurvivalPDF(t float64) (sf, f float64)
 	// Quantile returns Q(p) = inf{t : F(t) >= p} for p in [0, 1].
 	Quantile(p float64) float64
 	// Mean returns E[X].

@@ -401,3 +401,118 @@ func VarianceNumeric(d Distribution) float64 {
 	m := MeanNumeric(d)
 	return numericMoment(d, 2) - m*m
 }
+
+// everyLaw returns one instance of every law in the package: the
+// Table-1 laws, Weibull shapes at and above 1 (the three branches of
+// its density at t = 0), a discrete law, an empirical law, a mixture
+// and a scaling.
+func everyLaw(t *testing.T) []Distribution {
+	t.Helper()
+	emp, err := NewEmpirical([]float64{3, 1, 4, 1, 5, 9, 2, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := NewMixture([]Distribution{MustLogNormal(1, 0.4), MustGamma(2, 0.5)}, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := NewScaled(MustLogNormal(3, 0.5), 1.0/3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(all(),
+		MustWeibull(2, 1), MustWeibull(1, 3),
+		mustDiscrete(t, []float64{1, 2, 4}, []float64{0.5, 0.25, 0.25}),
+		emp, mix, scaled)
+}
+
+// TestSurvivalPDFMatchesSeparateCalls: SurvivalPDF(t) is (Survival(t),
+// PDF(t)) bit for bit outside the support, at t = 0 and the support
+// edges, over an interior grid, deep in the tail where S underflows to
+// 0, and at ±Inf and NaN.
+func TestSurvivalPDFMatchesSeparateCalls(t *testing.T) {
+	for _, d := range everyLaw(t) {
+		lo, hi := d.Support()
+		probes := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0,
+			lo, math.Nextafter(lo, math.Inf(-1)), math.Nextafter(lo, math.Inf(1)),
+			hi, math.Nextafter(hi, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)),
+			1e10, 1e100, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+		for _, p := range []float64{1e-12, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1 - 1e-12} {
+			probes = append(probes, d.Quantile(p))
+		}
+		for i := 0; i <= 16; i++ {
+			probes = append(probes, lo+float64(i)/16*(math.Min(hi, 100*(1+d.Mean()))-lo))
+		}
+		underflow := false
+		for _, x := range probes {
+			sf, f := d.SurvivalPDF(x)
+			wantSF, wantF := d.Survival(x), d.PDF(x)
+			if math.Float64bits(sf) != math.Float64bits(wantSF) || math.Float64bits(f) != math.Float64bits(wantF) {
+				t.Errorf("%s: SurvivalPDF(%g) = (%g, %g), want (%g, %g)", d.Name(), x, sf, f, wantSF, wantF)
+			}
+			underflow = underflow || sf == 0
+		}
+		if !underflow {
+			t.Errorf("%s: no probe reached S = 0", d.Name())
+		}
+	}
+}
+
+// FuzzSurvivalPDF: for any valid parameters of any law and any t,
+// SurvivalPDF(t) equals (Survival(t), PDF(t)) bit for bit.
+func FuzzSurvivalPDF(f *testing.F) {
+	f.Add(uint8(0), 1.0, 0.0, 0.0, 0.5)
+	f.Add(uint8(1), 1.0, 0.5, 0.0, 0.0)
+	f.Add(uint8(3), 3.0, 0.5, 0.0, 20.0)
+	f.Fuzz(func(t *testing.T, law uint8, a, b, c, x float64) {
+		d, ok := fuzzLaw(law, a, b, c)
+		if !ok {
+			t.Skip()
+		}
+		sf, pdf := d.SurvivalPDF(x)
+		wantSF, wantF := d.Survival(x), d.PDF(x)
+		if math.Float64bits(sf) != math.Float64bits(wantSF) || math.Float64bits(pdf) != math.Float64bits(wantF) {
+			t.Fatalf("%s: SurvivalPDF(%g) = (%g, %g), want (%g, %g)", d.Name(), x, sf, pdf, wantSF, wantF)
+		}
+	})
+}
+
+// fuzzLaw builds law number law%12 — the nine Table-1 families in
+// Table-1 order, then a discrete law, a mixture and a scaling — from up
+// to three parameters; ok is false when the constructor rejects them.
+func fuzzLaw(law uint8, a, b, c float64) (d Distribution, ok bool) {
+	var err error
+	switch law % 12 {
+	case 0:
+		d, err = NewExponential(a)
+	case 1:
+		d, err = NewWeibull(a, b)
+	case 2:
+		d, err = NewGamma(a, b)
+	case 3:
+		d, err = NewLogNormal(a, b)
+	case 4:
+		d, err = NewTruncatedNormal(a, b, c)
+	case 5:
+		d, err = NewPareto(a, b)
+	case 6:
+		d, err = NewUniform(a, b)
+	case 7:
+		d, err = NewBeta(a, b)
+	case 8:
+		d, err = NewBoundedPareto(a, b, c)
+	case 9:
+		d, err = NewEmpirical([]float64{a, b, c})
+	case 10:
+		var w Weibull
+		if w, err = NewWeibull(a, b); err == nil {
+			d, err = NewMixture([]Distribution{w, MustLogNormal(3, 0.5)}, []float64{c, 1})
+		}
+	default:
+		var ln LogNormal
+		if ln, err = NewLogNormal(a, b); err == nil {
+			d, err = NewScaled(ln, c)
+		}
+	}
+	return d, err == nil
+}

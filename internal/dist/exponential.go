@@ -58,6 +58,16 @@ func (d Exponential) Survival(t float64) float64 {
 	return math.Exp(-d.lambda * t)
 }
 
+// SurvivalPDF implements Distribution with one exponential; at t = 0
+// it is e^{-0} = 1, the value Survival returns there.
+func (d Exponential) SurvivalPDF(t float64) (sf, f float64) {
+	if t < 0 {
+		return 1, 0
+	}
+	e := math.Exp(-d.lambda * t)
+	return e, d.lambda * e
+}
+
 // Quantile implements Distribution.
 func (d Exponential) Quantile(p float64) float64 {
 	p = clampP(p)

@@ -70,6 +70,11 @@ func (d Gamma) Survival(t float64) float64 {
 	return specfun.GammaQ(d.shape, d.rate*t)
 }
 
+// SurvivalPDF implements Distribution.
+func (d Gamma) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution (Table 5):
 // Q(x) = Γ^{-1}(α, (1-x)Γ(α)) / β.
 func (d Gamma) Quantile(p float64) float64 {

@@ -78,6 +78,17 @@ func (d LogNormal) Survival(t float64) float64 {
 	return 0.5 * math.Erfc((math.Log(t)-d.mu)/(d.sigma*math.Sqrt2))
 }
 
+// SurvivalPDF implements Distribution with one logarithm.
+func (d LogNormal) SurvivalPDF(t float64) (sf, f float64) {
+	if t <= 0 {
+		return 1, 0
+	}
+	lt := math.Log(t)
+	z := (lt - d.mu) / d.sigma
+	return 0.5 * math.Erfc((lt-d.mu)/(d.sigma*math.Sqrt2)),
+		math.Exp(-0.5*z*z) / (t * d.sigma * math.Sqrt(2*math.Pi))
+}
+
 // Quantile implements Distribution (Table 5):
 // Q(x) = exp(√2 σ erf^{-1}(2x-1) + μ).
 func (d LogNormal) Quantile(p float64) float64 {

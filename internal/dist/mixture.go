@@ -89,6 +89,11 @@ func (m *Mixture) Survival(t float64) float64 {
 	return v
 }
 
+// SurvivalPDF implements Distribution.
+func (m *Mixture) SurvivalPDF(t float64) (sf, f float64) {
+	return m.Survival(t), m.PDF(t)
+}
+
 // Quantile implements Distribution by monotone bisection on the mixture
 // CDF (there is no closed form for general mixtures).
 func (m *Mixture) Quantile(p float64) float64 {

@@ -62,6 +62,11 @@ func (d Pareto) Survival(t float64) float64 {
 	return math.Pow(d.scale/t, d.alpha)
 }
 
+// SurvivalPDF implements Distribution.
+func (d Pareto) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution: Q(x) = ν / (1-x)^{1/α}.
 func (d Pareto) Quantile(p float64) float64 {
 	p = clampP(p)

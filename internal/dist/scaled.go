@@ -49,6 +49,11 @@ func (s Scaled) Survival(t float64) float64 {
 	return s.base.Survival(t / s.factor)
 }
 
+// SurvivalPDF implements Distribution.
+func (s Scaled) SurvivalPDF(t float64) (sf, f float64) {
+	return s.Survival(t), s.PDF(t)
+}
+
 // Quantile implements Distribution.
 func (s Scaled) Quantile(p float64) float64 {
 	return s.factor * s.base.Quantile(p)

@@ -73,6 +73,11 @@ func (d TruncatedNormal) Survival(t float64) float64 {
 	return clampP(0.5 * math.Erfc((t-d.mu)/(d.sigma*math.Sqrt2)) / d.z)
 }
 
+// SurvivalPDF implements Distribution.
+func (d TruncatedNormal) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution (Table 5):
 // Q(x) = μ + σ√2 erf^{-1}(z), z = x + (1-x)·erf((a-μ)/(σ√2)).
 func (d TruncatedNormal) Quantile(p float64) float64 {

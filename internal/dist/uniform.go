@@ -67,6 +67,11 @@ func (d Uniform) Survival(t float64) float64 {
 	}
 }
 
+// SurvivalPDF implements Distribution.
+func (d Uniform) SurvivalPDF(t float64) (sf, f float64) {
+	return d.Survival(t), d.PDF(t)
+}
+
 // Quantile implements Distribution: Q(x) = (1-x)a + xb.
 func (d Uniform) Quantile(p float64) float64 {
 	p = clampP(p)

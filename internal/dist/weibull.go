@@ -71,6 +71,17 @@ func (d Weibull) Survival(t float64) float64 {
 	return math.Exp(-math.Pow(t/d.scale, d.shape))
 }
 
+// SurvivalPDF implements Distribution with (t/λ)^κ and its exponential
+// computed once.
+func (d Weibull) SurvivalPDF(t float64) (sf, f float64) {
+	if t <= 0 {
+		return 1, d.PDF(t)
+	}
+	z := t / d.scale
+	sf = math.Exp(-math.Pow(z, d.shape))
+	return sf, d.shape / d.scale * math.Pow(z, d.shape-1) * sf
+}
+
 // Quantile implements Distribution.
 func (d Weibull) Quantile(p float64) float64 {
 	p = clampP(p)

@@ -233,8 +233,9 @@ type routeSpec struct {
 // when the body was routed before, otherwise by a loose decode — the
 // backend enforces the strict schema; the frontend only needs the
 // routing key — and CanonicalSpec. Bodies of at most memoBodyCap bytes
-// that route successfully are memoized.
-func (f *Frontend) route(body []byte) (string, error) {
+// that route successfully are memoized. A body the loose decode
+// rejects gets the error a backend's strict decode of it on path gives.
+func (f *Frontend) route(path string, body []byte) (string, error) {
 	memoable := len(body) <= memoBodyCap
 	if memoable {
 		if spec, ok := f.routes.get("", body); ok {
@@ -244,7 +245,7 @@ func (f *Frontend) route(body []byte) (string, error) {
 	}
 	var req routeSpec
 	if err := json.Unmarshal(body, &req); err != nil {
-		return "", errors.New("invalid JSON request: " + err.Error())
+		return "", strictDecodeError(path, body, err)
 	}
 	_, spec, err := CanonicalSpec(req.Distribution)
 	if err != nil {
@@ -254,6 +255,21 @@ func (f *Frontend) route(body []byte) (string, error) {
 		f.routes.put("", body, spec)
 	}
 	return spec, nil
+}
+
+// strictDecodeError is the error a backend's strict decode of body on
+// path reports. Every body the loose routing decode rejects (with
+// looseErr) the strict decode rejects too; looseErr is only the
+// fallback should it not.
+func strictDecodeError(path string, body []byte, looseErr error) error {
+	var req any = new(api.PlanRequest)
+	if path == api.PathSimulate {
+		req = new(api.SimulateRequest)
+	}
+	if aerr := decodeJSON(bytes.NewReader(body), req); aerr != nil {
+		return errors.New(aerr.message)
+	}
+	return errors.New("invalid JSON request: " + looseErr.Error())
 }
 
 // proxy admits, routes, and forwards one request to path, failing over
@@ -292,7 +308,7 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string, re
 		f.fail(w, api.CodeBadRequest, bodyReadError(err))
 		return
 	}
-	spec, err := f.route(body)
+	spec, err := f.route(path, body)
 	if err != nil {
 		f.fail(w, api.CodeBadRequest, err.Error())
 		return

@@ -557,6 +557,32 @@ func TestBadSpecAnswersAlikeOnBothTiers(t *testing.T) {
 	}
 }
 
+// TestMalformedBodyAnswersAlikeOnBothTiers: a body the frontend cannot
+// decode for routing — a mistyped field, a non-object, trailing data —
+// gets the same status and error body from the frontend as from a
+// backend on the same path, and the message names no internal type.
+func TestMalformedBodyAnswersAlikeOnBothTiers(t *testing.T) {
+	fe, _ := newFleet(t, 2, nil)
+	be := New(Config{})
+	cases := []struct{ name, body string }{
+		{"mistyped distribution", `{"distribution": 5}`},
+		{"array", `[]`},
+		{"trailing data", `{"distribution": "exp(1)"} x`},
+	}
+	for _, tc := range cases {
+		for _, path := range []string{api.PathPlan, api.PathSimulate} {
+			wantStatus, _, _, want := postFE(t, be, path, tc.body, "")
+			status, _, _, got := postFE(t, fe, path, tc.body, "")
+			if wantStatus != http.StatusBadRequest || status != wantStatus || !bytes.Equal(got, want) {
+				t.Errorf("%s %s: frontend %d %s, backend %d %s", tc.name, path, status, got, wantStatus, want)
+			}
+			if bytes.Contains(got, []byte("routeSpec")) {
+				t.Errorf("%s %s: frontend names its routing type: %s", tc.name, path, got)
+			}
+		}
+	}
+}
+
 // TestFrontendSimulateRoutes: /v1/simulate proxies like /v1/plan.
 func TestFrontendSimulateRoutes(t *testing.T) {
 	fe, _ := newFleet(t, 3, nil)

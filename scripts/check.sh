@@ -66,9 +66,11 @@
 #      (Search and Sequence vs Curve, bit for bit), the DP engine target (the
 #      candidate-queue pass vs the O(n²) scan, bit for bit), the
 #      plan-body target (the direct /v1/plan encoder and its fallback vs
-#      json.MarshalIndent, byte for byte or the same error) and the
+#      json.MarshalIndent, byte for byte or the same error), the
 #      ring-walk target (the shard ring's allocation-free failover walk
-#      vs the member-set oracle, member for member) on top of their
+#      vs the member-set oracle, member for member) and the fused law
+#      target (SurvivalPDF vs separate Survival and PDF calls, bit for
+#      bit, over law parameters and t) on top of their
 #      committed corpora (testdata/fuzz), so a freshly broken invariant
 #      is found here, not in a nightly.
 #
@@ -122,7 +124,7 @@ go test -race -count=20 -run '^(TestSingleflightCollapsesConcurrentRequests|Test
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
 
-echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan + DP engine + plan body + ring walk)"
+echo "== fuzz smoke (cluster ledger + backfill + event core + winner-only scan + DP engine + plan body + ring walk + fused law)"
 go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzBackfill$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzEventCore$' -fuzztime 3s ./internal/cluster/
@@ -130,6 +132,7 @@ go test -run '^$' -fuzz '^FuzzWinnerOnlyScan$' -fuzztime 3s ./internal/strategy/
 go test -run '^$' -fuzz '^FuzzDPMatchesScan$' -fuzztime 3s ./internal/dp/
 go test -run '^$' -fuzz '^FuzzPlanBody$' -fuzztime 3s ./internal/service/
 go test -run '^$' -fuzz '^FuzzRingWalk$' -fuzztime 3s ./internal/shard/
+go test -run '^$' -fuzz '^FuzzSurvivalPDF$' -fuzztime 3s ./internal/dist/
 
 echo "check.sh: all gates passed"
 
