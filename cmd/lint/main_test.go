@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,7 +135,7 @@ func TestRunListRules(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	for _, rule := range []string{"floatcmp", "rngdiscipline", "maporder", "errcheck-lite", "synccheck",
-		"hotalloc", "ifaceescape", "mutexcopy", "valuerecv", "unusedexport"} {
+		"hotalloc", "ifaceescape", "valuerecv", "unusedexport"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing rule %s:\n%s", rule, out.String())
 		}
@@ -214,6 +217,66 @@ func TestEscapeGateDetectsInjectedEscape(t *testing.T) {
 		t.Errorf("stale entry not reported:\n%s", out)
 	}
 }
+
+// TestVetCopyLocksFixture pins go vet's copylocks pass, the lock-copy
+// step of scripts/check.sh, against a standalone fixture module: every
+// "// want `regexp`" line must draw exactly one matching report, and
+// no other line may draw one.
+func TestVetCopyLocksFixture(t *testing.T) {
+	dir := filepath.Join("testdata", "copylocksmod")
+	src, err := os.ReadFile(filepath.Join(dir, "locks.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := make(map[int]*regexp.Regexp)
+	for i, line := range strings.Split(string(src), "\n") {
+		if m := vetWantRE.FindStringSubmatch(line); m != nil {
+			wants[i+1] = regexp.MustCompile(m[1])
+		}
+	}
+	if len(wants) == 0 {
+		t.Fatal("fixture has no want comments; the test would pass vacuously")
+	}
+
+	cmd := exec.Command("go", "vet", "-copylocks", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
+	out, err := cmd.CombinedOutput()
+	if _, ok := err.(*exec.ExitError); err != nil && !ok {
+		t.Fatalf("go vet did not run: %v", err)
+	}
+	reported := make(map[int]bool)
+	for _, line := range strings.Split(string(out), "\n") {
+		m := vetDiagRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		n, _ := strconv.Atoi(m[1])
+		re, ok := wants[n]
+		switch {
+		case !ok:
+			t.Errorf("unexpected report: %s", line)
+		case reported[n]:
+			t.Errorf("second report on want line %d: %s", n, line)
+		case !re.MatchString(m[2]):
+			t.Errorf("report on line %d does not match `%s`: %s", n, re, line)
+		}
+		reported[n] = true
+	}
+	for n, re := range wants {
+		if !reported[n] {
+			t.Errorf("locks.go:%d: no report matching `%s`", n, re)
+		}
+	}
+	if t.Failed() {
+		t.Logf("go vet output:\n%s", out)
+	}
+}
+
+var (
+	vetWantRE = regexp.MustCompile("// want `(.+)`$")
+	vetDiagRE = regexp.MustCompile(`^\./locks\.go:(\d+):\d+: (.*)$`)
+)
 
 // TestEscapesBaselineFresh fails when the committed ESCAPES.json no
 // longer matches a fresh scan of the repository: the baseline must

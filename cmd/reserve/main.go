@@ -3,7 +3,7 @@
 //	reserve -dist 'lognormal(3,0.5)' -strategy brute-force
 //	reserve -dist 'uniform(10,20)' -alpha 1 -beta 0 -gamma 0
 //	reserve -dist 'exponential(1)' -strategy mean-doubling -job 2.5
-//	reserve -dist 'lognormal(7.1128,0.2039)' -neurohpc -unit-hours
+//	reserve -dist 'lognormal(-1.0759,0.2039)' -neurohpc
 //
 // It prints the reservation sequence, its exact expected cost (Eq. 4 of
 // the paper), the normalized cost against the omniscient scheduler,

@@ -91,7 +91,6 @@ func All() []*Analyzer {
 		SyncCheck,
 		HotAlloc,
 		IfaceEscape,
-		MutexCopy,
 		ValueRecv,
 		UnusedExport,
 	}

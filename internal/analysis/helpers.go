@@ -73,45 +73,3 @@ func lastResultIsError(info *types.Info, call *ast.CallExpr) bool {
 		return types.Identical(t, errorType)
 	}
 }
-
-// lockTypeNames are the sync types that must never be copied once used.
-var lockTypeNames = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-	"Pool":      true,
-	"Map":       true,
-}
-
-// containsLock reports whether a value of type t holds sync state by
-// value (directly, or inside a struct field or array element). Pointers
-// and reference types do not propagate: sharing them is the fix.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypeNames[obj.Name()] {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}

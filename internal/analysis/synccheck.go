@@ -5,21 +5,15 @@ import (
 	"go/types"
 )
 
-// SyncCheck guards the concurrency substrate that the parallel
-// Monte-Carlo engine rides on. It flags
-//
-//   - function parameters, receivers, and results that pass a type
-//     containing sync.Mutex / WaitGroup / Once / … by value (the copy
-//     has its own lock state, so the original is silently unguarded),
-//   - assignments and range clauses that copy such a value out of an
-//     existing variable (fresh composite literals are fine), and
-//   - "go func() { … }" literals that capture a loop variable instead
-//     of taking it as an argument — per-iteration loop variables make
-//     this safe from Go 1.22, but the explicit-argument form is the
-//     house style because it also pins one RNG stream per worker.
+// SyncCheck flags "go func() { … }" literals that capture a loop
+// variable instead of taking it as an argument. Per-iteration loop
+// variables make this safe from Go 1.22, but the explicit-argument form
+// is the house style because it also pins one RNG stream per worker of
+// the parallel Monte-Carlo engine. Lock copies are go vet's copylocks
+// pass, which scripts/check.sh runs before this suite.
 var SyncCheck = &Analyzer{
 	Name: "synccheck",
-	Doc:  "flags by-value copies of lock-bearing types and loop-variable capture in go statements",
+	Doc:  "flags loop-variable capture in go statements",
 	Run:  runSyncCheck,
 }
 
@@ -27,86 +21,13 @@ func runSyncCheck(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
-			case *ast.FuncDecl:
-				if e.Recv != nil {
-					checkFieldList(p, e.Recv, "receiver")
-				}
-				// Results are not checked: returning a fresh
-				// lock-bearing value from a constructor is legal.
-				checkFieldList(p, e.Type.Params, "parameter")
-			case *ast.FuncLit:
-				checkFieldList(p, e.Type.Params, "parameter")
-			case *ast.AssignStmt:
-				for i, rhs := range e.Rhs {
-					// "_ = x" discards the copy; it exists to silence
-					// unused-variable errors, not to smuggle a lock.
-					if len(e.Lhs) == len(e.Rhs) {
-						if id, ok := e.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-					}
-					checkLockCopyExpr(p, rhs)
-				}
-			case *ast.ValueSpec:
-				for _, v := range e.Values {
-					checkLockCopyExpr(p, v)
-				}
 			case *ast.RangeStmt:
-				if e.Value != nil {
-					if id, ok := e.Value.(*ast.Ident); ok && id.Name != "_" {
-						if obj := p.Info.Defs[id]; obj != nil && containsLock(obj.Type()) {
-							p.Reportf(e.Value.Pos(),
-								"range value copies %s which contains a sync primitive; range over indices or pointers", obj.Type())
-						}
-					}
-				}
 				checkGoLoopCapture(p, loopVarObjs(p, e), e.Body)
 			case *ast.ForStmt:
 				checkGoLoopCapture(p, forInitObjs(p, e), e.Body)
 			}
 			return true
 		})
-	}
-}
-
-// checkFieldList reports fields whose by-value type carries a lock.
-func checkFieldList(p *Pass, fl *ast.FieldList, kind string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		tv, ok := p.Info.Types[field.Type]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if containsLock(tv.Type) {
-			p.Reportf(field.Type.Pos(),
-				"%s passes %s by value, copying its sync primitive; use a pointer", kind, tv.Type)
-		}
-	}
-}
-
-// checkLockCopyExpr flags reading a lock-bearing value out of an
-// existing variable (identifier, field, index, or dereference). Fresh
-// values — composite literals, function-call results — are legal
-// because no goroutine can hold the new copy's lock yet.
-func checkLockCopyExpr(p *Pass, e ast.Expr) {
-	e = ast.Unparen(e)
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil || tv.Value != nil {
-		return
-	}
-	if containsLock(tv.Type) {
-		p.Reportf(e.Pos(),
-			"assignment copies %s which contains a sync primitive; share a pointer instead", tv.Type)
 	}
 }
 

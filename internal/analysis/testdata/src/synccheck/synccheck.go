@@ -4,48 +4,6 @@ package synccheck
 
 import "sync"
 
-type counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-type nested struct {
-	inner counter
-	name  string
-}
-
-func lockByValueParam(c counter) int { // want `parameter passes .*counter by value`
-	return c.n
-}
-
-func lockByValueReceiver(c counter) {} // want `parameter passes .*counter by value`
-
-func (c counter) valueMethod() int { // want `receiver passes .*counter by value`
-	return c.n
-}
-
-func waitGroupByValue(wg sync.WaitGroup) { // want `parameter passes sync.WaitGroup by value`
-	wg.Wait()
-}
-
-func copyOutOfPointer(c *counter) {
-	d := *c // want `assignment copies .*counter`
-	_ = d
-}
-
-func copyVariable(a nested) nested { // want `parameter passes .*nested by value`
-	b := a // want `assignment copies .*nested`
-	return b
-}
-
-func rangeCopiesLock(cs []counter) int {
-	total := 0
-	for _, c := range cs { // want `range value copies .*counter`
-		total += c.n
-	}
-	return total
-}
-
 func loopCapture(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -72,21 +30,6 @@ func rangeCapture(xs []int) {
 
 // The shapes below are sound and must NOT be flagged.
 
-func pointerParam(c *counter) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-func (c *counter) pointerMethod() int {
-	return c.n
-}
-
-func freshValue() *counter {
-	c := counter{} // fresh composite literal: nothing can hold its lock yet
-	return &c
-}
-
 func loopArgPassing(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -99,10 +42,29 @@ func loopArgPassing(n int) {
 	wg.Wait()
 }
 
-func suppressed(c *counter) {
-	//lint:ignore synccheck fixture exercises the escape hatch
-	d := *c
-	_ = d
+func outerCapture(xs []int, seed int) {
+	var wg sync.WaitGroup
+	for range xs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sink(seed) // not a loop variable
+		}()
+	}
+	wg.Wait()
+}
+
+func suppressed(n int) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			//lint:ignore synccheck fixture exercises the escape hatch
+			sink(i)
+		}()
+	}
+	wg.Wait()
 }
 
 func sink(int) {}

@@ -47,9 +47,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -832,7 +834,7 @@ func (s *sim) shadowOf(head int32) (shadow float64, spare int) {
 // sort it, accumulate until the head fits (EngineHeap only).
 func (s *sim) shadowSorted(head int32) (shadow float64, spare int) {
 	s.runScratch = s.ec.appendPending(s.runScratch[:0])
-	sort.Sort(&byTimeSeq{ev: s.runScratch})
+	slices.SortFunc(s.runScratch, eventCmp)
 	need := s.job(head).Width
 	avail := s.freeTotal
 	for _, r := range s.runScratch {
@@ -878,12 +880,10 @@ func (s *sim) shadowScan(head int32) (shadow float64, spare int) {
 	return shadow, avail - need
 }
 
-// byTimeSeq sorts finish events by (time, seq) — the event order.
-type byTimeSeq struct{ ev []finishEvent }
-
-func (b *byTimeSeq) Len() int           { return len(b.ev) }
-func (b *byTimeSeq) Less(i, k int) bool { return eventLess(b.ev[i], b.ev[k]) }
-func (b *byTimeSeq) Swap(i, k int)      { b.ev[i], b.ev[k] = b.ev[k], b.ev[i] }
+// eventCmp orders finish events by (time, seq) — the event order.
+func eventCmp(a, b finishEvent) int {
+	return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
+}
 
 // maybePreempt evicts backfilled attempts (most recently started
 // first) when the queue head has waited past PreemptAfter and still
@@ -912,7 +912,7 @@ func (s *sim) maybePreempt() {
 	// Latest start first = descending start-order seq. seq values are
 	// unique, so the order is total and independent of the snapshot
 	// order the engine produced.
-	sort.Sort(sort.Reverse(&bySeq{ev: kept}))
+	slices.SortFunc(kept, func(a, b finishEvent) int { return cmp.Compare(b.seq, a.seq) })
 	for _, e := range kept {
 		if s.job(head).Width <= s.freeTotal {
 			break
@@ -920,13 +920,6 @@ func (s *sim) maybePreempt() {
 		s.preempt(e.job)
 	}
 }
-
-// bySeq sorts finish events by start-order seq.
-type bySeq struct{ ev []finishEvent }
-
-func (b *bySeq) Len() int           { return len(b.ev) }
-func (b *bySeq) Less(i, k int) bool { return b.ev[i].seq < b.ev[k].seq }
-func (b *bySeq) Swap(i, k int)      { b.ev[i], b.ev[k] = b.ev[k], b.ev[i] }
 
 // preempt evicts one running attempt and resubmits it.
 func (s *sim) preempt(j int32) {
@@ -963,7 +956,7 @@ func (s *sim) scheduleConservative() {
 	// pending completion. The snapshot is sorted into the unique
 	// (time, seq) order, so the profile is engine-independent.
 	s.runScratch = s.ec.appendPending(s.runScratch[:0])
-	sort.Sort(&byTimeSeq{ev: s.runScratch})
+	slices.SortFunc(s.runScratch, eventCmp)
 	s.profT = append(s.profT[:0], s.now)
 	s.profF = append(s.profF[:0], s.freeTotal)
 	free := s.freeTotal

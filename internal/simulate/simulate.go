@@ -54,8 +54,11 @@ func CostOnSamples(m core.CostModel, s *core.Sequence, samples []float64, worker
 	if workers <= 0 || workers > n {
 		workers = parallel.Workers(n)
 	}
+	// Workers write per-sample costs; the sums below run in sample
+	// order, so every worker count yields the Workers: 1 estimate bit
+	// for bit.
+	costs := make([]float64, n)
 	type partial struct {
-		sum, sum2   float64
 		maxAttempts int
 		err         error
 	}
@@ -69,24 +72,23 @@ func CostOnSamples(m core.CostModel, s *core.Sequence, samples []float64, worker
 				p.err = fmt.Errorf("simulate: run %d (t=%g): %w", i, samples[i], err)
 				return
 			}
-			p.sum += c
-			p.sum2 += c * c
-			if k > p.maxAttempts {
-				p.maxAttempts = k
-			}
+			costs[i] = c
+			p.maxAttempts = max(p.maxAttempts, k)
 		}
 	})
-	var sum, sum2 float64
 	maxK := 0
 	for _, p := range parts {
+		// Blocks ascend with w, so the first error is the
+		// lowest-index failure.
 		if p.err != nil {
 			return Estimate{}, p.err
 		}
-		sum += p.sum
-		sum2 += p.sum2
-		if p.maxAttempts > maxK {
-			maxK = p.maxAttempts
-		}
+		maxK = max(maxK, p.maxAttempts)
+	}
+	var sum, sum2 float64
+	for _, c := range costs {
+		sum += c
+		sum2 += c * c
 	}
 	mean := sum / float64(n)
 	varc := sum2/float64(n) - mean*mean

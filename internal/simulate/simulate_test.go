@@ -60,26 +60,64 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestWorkerCountInvariance pins the Eq.-(13) estimate bit for bit
+// across worker counts: per-block partial sums would add the same costs
+// in a different order and move the last bits of Mean and StdErr.
 func TestWorkerCountInvariance(t *testing.T) {
-	d := dist.MustLogNormal(3, 0.5)
-	m := core.ReservationOnly
-	mean := d.Mean()
+	laws := []dist.Distribution{
+		dist.MustExponential(1),
+		dist.MustUniform(10, 20),
+		dist.MustLogNormal(3, 0.5),
+		dist.MustWeibull(1, 0.5),
+		dist.MustGamma(2, 2),
+	}
+	m := core.CostModel{Alpha: 1, Beta: 0.5, Gamma: 2}
+	for _, d := range laws {
+		samples := Samples(d, 1000, 7)
+		for _, ratio := range []float64{1.5, 2, 3} {
+			mean := d.Mean()
+			mk := func() *core.Sequence {
+				return core.NewSequence(func(i int, _ []float64) (float64, bool) {
+					return mean * math.Pow(ratio, float64(i)), true
+				})
+			}
+			e1, err := CostOnSamples(m, mk(), samples, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 3, 8} {
+				ew, err := CostOnSamples(m, mk(), samples, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(ew.Mean) != math.Float64bits(e1.Mean) ||
+					math.Float64bits(ew.StdErr) != math.Float64bits(e1.StdErr) ||
+					ew.MaxAttempts != e1.MaxAttempts {
+					t.Errorf("%s ratio %g: %d workers give %+v, 1 worker %+v", d.Name(), ratio, w, ew, e1)
+				}
+			}
+		}
+	}
+}
+
+// TestLowestIndexFailureReported: whichever worker fails first in time,
+// the error names the lowest failing sample.
+func TestLowestIndexFailureReported(t *testing.T) {
+	samples := []float64{11, 19, 12, 19.5, 13, 18, 14, 19.9}
+	// One reservation at 15 covers the samples below it only.
 	mk := func() *core.Sequence {
 		return core.NewSequence(func(i int, _ []float64) (float64, bool) {
-			return mean * math.Pow(2, float64(i)), true
+			return 15, i == 0
 		})
 	}
-	samples := Samples(d, 10000, 5)
-	e1, err1 := CostOnSamples(m, mk(), samples, 1)
-	e8, err8 := CostOnSamples(m, mk(), samples, 8)
-	if err1 != nil || err8 != nil {
-		t.Fatal(err1, err8)
+	_, want := CostOnSamples(core.ReservationOnly, mk(), samples, 1)
+	if want == nil {
+		t.Fatal("uncovered samples evaluated without error")
 	}
-	if math.Abs(e1.Mean-e8.Mean) > 1e-9 {
-		t.Errorf("worker count changed the estimate: %g vs %g", e1.Mean, e8.Mean)
-	}
-	if e1.MaxAttempts != e8.MaxAttempts {
-		t.Errorf("max attempts differ: %d vs %d", e1.MaxAttempts, e8.MaxAttempts)
+	for _, w := range []int{2, 3, 8} {
+		if _, err := CostOnSamples(core.ReservationOnly, mk(), samples, w); err == nil || err.Error() != want.Error() {
+			t.Errorf("%d workers: error %v, want %v", w, err, want)
+		}
 	}
 }
 

@@ -3,12 +3,16 @@
 #
 # Every PR must pass this end-to-end. It layers, in order:
 #   1. go build   — everything compiles
-#   2. go vet     — the toolchain's own static checks
+#   2. go vet     — the toolchain's own static checks; its copylocks
+#                   pass is the repo's lock-copy check (sync locks and
+#                   sync/atomic values copied by value; fixture in
+#                   cmd/lint/testdata/copylocksmod)
 #   3. cmd/lint   — the repo-specific determinism/concurrency/allocation
 #                   analyzers (floatcmp, rngdiscipline, maporder,
-#                   errcheck-lite, synccheck, hotalloc, ifaceescape,
-#                   mutexcopy, valuerecv, unusedexport; see DESIGN.md
-#                   "Static analysis & determinism invariants")
+#                   errcheck-lite, synccheck for loop-variable capture in
+#                   go statements, hotalloc, ifaceescape, valuerecv,
+#                   unusedexport; see DESIGN.md "Static analysis &
+#                   determinism invariants")
 #   4. cmd/lint -escapes — the compiler escape-analysis gate: heap
 #      escapes inside //repro:hotpath functions must match the committed
 #      ESCAPES.json baseline exactly (regenerate deliberate cold-path
